@@ -175,7 +175,7 @@ def _lpoly_obj(lp):
 
 def _count_obj(rec):
     return {"model": rec.model, "q": rec.q, "m": rec.m, "n": rec.n,
-            "seconds": round(rec.seconds, 6)}
+            "rows": rec.rows, "seconds": round(rec.seconds, 6)}
 
 
 def _split_obj(curve, sr) -> dict:
@@ -421,7 +421,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("json", "text"), default="text")
         p.add_argument("--out", help="write the JSON report to this path (atomic)")
         p.add_argument("--cap-evals", type=int, default=DEFAULT_EVAL_CAP,
-                       dest="cap_evals", help="point-evaluation budget for plane counts")
+                       dest="cap_evals", help="q^2 budget for the exhaustive and cover counts")
         p.add_argument("--cap-axis", type=int, default=DEFAULT_AXIS_CAP,
                        dest="cap_axis", help="largest counting field size")
 

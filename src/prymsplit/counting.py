@@ -5,8 +5,9 @@ Three counters, all exhaustive and exact:
 * plane quartics in P^2: the affine chart z = 1 row by row (a quartic in y per
   x), then the line z = 0, then (1:0:0).  Rows are resolved by the quadratic
   character when the quartic is even in y, by the degree of
-  gcd(y^q - y, row) for large fields, or by brute iteration; the three paths
-  count the same set and are cross-checked in the test suite.
+  gcd(y^q - y, row), or by brute iteration; the three paths count the same
+  set and are cross-checked in the test suite.  The line z = 0 is a
+  polynomial of degree at most 4 in x and is counted by the same gcd.
 * hyperelliptic-type models y^2 = F(x) in P(1, g+1, 1): character sums over
   the x-line plus the points above x = infinity read off the degree-(2g+2)
   homogenization.
@@ -15,16 +16,21 @@ Three counters, all exhaustive and exact:
   q1 vanishes), and 1 exactly where all three quadrics vanish, so the
   genus-5 curve is never enumerated in P^4.
 
-The outer enumeration axis is partitioned into chunks reduced by summation;
-chunk boundaries never change results.  PRYM_THREADS > 1 runs chunks on a
-thread pool.
+Every kernel walks the x-axis one Frobenius orbit at a time.  The curve's
+coefficients live in a subfield F_r of the counting field, so x -> x^r fixes
+the curve: it maps the points over x one-to-one onto the points over x^r and
+preserves the quadratic character.  One representative row per orbit is
+evaluated and weighted by the orbit size, about q/m rows for a curve over F_p
+counted over F_{p^m}.
+
+Caps are checked on entry.  Every kernel refuses a field larger than the axis
+cap; the exhaustive plane path and the cover count scan q values per row, so
+they also refuse q^2 above the evaluation cap.
 """
 
 from __future__ import annotations
 
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dc_field
 
 from .errors import (
@@ -48,6 +54,7 @@ class CountRecord:
     m: int  # extension degree counted over
     n: int  # number of points
     seconds: float = dc_field(compare=False, default=0.0)
+    rows: int = dc_field(compare=False, default=0)  # x-rows evaluated, one per orbit
 
     @property
     def field_size(self) -> int:
@@ -125,38 +132,28 @@ def _coerce_scalars(values, data_field, count_field):
     return [table[v] for v in values]
 
 
-def _chunk_ranges(q: int):
-    threads = 1
-    raw = os.environ.get("PRYM_THREADS", "")
-    if raw.isdigit():
-        threads = max(1, int(raw))
-    nchunks = threads if threads > 1 else 1
-    size = (q + nchunks - 1) // nchunks
-    return threads, [(lo, min(lo + size, q)) for lo in range(0, q, size)]
+def _frobenius_orbits(data_field, field):
+    """(representative, size) of each orbit of x -> x^r on the counting field.
 
-
-def _run_chunks(q: int, worker):
-    threads, ranges = _chunk_ranges(q)
-    if threads == 1:
-        return sum(worker(lo, hi) for lo, hi in ranges)
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return sum(pool.map(lambda r: worker(*r), ranges))
-
-
-def _count_scan_zeros(coeffs, field) -> int:
-    """Zeros in the field of a low-degree polynomial, by direct scan."""
-    add, mul = field.add, field.mul
-    zero = field.zero
-    if all(c == zero for c in coeffs):
-        return field.q
-    n = 0
-    for x in range(field.q):
-        acc = zero
-        for c in reversed(coeffs):
-            acc = add(mul(acc, x), c)
-        if acc == zero:
-            n += 1
-    return n
+    r is the size of data_field, where the curve's coefficients live.  Built on
+    first use and cached on the counting field per r; for r = q every orbit is
+    a single element.
+    """
+    r = data_field.q
+    orbits = field._orbits.get(r)
+    if orbits is None:
+        seen = bytearray(field.q)
+        orbits = []
+        for x in range(field.q):
+            size, y = 0, x
+            while not seen[y]:
+                seen[y] = 1
+                size += 1
+                y = field.pow(y, r)
+            if size:
+                orbits.append((x, size))
+        orbits = field._orbits[r] = tuple(orbits)
+    return orbits
 
 
 def count_projective_roots(form: BinaryForm, field=None) -> int:
@@ -287,7 +284,7 @@ def count_plane_quartic(form: TernaryForm, field, *, base_q: int | None = None,
                         eval_cap: int = DEFAULT_EVAL_CAP) -> CountRecord:
     """Exact number of projective points of a quartic plane curve.
 
-    Charts: {z = 1} as q rows over x, then {z = 0, y = 1}, then (1:0:0).
+    Charts: {z = 1} as rows over x, then {z = 0, y = 1}, then (1:0:0).
     """
     _require_odd_finite(field)
     if form.degree != 4:
@@ -295,9 +292,9 @@ def count_plane_quartic(form: TernaryForm, field, *, base_q: int | None = None,
     if form.is_zero():
         raise DegenerateInputError("zero quartic")
     q = field.q
-    if q > axis_cap or q * q > eval_cap:
+    if q > axis_cap:
         raise ResourceLimitError(
-            f"field size {q} exceeds the plane-count cap (axis {axis_cap}, evals {eval_cap})"
+            f"field size {q} exceeds the plane-count axis cap {axis_cap}"
         )
     start = time.perf_counter()
     zero = field.zero
@@ -313,6 +310,10 @@ def count_plane_quartic(form: TernaryForm, field, *, base_q: int | None = None,
         algorithm = "even" if even else ("exhaustive" if q <= 512 else "rowgcd")
     elif algorithm == "even" and not even:
         raise ModelError("curve is not even in y")
+    if algorithm == "exhaustive" and q * q > eval_cap:
+        raise ResourceLimitError(
+            f"field size {q} exceeds the exhaustive plane-count cap (evals {eval_cap})"
+        )
 
     add, mul = field.add, field.mul
 
@@ -335,65 +336,48 @@ def count_plane_quartic(form: TernaryForm, field, *, base_q: int | None = None,
         )
         r2, r0 = rows[2], rows[0]
 
-        def worker(lo, hi):
-            total = 0
-            for x in range(lo, hi):
-                b2 = eval_row(r2, x)
-                c0 = eval_row(r0, x)
-                if a4 == zero:
-                    total += _even_row_points(a4, b2, c0, field)
-                    continue
-                disc = sub(mul(b2, b2), mul(four, mul(a4, c0)))
-                cd = chi[disc]
-                if cd < 0:
-                    continue
-                nb = neg(b2)
-                if cd == 0:
-                    total += 1 + chi[mul(nb, inv2a)]
-                else:
-                    r = sqrt[disc]
-                    total += (
-                        2
-                        + chi[mul(add(nb, r), inv2a)]
-                        + chi[mul(sub(nb, r), inv2a)]
-                    )
-            return total
+        def row_points(x):
+            b2 = eval_row(r2, x)
+            c0 = eval_row(r0, x)
+            if a4 == zero:
+                return _even_row_points(a4, b2, c0, field)
+            disc = sub(mul(b2, b2), mul(four, mul(a4, c0)))
+            cd = chi[disc]
+            if cd < 0:
+                return 0
+            nb = neg(b2)
+            if cd == 0:
+                return 1 + chi[mul(nb, inv2a)]
+            r = sqrt[disc]
+            return 2 + chi[mul(add(nb, r), inv2a)] + chi[mul(sub(nb, r), inv2a)]
 
     elif algorithm == "exhaustive":
 
-        def worker(lo, hi):
-            total = 0
-            for x in range(lo, hi):
-                vals = [eval_row(rows[j], x) for j in range(5)]
-                total += _roots_of_quartic_exhaustive(vals, field)
-            return total
+        def row_points(x):
+            return _roots_of_quartic_exhaustive([eval_row(cs, x) for cs in rows], field)
 
     elif algorithm == "rowgcd":
 
-        def worker(lo, hi):
-            total = 0
-            for x in range(lo, hi):
-                vals = [eval_row(rows[j], x) for j in range(5)]
-                total += _distinct_roots_gcd(vals, field)
-            return total
+        def row_points(x):
+            return _distinct_roots_gcd([eval_row(cs, x) for cs in rows], field)
 
     else:
         raise ValueError(f"unknown algorithm {algorithm!r}")
 
-    n = _run_chunks(q, worker)
+    orbits = _frobenius_orbits(form.field, field)
+    n = sum(size * row_points(x) for x, size in orbits)
     # line z = 0 with y = 1: polynomial in x
     line = [zero] * 5
     for (i, j, k), c in monomials.items():
         if k == 0:
             line[i] = add(line[i], c)
-    n += _count_scan_zeros(line, field)
+    n += _distinct_roots_gcd(line, field)
     # the point (1:0:0)
     if monomials.get((4, 0, 0), zero) == zero:
         n += 1
     base = base_q or field.p
-    rec = CountRecord("plane-quartic", base, _extension_degree(base, q), n,
-                      time.perf_counter() - start)
-    return rec
+    return CountRecord("plane-quartic", base, _extension_degree(base, q), n,
+                       time.perf_counter() - start, len(orbits))
 
 
 def count_weighted(poly: UniPoly, genus: int, field, *, base_q: int | None = None,
@@ -415,22 +399,18 @@ def count_weighted(poly: UniPoly, genus: int, field, *, base_q: int | None = Non
     coeffs = _coerce_scalars(poly.coeffs, poly.field, field)
     chi = field.chi_table
     add, mul = field.add, field.mul
-
-    def worker(lo, hi):
-        total = 0
-        for x in range(lo, hi):
-            acc = zero
-            for c in reversed(coeffs):
-                acc = add(mul(acc, x), c)
-            total += 1 + chi[acc]
-        return total
-
-    n = _run_chunks(q, worker)
+    orbits = _frobenius_orbits(poly.field, field)
+    n = 0
+    for x, size in orbits:
+        acc = zero
+        for c in reversed(coeffs):
+            acc = add(mul(acc, x), c)
+        n += size * (1 + chi[acc])
     top = coeffs[2 * genus + 2] if len(coeffs) > 2 * genus + 2 else zero
     n += 1 + chi[top]
     base = base_q or field.p
     return CountRecord("weighted-hyperelliptic", base, _extension_degree(base, q), n,
-                       time.perf_counter() - start)
+                       time.perf_counter() - start, len(orbits))
 
 
 def count_bruin_cover(q1: TernaryQuadratic, q2: TernaryQuadratic,
@@ -441,7 +421,8 @@ def count_bruin_cover(q1: TernaryQuadratic, q2: TernaryQuadratic,
 
     Fiber over a base point: 2 points when the first nonvanishing of (q1, q3)
     is a nonzero square, 0 when it is a nonsquare, 1 when q1 = q2 = q3 = 0.
-    Cost is one pass over P^2; the cover itself is never enumerated in P^4.
+    Cost is one pass over the orbit rows of P^2; the cover itself is never
+    enumerated in P^4.
     """
     _require_odd_finite(field)
     if q1.is_zero() and q2.is_zero() and q3.is_zero():
@@ -459,6 +440,9 @@ def count_bruin_cover(q1: TernaryQuadratic, q2: TernaryQuadratic,
     for quad in (q1, q2, q3):
         cs = _coerce_scalars(quad.coefficients(), quad.field, field)
         packs.append(cs)  # (x^2, y^2, z^2, xy, xz, yz)
+    # a curve is Frobenius-stable over the field its three forms share
+    data_field = q1.field if q1.field == q2.field == q3.field else field
+    orbits = _frobenius_orbits(data_field, field)
 
     def fiber(v1, v2, v3):
         if v1 != zero:
@@ -467,47 +451,36 @@ def count_bruin_cover(q1: TernaryQuadratic, q2: TernaryQuadratic,
             return 1 + chi[v3]
         return 1
 
-    def worker(lo, hi):
-        nz = 0
-        ny = 0
-        for x in range(lo, hi):
-            x2 = mul(x, x)
-            consts = []
-            lins = []
-            quads = []
-            for (a, b, c, d, e, f) in packs:
-                consts.append(add(add(mul(a, x2), mul(e, x)), c))
-                lins.append(add(mul(d, x), f))
-                quads.append(b)
-            c1, c2m, c3 = consts
-            l1, l2, l3 = lins
-            b1, b2m, b3 = quads
-            for y in range(q):
-                v1 = add(mul(add(mul(b1, y), l1), y), c1)
-                v2 = add(mul(add(mul(b2m, y), l2), y), c2m)
-                v3 = add(mul(add(mul(b3, y), l3), y), c3)
-                if sub(mul(v2, v2), mul(v1, v3)) == zero:
-                    nz += 1
-                    ny += fiber(v1, v2, v3)
-        return nz, ny
-
-    threads, ranges = _chunk_ranges(q)
-    if threads == 1:
-        partials = [worker(lo, hi) for lo, hi in ranges]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            partials = list(pool.map(lambda r: worker(*r), ranges))
-    nz = sum(p[0] for p in partials)
-    ny = sum(p[1] for p in partials)
-    # line z = 0, y = 1: q_i(x, 1, 0) = a x^2 + d x + b
-    for x in range(q):
-        vals = []
+    nz = 0
+    ny = 0
+    for x, size in orbits:
+        x2 = mul(x, x)
+        consts = []
+        lins = []
+        quads = []
         for (a, b, c, d, e, f) in packs:
-            vals.append(add(add(mul(a, mul(x, x)), mul(d, x)), b))
-        v1, v2, v3 = vals
+            consts.append(add(add(mul(a, x2), mul(e, x)), c))
+            lins.append(add(mul(d, x), f))
+            quads.append(b)
+        c1, c2m, c3 = consts
+        l1, l2, l3 = lins
+        b1, b2m, b3 = quads
+        row_z = 0
+        row_y = 0
+        for y in range(q):
+            v1 = add(mul(add(mul(b1, y), l1), y), c1)
+            v2 = add(mul(add(mul(b2m, y), l2), y), c2m)
+            v3 = add(mul(add(mul(b3, y), l3), y), c3)
+            if sub(mul(v2, v2), mul(v1, v3)) == zero:
+                row_z += 1
+                row_y += fiber(v1, v2, v3)
+        # line z = 0, y = 1: q_i(x, 1, 0) = a x^2 + d x + b
+        v1, v2, v3 = (add(add(mul(a, x2), mul(d, x)), b) for (a, b, c, d, e, f) in packs)
         if sub(mul(v2, v2), mul(v1, v3)) == zero:
-            nz += 1
-            ny += fiber(v1, v2, v3)
+            row_z += 1
+            row_y += fiber(v1, v2, v3)
+        nz += size * row_z
+        ny += size * row_y
     # the point (1:0:0): q_i = a_i
     v1, v2, v3 = packs[0][0], packs[1][0], packs[2][0]
     if sub(mul(v2, v2), mul(v1, v3)) == zero:
@@ -517,6 +490,6 @@ def count_bruin_cover(q1: TernaryQuadratic, q2: TernaryQuadratic,
     base = base_q or field.p
     m = _extension_degree(base, q)
     return (
-        CountRecord("plane-quartic", base, m, nz, seconds),
-        CountRecord("bruin-cover", base, m, ny, seconds),
+        CountRecord("plane-quartic", base, m, nz, seconds, len(orbits)),
+        CountRecord("bruin-cover", base, m, ny, seconds, len(orbits)),
     )

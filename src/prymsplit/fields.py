@@ -112,7 +112,7 @@ class _FiniteField:
     Subclasses provide p, k, q, modulus and the four ring operations; the
     quadratic-character and square-root tables are built lazily from mul and
     cached on the field object (fields themselves are cached, see
-    build_extension).
+    build_extension), as are the Frobenius orbits the counting kernels walk.
     """
 
     kind = "finite"
@@ -122,6 +122,7 @@ class _FiniteField:
     def __init__(self):
         self._sqrt_table = None
         self._chi_table = None
+        self._orbits = {}  # r -> orbits of x -> x^r, see counting._frobenius_orbits
 
     @property
     def char(self):

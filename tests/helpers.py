@@ -23,6 +23,15 @@ def random_ternary_form(field, rng, degree):
     return TernaryForm(field, degree, coeffs)
 
 
+def random_even_quartic(field, rng):
+    """A random quartic with no odd powers of the second variable."""
+    coeffs = {}
+    for j in (0, 2, 4):
+        for i in range(5 - j):
+            coeffs[(i, j, 4 - i - j)] = field.random_element(rng)
+    return TernaryForm(field, 4, coeffs)
+
+
 def random_quadratic(field, rng):
     return TernaryQuadratic.from_coefficients(
         field, *(field.random_element(rng) for _ in range(6))

@@ -150,6 +150,9 @@ class TestReports:
                          "--out", str(out1), "--seed", "11"])
         assert code == 0
         report1 = json.loads(out1.read_text())
+        # one row per Frobenius orbit of x -> x^7: 7, 7 + 42/2, 7 + 336/3
+        rows = [c["rows"] for c in report1["verifications"][0]["counts"]]
+        assert rows == [7, 28, 119, 7, 7, 28]
         # re-run on the embedded input: identical verdict and data
         embedded = write(tmp_path, report1["input"], "embedded.json")
         out2 = tmp_path / "r2.json"

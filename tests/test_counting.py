@@ -18,11 +18,13 @@ from prymsplit import (
     random_validated_curve,
     singular_model,
 )
-from prymsplit.counting import CountRecord
+from prymsplit.counting import CountRecord, _frobenius_orbits
+from prymsplit.fields import embedding
 from helpers import (
     brute_cover_points,
     brute_plane_points,
     brute_weighted_points,
+    random_even_quartic,
     random_quadratic,
     random_ternary_form,
 )
@@ -54,6 +56,26 @@ class TestPlaneQuartic:
         with pytest.raises(ResourceLimitError):
             count_plane_quartic(fermat(F7), F7, axis_cap=5)
 
+    def test_eval_cap_charges_only_the_exhaustive_scan(self):
+        # even and rowgcd do O(1) and O(log q) work per row, bounded by the axis cap
+        expected = brute_plane_points(fermat(F7), F7)
+        for algorithm in ("even", "rowgcd"):
+            rec = count_plane_quartic(fermat(F7), F7, algorithm=algorithm, eval_cap=48)
+            assert rec.n == expected
+        with pytest.raises(ResourceLimitError):
+            count_plane_quartic(fermat(F7), F7, algorithm="exhaustive", eval_cap=48)
+        assert count_plane_quartic(fermat(F7), F7, algorithm="exhaustive",
+                                   eval_cap=49).n == expected
+
+    def test_cube_of_p29_within_default_caps(self):
+        # 29^3 = 24389 fits the axis cap although 29^6 exceeds the eval cap
+        from prymsplit import verify_split
+
+        curve = random_validated_curve(build_extension(29), random.Random(29))
+        result = verify_split(curve)
+        assert result.passed
+        assert [r.field_size for r in result.counts[:3]] == [29, 29**2, 29**3]
+
     @pytest.mark.parametrize("trial", range(12))
     def test_algorithms_agree_with_brute_force(self, trial):
         rng = random.Random(trial)
@@ -69,11 +91,7 @@ class TestPlaneQuartic:
     def test_even_kernel_agrees(self, trial):
         rng = random.Random(100 + trial)
         field = rng.choice([F5, F7, F9])
-        coeffs = {}
-        for j in (0, 2, 4):
-            for i in range(5 - j):
-                coeffs[(i, j, 4 - i - j)] = field.random_element(rng)
-        form = TernaryForm(field, 4, coeffs)
+        form = random_even_quartic(field, rng)
         if form.is_zero():
             return
         n_even = count_plane_quartic(form, field, algorithm="even").n
@@ -164,6 +182,11 @@ class TestBruinCover:
         with pytest.raises(DegenerateInputError):
             count_bruin_cover(z, z, z, F5)
 
+    def test_eval_cap(self):
+        quads = [random_quadratic(F7, random.Random(7)) for _ in range(3)]
+        with pytest.raises(ResourceLimitError):
+            count_bruin_cover(*quads, F7, eval_cap=48)
+
     @pytest.mark.parametrize("field", [F3, F5, F9], ids=["F3", "F5", "F9"])
     def test_fiber_table_against_p4_enumeration(self, field):
         rng = random.Random(field.q)
@@ -243,19 +266,77 @@ class TestBruinCover:
         assert rec_y.weil_ok(5)
 
 
-class TestChunking:
-    def test_thread_count_does_not_change_results(self, monkeypatch):
-        form = fermat(F7)
-        base = count_plane_quartic(form, F7).n
-        monkeypatch.setenv("PRYM_THREADS", "4")
-        assert count_plane_quartic(form, F7).n == base
-        rng = random.Random(19)
-        quads = [random_quadratic(F5, rng) for _ in range(3)]
-        monkeypatch.delenv("PRYM_THREADS")
-        rz1, ry1 = count_bruin_cover(*quads, F5)
-        monkeypatch.setenv("PRYM_THREADS", "3")
-        rz2, ry2 = count_bruin_cover(*quads, F5)
-        assert (rz1.n, ry1.n) == (rz2.n, ry2.n)
+def lift(form, small, big):
+    """The same form with its coefficients embedded in the larger field."""
+    table = embedding(small, big)
+    return TernaryForm(big, form.degree, {m: table[c] for m, c in form.coeffs.items()})
+
+
+class TestFrobeniusOrbits:
+    """Curves over a subfield, counted one row per orbit of x -> x^r."""
+
+    PAIRS = [(3, 1, 2), (5, 1, 2), (3, 1, 3), (5, 1, 3), (3, 2, 4)]  # (p, k, K)
+
+    @pytest.mark.parametrize("p, k, big_k", PAIRS, ids=lambda v: str(v))
+    def test_orbits_partition_the_field(self, p, k, big_k):
+        small, big = build_extension(p, k), build_extension(p, big_k)
+        orbits = _frobenius_orbits(small, big)
+        assert sum(size for _, size in orbits) == big.q
+        covered = set()
+        for x, size in orbits:
+            orbit = {x}
+            y = big.pow(x, small.q)
+            while y != x:
+                orbit.add(y)
+                y = big.pow(y, small.q)
+            assert len(orbit) == size
+            assert not orbit & covered  # no two representatives are conjugate
+            covered |= orbit
+        assert covered == set(range(big.q))
+        assert _frobenius_orbits(small, big) is orbits  # cached per (field, r)
+
+    def test_identity_walk_over_own_field(self):
+        assert _frobenius_orbits(F7, F7) == tuple((x, 1) for x in range(7))
+
+    @pytest.mark.parametrize("p, k, big_k", PAIRS, ids=lambda v: str(v))
+    def test_plane_algorithms_agree_with_brute_force(self, p, k, big_k):
+        small, big = build_extension(p, k), build_extension(p, big_k)
+        rng = random.Random(p * 100 + big_k)
+        form = random_ternary_form(small, rng, 4)
+        even = random_even_quartic(small, rng)
+        expected = brute_plane_points(lift(form, small, big), big)
+        expected_even = brute_plane_points(lift(even, small, big), big)
+        for algorithm in ("exhaustive", "rowgcd"):
+            assert count_plane_quartic(form, big, algorithm=algorithm).n == expected
+            assert count_plane_quartic(even, big, algorithm=algorithm).n == expected_even
+        assert count_plane_quartic(even, big, algorithm="even").n == expected_even
+        rec = count_plane_quartic(even, big)
+        assert rec.rows == len(_frobenius_orbits(small, big)) < big.q
+
+    @pytest.mark.parametrize("p, k, big_k", [(3, 1, 2), (5, 1, 2), (3, 1, 3), (3, 2, 4)],
+                             ids=lambda v: str(v))
+    def test_weighted_agrees_with_brute_force(self, p, k, big_k):
+        small, big = build_extension(p, k), build_extension(p, big_k)
+        table = embedding(small, big)
+        rng = random.Random(p * 10 + big_k)
+        for genus in (1, 2):
+            poly = UniPoly(small, [small.random_element(rng) for _ in range(2 * genus + 3)])
+            lifted = UniPoly(big, [table[c] for c in poly.coeffs])
+            assert count_weighted(poly, genus, big).n == brute_weighted_points(
+                lifted, genus, big
+            )
+
+    @pytest.mark.parametrize("p, trials", [(3, 4), (5, 1)], ids=["F9", "F25"])
+    def test_cover_agrees_with_brute_force(self, p, trials):
+        small, big = build_extension(p), build_extension(p, 2)
+        rng = random.Random(p)
+        for _ in range(trials):
+            quads = [random_quadratic(small, rng) for _ in range(3)]
+            lifted = [TernaryQuadratic.from_coefficients(big, *q.coefficients()) for q in quads]
+            rec_z, rec_y = count_bruin_cover(*quads, big)
+            assert rec_y.n == brute_cover_points(*lifted, big)
+            assert rec_z.n == count_bruin_cover(*lifted, big)[0].n
+            assert rec_y.rows == len(_frobenius_orbits(small, big))
 
 
 def test_count_record_weil_is_exact_integer_arithmetic():
