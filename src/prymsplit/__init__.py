@@ -9,7 +9,6 @@ factorization.
 
 from .counting import (
     CountRecord,
-    CurveInstance,
     count_bruin_cover,
     count_plane_quartic,
     count_projective_roots,
@@ -19,6 +18,7 @@ from .errors import (
     DegenerateInputError,
     InconsistentCountsError,
     InvalidFieldError,
+    InvalidParameterError,
     ModelError,
     PrymError,
     RejectedInputError,

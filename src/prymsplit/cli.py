@@ -23,6 +23,7 @@ from .counting import DEFAULT_AXIS_CAP, DEFAULT_EVAL_CAP
 from .errors import (
     DegenerateInputError,
     InvalidFieldError,
+    InvalidParameterError,
     PrymError,
     RejectedInputError,
     ResourceLimitError,
@@ -35,7 +36,7 @@ from .poly import BinaryForm
 from .prym import BiellipticQuartic, deform, split, validate
 from .resultants import disc_ternary_quartic
 from .ternary import TernaryForm
-from .zeta import verify_bruin, verify_split, verify_split_rational
+from .zeta import check_bruin_depth, verify_bruin, verify_split, verify_split_rational
 
 SCHEMA = "prymsplit-report/1"
 
@@ -312,6 +313,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_bruin(args) -> int:
+    check_bruin_depth(args.depth)
     curve = _curve_from_args(args)
     field = curve.field
     if field.kind != "finite":
@@ -470,8 +472,8 @@ def main(argv=None) -> int:
         print(f"resource cap: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
     except (DocumentError, RejectedInputError, DegenerateInputError,
-            InvalidFieldError, SingularMatrixError, UnsupportedFieldError,
-            UndefinedResultantError) as exc:
+            InvalidFieldError, InvalidParameterError, SingularMatrixError,
+            UnsupportedFieldError, UndefinedResultantError) as exc:
         print(f"rejected input: {exc}", file=sys.stderr)
         return EXIT_REJECTED
     except PrymError as exc:

@@ -35,6 +35,7 @@ from dataclasses import dataclass, field as dc_field
 
 from .errors import (
     DegenerateInputError,
+    InvalidParameterError,
     ModelError,
     ResourceLimitError,
     UnsupportedFieldError,
@@ -65,42 +66,6 @@ class CountRecord:
         return (self.n - qm - 1) ** 2 <= 4 * genus * genus * qm
 
 
-@dataclass(frozen=True)
-class CurveInstance:
-    """A tagged curve model over a concrete base field, ready for counting."""
-
-    model: str  # plane-quartic | weighted-hyperelliptic | bruin-cover
-    data: tuple
-    base_field: object
-
-    @classmethod
-    def plane_quartic(cls, form):
-        return cls("plane-quartic", (form,), form.field)
-
-    @classmethod
-    def weighted(cls, poly, genus: int):
-        return cls("weighted-hyperelliptic", (poly, genus), poly.field)
-
-    @classmethod
-    def bruin(cls, q1, q2, q3):
-        return cls("bruin-cover", (q1, q2, q3), q1.field)
-
-    def count_over(self, field, **options):
-        """Count over an extension; the characteristic must match the base."""
-        if self.base_field.kind == "finite" and field.char != self.base_field.char:
-            raise UnsupportedFieldError(
-                "counting field characteristic differs from the curve's base"
-            )
-        if self.model == "plane-quartic":
-            return count_plane_quartic(self.data[0], field, **options)
-        if self.model == "weighted-hyperelliptic":
-            poly, genus = self.data
-            return count_weighted(poly, genus, field, **options)
-        if self.model == "bruin-cover":
-            return count_bruin_cover(*self.data, field, **options)
-        raise ModelError(f"unknown model tag {self.model!r}")
-
-
 def _require_odd_finite(field):
     if field.kind != "finite":
         raise UnsupportedFieldError("point counting needs a finite field")
@@ -114,7 +79,7 @@ def _extension_degree(base_q: int, q: int) -> int:
         t *= base_q
         m += 1
     if t != q:
-        raise ValueError(f"{q} is not a power of the base size {base_q}")
+        raise InvalidParameterError(f"{q} is not a power of the base size {base_q}")
     return m
 
 
@@ -362,7 +327,7 @@ def count_plane_quartic(form: TernaryForm, field, *, base_q: int | None = None,
             return _distinct_roots_gcd([eval_row(cs, x) for cs in rows], field)
 
     else:
-        raise ValueError(f"unknown algorithm {algorithm!r}")
+        raise InvalidParameterError(f"unknown algorithm {algorithm!r}")
 
     orbits = _frobenius_orbits(form.field, field)
     n = sum(size * row_points(x) for x, size in orbits)

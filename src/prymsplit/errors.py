@@ -37,6 +37,10 @@ class ResultantIndeterminateError(PrymError):
     """Macaulay quotient stayed 0/0 after all coordinate-change retries."""
 
 
+class InvalidParameterError(PrymError, ValueError):
+    """A parameter lies outside its documented range or set of choices."""
+
+
 class RejectedInputError(PrymError):
     """Validation failed; carries the list of failed checks."""
 

@@ -153,7 +153,7 @@ def det_rational(rows) -> Fraction:
     for r in rows:
         d = lcm(*(f.denominator for f in r)) if r else 1
         denom *= d
-        int_rows.append([int(f * d) for f in r])
+        int_rows.append([f.numerator * (d // f.denominator) for f in r])
     return Fraction(det_bareiss_int(int_rows), denom)
 
 

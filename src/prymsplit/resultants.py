@@ -11,7 +11,10 @@ Conventions fixed here and relied on everywhere else:
   constant (-1)^(n(n-1)/2) * n^(n-2).
 * The Macaulay resultant of three ternary cubics is normalized so that
   Res(x1^3, x2^3, x3^3) = 1; the quotient det(M)/det(M') at critical degree 7
-  realizes that normalization exactly.
+  realizes that normalization exactly.  Macaulay's identity
+  Res * det(M') = det(M) holds over Z[coefficients], hence in every field, so
+  a nonzero minor det(M') makes the quotient the resultant, zero included.
+  The exact rank test for a common zero runs only when det(M') vanishes.
 * disc_ternary_quartic divides the Macaulay resultant of the partials by
   4^7 = 2^14 (the degree-4 normalizer), giving the discriminant whose value
   on x1^4 - x2^4 + x3^4 is exactly -2^40.
@@ -109,6 +112,9 @@ _MONOMIALS_7 = tuple(
 )
 
 
+_INDEX_7 = {m: i for i, m in enumerate(_MONOMIALS_7)}
+
+
 def _slot(mono):
     """Which input form covers this degree-7 monomial (first x_i with exp >= 3)."""
     if mono[0] >= 3:
@@ -118,32 +124,37 @@ def _slot(mono):
     return 2  # mono[2] >= 3 is forced since the first two are <= 2
 
 
-def _is_reduced(mono):
-    return sum(1 for e in mono if e >= 3) == 1
+# M' is M restricted to the rows and columns of the non-reduced monomials
+_MINOR_7 = tuple(
+    i for i, m in enumerate(_MONOMIALS_7) if sum(1 for e in m if e >= 3) != 1
+)
+
+
+def _multiple_row(f, mult, zero):
+    """Coefficients of x^mult * f over the degree-7 monomials.
+
+    Distinct monomials of f land on distinct targets, so every entry is
+    assigned once and never accumulated.
+    """
+    row = [zero] * len(_MONOMIALS_7)
+    a, b, c = mult
+    for (i, j, k), coeff in f.coeffs.items():
+        row[_INDEX_7[(a + i, b + j, c + k)]] = coeff
+    return row
 
 
 def _macaulay_quotient(cubics, field):
     """det(M)/det(M') for the fixed partition, or None when the minor vanishes."""
-    index = {m: i for i, m in enumerate(_MONOMIALS_7)}
-    zero = field.zero
     rows = []
     for mono in _MONOMIALS_7:
         s = _slot(mono)
-        f = cubics[s]
         mult = list(mono)
         mult[s] -= 3
-        row = [zero] * len(_MONOMIALS_7)
-        for fm, c in f.coeffs.items():
-            target = (mult[0] + fm[0], mult[1] + fm[1], mult[2] + fm[2])
-            row[index[target]] = field.add(row[index[target]], c)
-        rows.append(row)
-    minor_idx = [i for i, m in enumerate(_MONOMIALS_7) if not _is_reduced(m)]
-    minor_rows = [[rows[i][j] for j in minor_idx] for i in minor_idx]
-    det_minor = det_in_field(minor_rows, field)
+        rows.append(_multiple_row(cubics[s], mult, field.zero))
+    det_minor = det_in_field([[rows[i][j] for j in _MINOR_7] for i in _MINOR_7], field)
     if det_minor == field.zero:
         return None
-    det_full = det_in_field(rows, field)
-    return field.div(det_full, det_minor)
+    return field.div(det_in_field(rows, field), det_minor)
 
 
 _QUARTIC_MONOMIALS = tuple(
@@ -158,16 +169,8 @@ def _shares_projective_zero(cubics, field) -> bool:
     degree-7 multiples span all 36 degree-7 monomials; rank is unchanged by
     field extension, so computing it over the ground field is conclusive.
     """
-    index = {m: i for i, m in enumerate(_MONOMIALS_7)}
-    zero = field.zero
-    rows = []
-    for f in cubics:
-        for mult in _QUARTIC_MONOMIALS:
-            row = [zero] * len(_MONOMIALS_7)
-            for fm, c in f.coeffs.items():
-                tgt = (mult[0] + fm[0], mult[1] + fm[1], mult[2] + fm[2])
-                row[index[tgt]] = field.add(row[index[tgt]], c)
-            rows.append(row)
+    rows = [_multiple_row(f, mult, field.zero)
+            for f in cubics for mult in _QUARTIC_MONOMIALS]
     return rank_in_field(rows, field) < len(_MONOMIALS_7)
 
 
@@ -189,10 +192,13 @@ def macaulay_resultant_cubics(f1: TernaryForm, f2: TernaryForm, f3: TernaryForm,
                               seed: int = 0, max_retries: int = 24):
     """Macaulay resultant of three ternary cubics at critical degree 7.
 
-    A pre-check on the span of the degree-7 multiples settles the resultant-
-    is-zero case exactly.  Otherwise the quotient det(M)/det(M') is the
-    resultant; when the designated minor degenerates, retries run under a
-    random invertible substitution T, undoing Res(f o T) = det(T)^27 Res(f).
+    Whenever the designated minor det(M') is nonzero, the quotient
+    det(M)/det(M') is the resultant exactly, zero included, because
+    Res * det(M') = det(M) is an identity over Z[coefficients] (Cox, Little,
+    O'Shea, Using Algebraic Geometry, Ch. 3 Sec. 4).  Only when det(M')
+    vanishes does a rank test on the span of the degree-7 multiples settle
+    the resultant-is-zero case; otherwise retries run under a random
+    invertible substitution T, undoing Res(f o T) = det(T)^27 Res(f).
     Over small prime fields the retries may move to an extension field, where
     invertible substitutions are plentiful; the value still lies in the base
     field and is mapped back.
@@ -201,13 +207,13 @@ def macaulay_resultant_cubics(f1: TernaryForm, f2: TernaryForm, f3: TernaryForm,
         if f.degree != 3:
             raise DegenerateInputError("inputs must be ternary cubics")
     field = f1.field
-    if _shares_projective_zero((f1, f2, f3), field):
-        return field.zero
-    value = _macaulay_quotient((f1, f2, f3), field)
+    cubics = (f1, f2, f3)
+    value = _macaulay_quotient(cubics, field)
     if value is not None:
         return value
+    if _shares_projective_zero(cubics, field):
+        return field.zero
     rng = random.Random((seed & 0xFFFFFFFF) * 0x9E3779B1 + 0xAC)
-    cubics = (f1, f2, f3)
     for attempt in range(max_retries):
         work_field = field
         if field.kind == "finite" and field.q < 32 and attempt >= max_retries // 3:

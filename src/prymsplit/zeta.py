@@ -28,6 +28,7 @@ from .counting import (
 )
 from .errors import (
     InconsistentCountsError,
+    InvalidParameterError,
     RejectedInputError,
     ResourceLimitError,
     UnsupportedFieldError,
@@ -114,7 +115,7 @@ def lpoly_from_counts(q: int, counts, genus: int) -> WeilPolynomial:
 def predicted_counts(lpoly: WeilPolynomial, m: int) -> int:
     """N_m = q^m + 1 - s_m implied by an L-polynomial."""
     if m < 1:
-        raise ValueError("extension degree must be >= 1")
+        raise InvalidParameterError("extension degree must be >= 1")
     return lpoly.q**m + 1 - lpoly.power_sums(m)[-1]
 
 
@@ -227,6 +228,12 @@ class BruinVerification:
         return "pass" if self.passed else "fail"
 
 
+def check_bruin_depth(depth: int) -> None:
+    """Reject a cover-count depth outside 1..5 before any work is done."""
+    if not 1 <= depth <= 5:
+        raise InvalidParameterError(f"depth must be between 1 and 5, got {depth}")
+
+
 def verify_bruin(cover: BruinCover, depth: int = 3, *, seed: int = 0,
                  axis_cap: int = DEFAULT_AXIS_CAP,
                  eval_cap: int = DEFAULT_EVAL_CAP) -> BruinVerification:
@@ -239,8 +246,7 @@ def verify_bruin(cover: BruinCover, depth: int = 3, *, seed: int = 0,
     depths are partial and labeled as such.  Hitting a resource cap yields a
     partial result at the achieved depth rather than an error.
     """
-    if not 1 <= depth <= 5:
-        raise ValueError("depth must be between 1 and 5")
+    check_bruin_depth(depth)
     F = cover.field
     _require_prime_base(F)
     if not cover.base_smooth:

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from prymsplit import cli
 
 DEMO_F7 = {"p": 7, "f": [0, 1, 0], "g": [1, 1, 1], "h": [1, 0, -1]}
@@ -121,6 +123,20 @@ class TestExitCodes:
         code = cli.main(["bruin", "--input", write(tmp_path, DEMO_F7),
                          "--epsilon", "2"])
         assert code == 3
+
+    @pytest.mark.parametrize("depth", ["9", "0", "-1"])
+    def test_bruin_depth_out_of_range_rejected(self, tmp_path, capsys, monkeypatch,
+                                               depth):
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("depth must be rejected before any curve work")
+
+        monkeypatch.setattr(cli, "validate", must_not_run)
+        monkeypatch.setattr(cli, "deform", must_not_run)
+        code = cli.main(["bruin", "--input", write(tmp_path, DEMO_F7),
+                         "--epsilon", "3", "--depth", depth])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "rejected input" in err and "depth" in err
 
     def test_disc_check_golden(self):
         assert cli.main(["disc-check"]) == 0

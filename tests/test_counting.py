@@ -4,6 +4,7 @@ import pytest
 
 from prymsplit import (
     DegenerateInputError,
+    InvalidParameterError,
     QQ,
     ResourceLimitError,
     TernaryForm,
@@ -346,27 +347,9 @@ def test_count_record_weil_is_exact_integer_arithmetic():
     assert not rec_bad.weil_ok(3)
 
 
-class TestCurveInstance:
-    def test_dispatch_matches_direct_calls(self):
-        from prymsplit import CurveInstance
-
-        rng = random.Random(20)
-        curve = random_validated_curve(F5, rng)
-        inst = CurveInstance.plane_quartic(curve.plane_quartic())
-        assert inst.count_over(F5) == count_plane_quartic(curve.plane_quartic(), F5)
-        s = curve.branch_quartic().dehomogenize()
-        inst_w = CurveInstance.weighted(s, 1)
-        assert inst_w.count_over(F5).n == count_weighted(s, 1, F5).n
-        model = singular_model(curve)
-        inst_b = CurveInstance.bruin(*model.triple())
-        direct = count_bruin_cover(*model.triple(), F5)
-        assert [r.n for r in inst_b.count_over(F5)] == [r.n for r in direct]
-
-    def test_characteristic_mismatch_rejected(self):
-        from prymsplit import CurveInstance
-
-        rng = random.Random(21)
-        curve = random_validated_curve(F5, rng)
-        inst = CurveInstance.plane_quartic(curve.plane_quartic())
-        with pytest.raises(UnsupportedFieldError):
-            inst.count_over(F7)
+def test_extension_degree_mismatch_is_a_rejected_parameter():
+    poly = UniPoly.from_ints(F3, [0, 1, 0, 1])
+    with pytest.raises(InvalidParameterError):
+        count_weighted(poly, 1, F9, base_q=5)
+    with pytest.raises(InvalidParameterError):
+        count_plane_quartic(fermat(F3), F3, algorithm="bogus")

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from prymsplit import Matrix3, QQ, SingularMatrixError, build_extension, invert3
-from prymsplit.linalg import det_bareiss_int, det_in_field, rank_in_field
+from prymsplit.linalg import det_bareiss_int, det_in_field, det_rational, rank_in_field
 
 F7 = build_extension(7)
 
@@ -70,6 +70,40 @@ def test_bareiss_matches_fraction_gauss():
             rows = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
             frac_rows = [[Fraction(v) for v in r] for r in rows]
             assert Fraction(det_bareiss_int(rows)) == det_in_field(frac_rows, QQ)
+
+
+def _fraction_gauss_det(rows):
+    """Oracle: plain Gaussian elimination over Fraction."""
+    m = [list(r) for r in rows]
+    n = len(m)
+    det = Fraction(1)
+    for c in range(n):
+        piv = next((r for r in range(c, n) if m[r][c] != 0), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != c:
+            m[c], m[piv] = m[piv], m[c]
+            det = -det
+        det *= m[c][c]
+        for r in range(c + 1, n):
+            f = m[r][c] / m[c][c]
+            m[r] = [a - f * b for a, b in zip(m[r], m[c])]
+    return det
+
+
+def test_det_rational_matches_fraction_gauss():
+    rng = random.Random(3)
+    for n in (1, 2, 3, 5, 9):
+        for trial in range(12):
+            rows = [[Fraction(rng.randint(-30, 30), rng.randint(1, 12)) for _ in range(n)]
+                    for _ in range(n)]
+            if trial % 4 == 1:
+                rows[rng.randrange(n)] = [Fraction(0)] * n
+            elif trial % 4 == 2 and n > 1:
+                rows[0] = [-2 * v for v in rows[-1]]
+            value = det_rational(rows)
+            assert isinstance(value, Fraction)
+            assert value == _fraction_gauss_det(rows)
 
 
 def test_det_finite_field_matches_rational_reduction():

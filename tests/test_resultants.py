@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 import sympy
 
+from prymsplit import resultants
 from prymsplit import (
     BinaryForm,
     DegenerateInputError,
@@ -191,6 +192,88 @@ class TestMacaulay:
         cubic = TernaryForm.from_ints(QQ, 3, {(3, 0, 0): 1})
         with pytest.raises(DegenerateInputError):
             macaulay_resultant_cubics(quad, cubic, cubic)
+
+
+def _random_element(field, rng):
+    """A random element; over QQ a fraction with a denominator up to 9."""
+    if field.kind == "rationals":
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+    return field.random_element(rng)
+
+
+def _random_form(field, rng, degree):
+    return TernaryForm(field, degree, {
+        (i, j, degree - i - j): _random_element(field, rng)
+        for i in range(degree + 1) for j in range(degree + 1 - i)
+    })
+
+
+def _cubics_through_a_point(field, rng):
+    """Three cubics l1*a + l2*b vanishing at (u:v:1), l1 = x - uz, l2 = y - vz."""
+    u, v = _random_element(field, rng), _random_element(field, rng)
+    x, y, z = (TernaryForm.variable(field, axis) for axis in range(3))
+    l1 = x - z.scale(u)
+    l2 = y - z.scale(v)
+    return tuple(l1 * _random_form(field, rng, 2) + l2 * _random_form(field, rng, 2)
+                 for _ in range(3))
+
+
+def _monomial_cubic(mono):
+    return TernaryForm.from_ints(QQ, 3, {mono: 1})
+
+
+class TestMacaulayOrder:
+    """The quotient comes first; the rank test runs only when det(M') = 0."""
+
+    @pytest.mark.parametrize("field", [QQ, F7, build_extension(5, 2)],
+                             ids=["QQ", "F7", "F25"])
+    def test_zero_iff_shared_projective_zero(self, field):
+        rng = random.Random(11)
+        shared = 0
+        for trial in range(24):
+            if trial % 2:
+                cubics = _cubics_through_a_point(field, rng)
+            else:
+                cubics = tuple(_random_form(field, rng, 3) for _ in range(3))
+            if any(f.is_zero() for f in cubics):
+                continue
+            value = macaulay_resultant_cubics(*cubics, seed=trial)
+            common = resultants._shares_projective_zero(cubics, field)
+            assert (value == field.zero) == common
+            shared += common
+        assert shared >= 12
+
+    def test_generic_discriminant_needs_no_rank(self, monkeypatch):
+        rng = random.Random(12)
+        forms = [_random_form(QQ, rng, 4) for _ in range(4)]
+        expected = [disc_ternary_quartic(form) for form in forms]
+
+        def no_rank(rows, field):
+            raise AssertionError("rank test run although det(M') is nonzero")
+
+        monkeypatch.setattr(resultants, "rank_in_field", no_rank)
+        assert [disc_ternary_quartic(form) for form in forms] == expected
+        assert all(value != 0 for value in expected)
+        golden = TernaryForm.from_ints(QQ, 4, {(4, 0, 0): 1, (0, 4, 0): -1, (0, 0, 4): 1})
+        assert disc_ternary_quartic(golden) == -(2**40)
+
+    def test_vanishing_minor_reaches_rank_test(self, monkeypatch):
+        calls = []
+        rank = resultants.rank_in_field
+
+        def spy(rows, field):
+            calls.append(len(rows))
+            return rank(rows, field)
+
+        monkeypatch.setattr(resultants, "rank_in_field", spy)
+        x3, y3, z3 = (_monomial_cubic(m) for m in ((3, 0, 0), (0, 3, 0), (0, 0, 3)))
+        # (x^3, x^3, y^3) share (0:0:1); (y^3, z^3, x^3) share nothing but
+        # both leave the designated minor singular
+        for cubics, expected in (((x3, x3, y3), 0), ((y3, z3, x3), 1)):
+            assert resultants._macaulay_quotient(cubics, QQ) is None
+            calls.clear()
+            assert macaulay_resultant_cubics(*cubics) == expected
+            assert calls == [45]
 
 
 class TestQuarticDiscriminant:

@@ -5,6 +5,8 @@ import pytest
 from prymsplit import (
     BiellipticQuartic,
     InconsistentCountsError,
+    InvalidParameterError,
+    PrymError,
     QQ,
     RejectedInputError,
     UniPoly,
@@ -93,8 +95,9 @@ class TestPredictedCounts:
 
     def test_m_zero_rejected(self):
         lp = lpoly_from_counts(5, [6], 1)
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidParameterError):
             predicted_counts(lp, 0)
+        assert issubclass(InvalidParameterError, PrymError)
 
     def test_round_trip_every_genus(self):
         rng = random.Random(1)
@@ -188,8 +191,9 @@ class TestVerifyBruin:
     def test_depth_bounds(self):
         rng = random.Random(7)
         cover = self._smooth_cover(F5, rng)
-        with pytest.raises(ValueError):
-            verify_bruin(cover, depth=6)
+        for depth in (6, 0, -1):
+            with pytest.raises(InvalidParameterError):
+                verify_bruin(cover, depth=depth)
 
     def test_resource_cap_gives_partial(self):
         rng = random.Random(8)
