@@ -5,8 +5,8 @@ Input documents are strict JSON: a curve is
 triples ordered (x^2, xz, z^2); drop "p" for a curve over the rationals, whose
 entries may be "num/den" strings.  Unknown keys are rejected by name.
 
-Exit codes: 0 success/pass, 2 verification failed, 3 rejected input,
-4 resource cap exceeded, 1 internal error.
+Exit codes: 0 success/pass, 2 verification failed, 3 rejected input
+(usage errors included), 4 resource cap exceeded, 1 internal error.
 """
 
 from __future__ import annotations
@@ -286,11 +286,10 @@ def _cmd_verify(args) -> int:
     curve = _curve_from_args(args)
     report = _report_base("verify", args)
     report["input"] = _curve_doc(curve)
-    caps = {"axis_cap": args.cap_axis, "eval_cap": args.cap_evals}
     if curve.field.kind == "rationals":
-        results = verify_split_rational(curve, seed=args.seed, **caps)
+        results = verify_split_rational(curve, seed=args.seed, axis_cap=args.cap_axis)
     else:
-        results = [verify_split(curve, seed=args.seed, **caps)]
+        results = [verify_split(curve, seed=args.seed, axis_cap=args.cap_axis)]
     subreports = []
     for res in results:
         subreports.append({
@@ -403,8 +402,17 @@ def _cmd_selftest(args) -> int:
     return EXIT_PASS if passed else EXIT_VERIFICATION_FAILED
 
 
+class _Parser(argparse.ArgumentParser):
+    """Exits 3 (rejected input) on a usage error; argparse's own 2 means
+    "verification failed" in this CLI's exit codes."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_REJECTED, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="prymsplit",
         description="Split the Jacobian of a bielliptic plane quartic and "
                     "verify the decomposition by exact point counting.",
@@ -422,8 +430,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="seed for every randomized step (default 0)")
         p.add_argument("--format", choices=("json", "text"), default="text")
         p.add_argument("--out", help="write the JSON report to this path (atomic)")
-        p.add_argument("--cap-evals", type=int, default=DEFAULT_EVAL_CAP,
-                       dest="cap_evals", help="q^2 budget for the exhaustive and cover counts")
+
+    def cap_axis(p):
         p.add_argument("--cap-axis", type=int, default=DEFAULT_AXIS_CAP,
                        dest="cap_axis", help="largest counting field size")
 
@@ -439,11 +447,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="check L_C = L_D * L_X by point counting")
     common(p_verify)
+    cap_axis(p_verify)
     p_verify.set_defaults(fn=_cmd_verify)
 
     p_bruin = sub.add_parser("bruin", help="verify the double-cover Prym identity "
                                            "on a deformation fiber")
     common(p_bruin)
+    cap_axis(p_bruin)
+    p_bruin.add_argument("--cap-evals", type=int, default=DEFAULT_EVAL_CAP,
+                         dest="cap_evals",
+                         help="q^2 budget of the double-cover count, which scans "
+                              "q values per row")
     p_bruin.add_argument("--epsilon", type=int, default=None,
                          help="deformation parameter (default: seeded random nonzero)")
     p_bruin.add_argument("--depth", type=int, default=3,

@@ -1,13 +1,16 @@
 """Exact point counts for every curve model used by the verification layer.
 
-Three counters, all exhaustive and exact:
+Three counters, all exact:
 
 * plane quartics in P^2: the affine chart z = 1 row by row (a quartic in y per
-  x), then the line z = 0, then (1:0:0).  Rows are resolved by the quadratic
-  character when the quartic is even in y, by the degree of
-  gcd(y^q - y, row), or by brute iteration; the three paths count the same
-  set and are cross-checked in the test suite.  The line z = 0 is a
-  polynomial of degree at most 4 in x and is counted by the same gcd.
+  x), then the line z = 0, then (1:0:0).  The form picks the row path: with
+  no odd power of y (the bielliptic quartic y^4 - h y^2 + fg always qualifies)
+  a row is a polynomial in w = y^2 of degree at most 2, resolved by the
+  quadratic character; otherwise a row's points are the degree of
+  gcd(y^q - y, row), computed by the list kernel of the poly module.  Both
+  paths are cross-checked against brute enumeration in the test suite.  The
+  line z = 0 is a polynomial of degree at most 4 in x and is counted by the
+  same gcd.
 * hyperelliptic-type models y^2 = F(x) in P(1, g+1, 1): character sums over
   the x-line plus the points above x = infinity read off the degree-(2g+2)
   homogenization.
@@ -24,8 +27,9 @@ evaluated and weighted by the orbit size, about q/m rows for a curve over F_p
 counted over F_{p^m}.
 
 Caps are checked on entry.  Every kernel refuses a field larger than the axis
-cap; the exhaustive plane path and the cover count scan q values per row, so
-they also refuse q^2 above the evaluation cap.
+cap.  Only the cover count scans q values per row, so only it also refuses
+q^2 above the evaluation cap; the plane and weighted counts do at most
+O(log q) field operations per row.
 """
 
 from __future__ import annotations
@@ -41,7 +45,7 @@ from .errors import (
     UnsupportedFieldError,
 )
 from .fields import embedding
-from .poly import BinaryForm, UniPoly
+from .poly import BinaryForm, UniPoly, gcd_list, powmod_list, trim
 from .ternary import TernaryForm, TernaryQuadratic
 
 DEFAULT_AXIS_CAP = 30_000
@@ -135,121 +139,25 @@ def count_projective_roots(form: BinaryForm, field=None) -> int:
 
 # --- per-row root counting over y ----------------------------------------
 
-def _poly_trim(c, zero):
-    while c and c[-1] == zero:
-        c.pop()
-    return c
-
-
 def _distinct_roots_gcd(coeffs, field) -> int:
     """Number of distinct roots in the field: deg gcd(x^q - x, f)."""
     zero, one = field.zero, field.one
-    f = _poly_trim(list(coeffs), zero)
-    if not f:
-        return field.q
-    if len(f) == 1:
-        return 0
-    if len(f) == 2:
-        return 1
-    inv_lead = field.inv(f[-1])
-    f = [field.mul(inv_lead, c) for c in f]
-    mul, add, sub = field.mul, field.add, field.sub
-    d = len(f) - 1
-
-    def mulmod(a, b):
-        out = [zero] * (len(a) + len(b) - 1)
-        for i, ai in enumerate(a):
-            if ai != zero:
-                for j, bj in enumerate(b):
-                    out[i + j] = add(out[i + j], mul(ai, bj))
-        for i in range(len(out) - 1, d - 1, -1):
-            c = out[i]
-            if c != zero:
-                out[i] = zero
-                for j in range(d):
-                    out[i - d + j] = sub(out[i - d + j], mul(c, f[j]))
-        return _poly_trim(out[:d], zero) or [zero]
-
-    # x^q mod f
-    e = field.q
-    result = [one]
-    base = [zero, one]
-    while e:
-        if e & 1:
-            result = mulmod(result, base)
-        e >>= 1
-        if e:
-            base = mulmod(base, base)
-    # g = x^q - x mod f
-    g = list(result) + [zero] * max(0, 2 - len(result))
-    g[1] = sub(g[1], one)
-    g = _poly_trim(g, zero)
-    a, b = f, g
-    while b:
-        # a mod b
-        inv = field.inv(b[-1])
-        r = list(a)
-        while len(r) >= len(b):
-            c = r[-1]
-            if c != zero:
-                fq = mul(c, inv)
-                off = len(r) - len(b)
-                for i in range(len(b)):
-                    r[off + i] = sub(r[off + i], mul(fq, b[i]))
-            r.pop()
-            _poly_trim(r, zero)
-            if not r:
-                break
-        a, b = b, r
-    return len(a) - 1
-
-
-def _roots_of_quartic_exhaustive(vals, field) -> int:
-    zero = field.zero
-    if all(v == zero for v in vals):
-        return field.q
-    add, mul = field.add, field.mul
-    n = 0
-    v4, v3, v2, v1, v0 = vals[4], vals[3], vals[2], vals[1], vals[0]
-    for y in range(field.q):
-        acc = add(mul(add(mul(add(mul(add(mul(v4, y), v3), y), v2), y), v1), y), v0)
-        if acc == zero:
-            n += 1
-    return n
-
-
-def _even_row_points(a4, b2, c0, field) -> int:
-    """Points (y, ...) on a4 y^4 + b2 y^2 + c0 = 0 via the quadratic in w = y^2."""
-    zero = field.zero
-    chi = field.chi_table
-    sqrt = field.sqrt_table
-    add, mul, sub, neg = field.add, field.mul, field.sub, field.neg
-    if a4 == zero:
-        if b2 == zero:
-            return field.q if c0 == zero else 0
-        w = field.div(neg(c0), b2)
-        return 1 + chi[w]
-    disc = sub(mul(b2, b2), mul(field.from_int(4), mul(a4, c0)))
-    cd = chi[disc]
-    if cd < 0:
-        return 0
-    inv2a = mul(field.inv(field.from_int(2)), field.inv(a4))
-    if cd == 0:
-        w = mul(neg(b2), inv2a)
-        return 1 + chi[w]
-    r = sqrt[disc]
-    w1 = mul(add(neg(b2), r), inv2a)
-    w2 = mul(sub(neg(b2), r), inv2a)
-    return 2 + chi[w1] + chi[w2]
+    f = trim(list(coeffs), zero)
+    if len(f) <= 2:
+        return field.q if not f else len(f) - 1
+    g = powmod_list([zero, one], field.q, f, field)  # x^q mod f
+    g += [zero] * (2 - len(g))
+    g[1] = field.sub(g[1], one)
+    return len(gcd_list(f, trim(g, zero), field)) - 1
 
 
 def count_plane_quartic(form: TernaryForm, field, *, base_q: int | None = None,
-                        algorithm: str = "auto",
-                        axis_cap: int = DEFAULT_AXIS_CAP,
-                        eval_cap: int = DEFAULT_EVAL_CAP) -> CountRecord:
+                        axis_cap: int = DEFAULT_AXIS_CAP) -> CountRecord:
     """Exact number of projective points of a quartic plane curve.
 
-    Charts: {z = 1} as rows over x, then {z = 0, y = 1}, then (1:0:0).
+    Charts: {z = 1} as rows over x, then {z = 0, y = 1}, then (1:0:0).  A
+    row is resolved by the quadratic character when the form has no odd
+    power of y, and by deg gcd(y^q - y, row) otherwise.
     """
     _require_odd_finite(field)
     if form.degree != 4:
@@ -271,14 +179,6 @@ def count_plane_quartic(form: TernaryForm, field, *, base_q: int | None = None,
     for (i, j, k), c in monomials.items():
         rows[j][i] = c
     even = not any(c != zero for c in rows[1]) and not any(c != zero for c in rows[3])
-    if algorithm == "auto":
-        algorithm = "even" if even else ("exhaustive" if q <= 512 else "rowgcd")
-    elif algorithm == "even" and not even:
-        raise ModelError("curve is not even in y")
-    if algorithm == "exhaustive" and q * q > eval_cap:
-        raise ResourceLimitError(
-            f"field size {q} exceeds the exhaustive plane-count cap (evals {eval_cap})"
-        )
 
     add, mul = field.add, field.mul
 
@@ -288,7 +188,8 @@ def count_plane_quartic(form: TernaryForm, field, *, base_q: int | None = None,
             acc = add(mul(acc, x), c)
         return acc
 
-    if algorithm == "even":
+    if even:
+        # a4 w^2 + b2 w + c0 with w = y^2; a4 is the constant y^4 coefficient
         chi = field.chi_table
         sqrt = field.sqrt_table
         sub, neg = field.sub, field.neg
@@ -305,7 +206,9 @@ def count_plane_quartic(form: TernaryForm, field, *, base_q: int | None = None,
             b2 = eval_row(r2, x)
             c0 = eval_row(r0, x)
             if a4 == zero:
-                return _even_row_points(a4, b2, c0, field)
+                if b2 == zero:
+                    return q if c0 == zero else 0
+                return 1 + chi[field.div(neg(c0), b2)]
             disc = sub(mul(b2, b2), mul(four, mul(a4, c0)))
             cd = chi[disc]
             if cd < 0:
@@ -316,18 +219,10 @@ def count_plane_quartic(form: TernaryForm, field, *, base_q: int | None = None,
             r = sqrt[disc]
             return 2 + chi[mul(add(nb, r), inv2a)] + chi[mul(sub(nb, r), inv2a)]
 
-    elif algorithm == "exhaustive":
-
-        def row_points(x):
-            return _roots_of_quartic_exhaustive([eval_row(cs, x) for cs in rows], field)
-
-    elif algorithm == "rowgcd":
+    else:
 
         def row_points(x):
             return _distinct_roots_gcd([eval_row(cs, x) for cs in rows], field)
-
-    else:
-        raise InvalidParameterError(f"unknown algorithm {algorithm!r}")
 
     orbits = _frobenius_orbits(form.field, field)
     n = sum(size * row_points(x) for x, size in orbits)

@@ -5,6 +5,13 @@ polynomial has degree NEG_INF so that deg(pq) = deg(p) + deg(q) holds
 formally.  BinaryForm stores a degree-n form as c_0..c_n meaning
 sum c_i x^(n-i) z^i (leading x-coefficient first); leading zeros are kept,
 they encode roots at infinity.
+
+The product, division, modular product, modular power and gcd of dense
+polynomials live once, in the list kernel below.  It works on bare
+constant-first coefficient lists without trailing zeros ([] is the zero
+polynomial) over any field object, so UniPoly, the per-row root counts of the
+counting kernels and the modulus and generator search of the extension fields
+share it.
 """
 
 from __future__ import annotations
@@ -14,16 +21,82 @@ from .errors import DegenerateInputError
 NEG_INF = float("-inf")
 
 
+# --- list kernel -------------------------------------------------------------
+
+def trim(cs: list, zero) -> list:
+    """Drop trailing zeros in place; returns cs."""
+    while cs and cs[-1] == zero:
+        cs.pop()
+    return cs
+
+
+def divmod_list(a, b, F):
+    """(quotient, remainder) of a by a nonzero b, both trimmed lists."""
+    zero, mul, sub = F.zero, F.mul, F.sub
+    rem = list(a)
+    d = len(b) - 1
+    if len(rem) <= d:
+        return [], trim(rem, zero)
+    lead_inv = F.inv(b[-1])
+    quo = [zero] * (len(rem) - d)
+    for i in range(len(rem) - 1, d - 1, -1):
+        c = rem[i]
+        if c != zero:
+            t = mul(c, lead_inv)
+            quo[i - d] = t
+            off = i - d
+            for j in range(d):  # rem[i] itself cancels exactly
+                rem[off + j] = sub(rem[off + j], mul(t, b[j]))
+    del rem[d:]
+    return quo, trim(rem, zero)
+
+
+def mul_list(a, b, F):
+    """Schoolbook product of two coefficient lists; trims nothing."""
+    if not a or not b:
+        return []
+    zero, add, mul = F.zero, F.add, F.mul
+    out = [zero] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        if ai != zero:
+            for j, bj in enumerate(b):
+                out[i + j] = add(out[i + j], mul(ai, bj))
+    return out
+
+
+def mulmod_list(a, b, f, F):
+    """a * b mod a nonzero f, all trimmed lists."""
+    return divmod_list(mul_list(a, b, F), f, F)[1]
+
+
+def powmod_list(a, e: int, f, F):
+    """a^e mod f by square-and-multiply, for a reduced mod f, deg f >= 1, e >= 0."""
+    result = [F.one]
+    while e:
+        if e & 1:
+            result = mulmod_list(result, a, f, F)
+        e >>= 1
+        if e:
+            a = mulmod_list(a, a, f, F)
+    return result
+
+
+def gcd_list(a, b, F):
+    """Monic gcd of two trimmed lists by the Euclidean algorithm; [] for 0, 0."""
+    while b:
+        a, b = b, divmod_list(a, b, F)[1]
+    if not a:
+        return []
+    inv = F.inv(a[-1])
+    return [F.mul(inv, c) for c in a]
+
+
 class UniPoly:
     __slots__ = ("field", "coeffs")
 
     def __init__(self, field, coeffs):
-        zero = field.zero
-        cs = list(coeffs)
-        while cs and cs[-1] == zero:
-            cs.pop()
         self.field = field
-        self.coeffs = tuple(cs)
+        self.coeffs = tuple(trim(list(coeffs), field.zero))
 
     @classmethod
     def zero(cls, field):
@@ -88,17 +161,7 @@ class UniPoly:
         return UniPoly(F, [F.neg(c) for c in self.coeffs])
 
     def __mul__(self, other):
-        F = self.field
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return UniPoly.zero(F)
-        out = [F.zero] * (len(a) + len(b) - 1)
-        for i, ai in enumerate(a):
-            if ai == F.zero:
-                continue
-            for j, bj in enumerate(b):
-                out[i + j] = F.add(out[i + j], F.mul(ai, bj))
-        return UniPoly(F, out)
+        return UniPoly(self.field, mul_list(self.coeffs, other.coeffs, self.field))
 
     def scale(self, c):
         F = self.field
@@ -139,24 +202,10 @@ class UniPoly:
         return self.scale(inv)
 
     def divmod(self, other):
-        F = self.field
         if not other.coeffs:
             raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        d = len(other.coeffs) - 1
-        lead_inv = F.inv(other.coeffs[-1])
-        if len(rem) <= d:
-            return UniPoly.zero(F), UniPoly(F, rem)
-        quo = [F.zero] * (len(rem) - d)
-        for i in range(len(rem) - 1, d - 1, -1):
-            c = rem[i]
-            if c == F.zero:
-                continue
-            f = F.mul(c, lead_inv)
-            quo[i - d] = f
-            for j in range(d + 1):
-                rem[i - d + j] = F.sub(rem[i - d + j], F.mul(f, other.coeffs[j]))
-        return UniPoly(F, quo), UniPoly(F, rem)
+        quo, rem = divmod_list(self.coeffs, other.coeffs, self.field)
+        return UniPoly(self.field, quo), UniPoly(self.field, rem)
 
     def __repr__(self):
         if not self.coeffs:
@@ -176,9 +225,7 @@ class UniPoly:
 
 def poly_gcd(a: UniPoly, b: UniPoly) -> UniPoly:
     """Monic gcd by the Euclidean algorithm."""
-    while b:
-        a, b = b, a.divmod(b)[1]
-    return a.monic() if a else a
+    return UniPoly(a.field, gcd_list(a.coeffs, b.coeffs, a.field))
 
 
 class BinaryForm:
@@ -233,13 +280,7 @@ class BinaryForm:
 
     def __mul__(self, other):
         F = self.field
-        out = [F.zero] * (self.n + other.n + 1)
-        for i, a in enumerate(self.coeffs):
-            if a == F.zero:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] = F.add(out[i + j], F.mul(a, b))
-        return BinaryForm(F, self.n + other.n, out)
+        return BinaryForm(F, self.n + other.n, mul_list(self.coeffs, other.coeffs, F))
 
     def scale(self, c):
         F = self.field

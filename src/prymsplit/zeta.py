@@ -146,8 +146,7 @@ class SplitVerification:
 
 def verify_split(curve: BiellipticQuartic, *, seed: int = 0,
                  sextic_override: UniPoly | None = None,
-                 axis_cap: int = DEFAULT_AXIS_CAP,
-                 eval_cap: int = DEFAULT_EVAL_CAP) -> SplitVerification:
+                 axis_cap: int = DEFAULT_AXIS_CAP) -> SplitVerification:
     """End-to-end check that the curve's L-polynomial splits as L_D * L_X.
 
     Counts the plane quartic over F_p..F_{p^3}, the genus-1 model over F_p
@@ -174,8 +173,7 @@ def verify_split(curve: BiellipticQuartic, *, seed: int = 0,
     counts_c = []
     for m in (1, 2, 3):
         ext = build_extension(p, m, seed)
-        rec = count_plane_quartic(quartic, ext, base_q=p,
-                                  axis_cap=axis_cap, eval_cap=eval_cap)
+        rec = count_plane_quartic(quartic, ext, base_q=p, axis_cap=axis_cap)
         records.append(rec)
         counts_c.append(rec.n)
     rec_d = count_weighted(genus1, 1, build_extension(p, 1, seed), base_q=p,
@@ -346,13 +344,11 @@ def good_primes(curve: BiellipticQuartic, count: int = DEFAULT_GOOD_PRIME_COUNT,
 
 def verify_split_rational(curve: BiellipticQuartic, *, primes=None,
                           count: int = DEFAULT_GOOD_PRIME_COUNT, seed: int = 0,
-                          axis_cap: int = DEFAULT_AXIS_CAP,
-                          eval_cap: int = DEFAULT_EVAL_CAP) -> list:
+                          axis_cap: int = DEFAULT_AXIS_CAP) -> list:
     """verify_split on the reductions at several good primes (default 3)."""
     if primes is None:
         primes = good_primes(curve, count=count, seed=seed)
     return [
-        verify_split(reduce_curve(curve, p), seed=seed,
-                     axis_cap=axis_cap, eval_cap=eval_cap)
+        verify_split(reduce_curve(curve, p), seed=seed, axis_cap=axis_cap)
         for p in primes
     ]

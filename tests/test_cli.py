@@ -141,6 +141,26 @@ class TestExitCodes:
     def test_disc_check_golden(self):
         assert cli.main(["disc-check"]) == 0
 
+    @pytest.mark.parametrize("argv", [
+        [],
+        ["verify", "--bogus"],
+        ["bruin", "--depth", "x"],
+        ["split", "--cap-evals", "1"],  # only bruin runs the capped cover count
+    ], ids=["no-subcommand", "unknown-option", "non-integer-depth", "cap-evals-on-split"])
+    def test_usage_error_is_rejected_input(self, argv, capsys):
+        # exit 2 is reserved for "verification failed"
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 3
+        assert "usage:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [["--help"], ["--version"], ["bruin", "--help"]])
+    def test_help_and_version_exit_zero(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 0
+        assert capsys.readouterr().out
+
 
 class TestReports:
     def test_split_report_contents(self, tmp_path, capsys):

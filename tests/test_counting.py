@@ -40,6 +40,29 @@ def fermat(field):
     return TernaryForm.from_ints(field, 4, {(4, 0, 0): 1, (0, 4, 0): 1, (0, 0, 4): 1})
 
 
+def quartic(field, coeffs):
+    """The quartic sum c x^i y^j z^k over {(i, j): c}, k = 4 - i - j."""
+    return TernaryForm.from_ints(field, 4, {(i, j, 4 - i - j): c for (i, j), c in coeffs.items()})
+
+
+# Quartics whose rows in y degenerate, keyed by what the degeneracy is.  The
+# rows of the chart z = 1 are the coefficients of y^0..y^4 as polynomials in x.
+DEGENERATE_SHAPES = {
+    # odd powers of y present (the gcd path)
+    "no-y4": lambda F: quartic(F, {(0, 3): 1, (1, 2): 2, (2, 1): 1, (3, 0): 1, (0, 0): 3}),
+    "no-y3-row": lambda F: quartic(F, {(0, 4): 2, (2, 1): 1, (1, 1): 1, (4, 0): 1, (0, 0): 1}),
+    # x (y^3 + x y z + y z^2 + z^3): every row vanishes at x = 0
+    "row-vanishes": lambda F: quartic(F, {(1, 3): 1, (2, 1): 1, (1, 1): 1, (1, 0): 1}),
+    # even in y (the character path): a w^2 + b w + c with w = y^2
+    "even-quadratic-in-w": lambda F: quartic(F, {(0, 4): 3, (2, 2): 1, (0, 2): 1,
+                                                 (4, 0): 1, (0, 0): 2}),
+    "even-linear-in-w": lambda F: quartic(F, {(2, 2): 1, (1, 2): 1, (4, 0): 1, (0, 0): 1}),
+    # (x^2 - 1) y^2 + (x^4 - 1): b and c share the roots x = 1 and x = -1
+    "even-linear-in-w-vanishing-row": lambda F: quartic(F, {(2, 2): 1, (0, 2): -1,
+                                                            (4, 0): 1, (0, 0): -1}),
+}
+
+
 class TestPlaneQuartic:
     def test_fermat_f5_empty(self):
         # fourth powers mod 5 lie in {0, 1}; no nonzero triple sums to 0
@@ -57,17 +80,6 @@ class TestPlaneQuartic:
         with pytest.raises(ResourceLimitError):
             count_plane_quartic(fermat(F7), F7, axis_cap=5)
 
-    def test_eval_cap_charges_only_the_exhaustive_scan(self):
-        # even and rowgcd do O(1) and O(log q) work per row, bounded by the axis cap
-        expected = brute_plane_points(fermat(F7), F7)
-        for algorithm in ("even", "rowgcd"):
-            rec = count_plane_quartic(fermat(F7), F7, algorithm=algorithm, eval_cap=48)
-            assert rec.n == expected
-        with pytest.raises(ResourceLimitError):
-            count_plane_quartic(fermat(F7), F7, algorithm="exhaustive", eval_cap=48)
-        assert count_plane_quartic(fermat(F7), F7, algorithm="exhaustive",
-                                   eval_cap=49).n == expected
-
     def test_cube_of_p29_within_default_caps(self):
         # 29^3 = 24389 fits the axis cap although 29^6 exceeds the eval cap
         from prymsplit import verify_split
@@ -84,9 +96,7 @@ class TestPlaneQuartic:
         form = random_ternary_form(field, rng, 4)
         if form.is_zero():
             return
-        expected = brute_plane_points(form, field)
-        for algorithm in ("exhaustive", "rowgcd"):
-            assert count_plane_quartic(form, field, algorithm=algorithm).n == expected
+        assert count_plane_quartic(form, field).n == brute_plane_points(form, field)
 
     @pytest.mark.parametrize("trial", range(12))
     def test_even_kernel_agrees(self, trial):
@@ -95,8 +105,13 @@ class TestPlaneQuartic:
         form = random_even_quartic(field, rng)
         if form.is_zero():
             return
-        n_even = count_plane_quartic(form, field, algorithm="even").n
-        assert n_even == count_plane_quartic(form, field, algorithm="exhaustive").n
+        assert count_plane_quartic(form, field).n == brute_plane_points(form, field)
+
+    @pytest.mark.parametrize("field", [F5, F7, F9], ids=["F5", "F7", "F9"])
+    @pytest.mark.parametrize("shape", sorted(DEGENERATE_SHAPES))
+    def test_degenerate_rows_agree_with_brute_force(self, field, shape):
+        form = DEGENERATE_SHAPES[shape](field)
+        assert count_plane_quartic(form, field).n == brute_plane_points(form, field)
 
     def test_chart_consistency_under_permutation(self):
         rng = random.Random(9)
@@ -307,11 +322,9 @@ class TestFrobeniusOrbits:
         even = random_even_quartic(small, rng)
         expected = brute_plane_points(lift(form, small, big), big)
         expected_even = brute_plane_points(lift(even, small, big), big)
-        for algorithm in ("exhaustive", "rowgcd"):
-            assert count_plane_quartic(form, big, algorithm=algorithm).n == expected
-            assert count_plane_quartic(even, big, algorithm=algorithm).n == expected_even
-        assert count_plane_quartic(even, big, algorithm="even").n == expected_even
+        assert count_plane_quartic(form, big).n == expected
         rec = count_plane_quartic(even, big)
+        assert rec.n == expected_even
         assert rec.rows == len(_frobenius_orbits(small, big)) < big.q
 
     @pytest.mark.parametrize("p, k, big_k", [(3, 1, 2), (5, 1, 2), (3, 1, 3), (3, 2, 4)],
@@ -351,5 +364,3 @@ def test_extension_degree_mismatch_is_a_rejected_parameter():
     poly = UniPoly.from_ints(F3, [0, 1, 0, 1])
     with pytest.raises(InvalidParameterError):
         count_weighted(poly, 1, F9, base_q=5)
-    with pytest.raises(InvalidParameterError):
-        count_plane_quartic(fermat(F3), F3, algorithm="bogus")

@@ -1,10 +1,12 @@
 import random
+from fractions import Fraction
 
 import pytest
 
 from prymsplit import (
     QQ,
     InvalidFieldError,
+    UniPoly,
     UnsupportedFieldError,
     build_extension,
     quadratic_character,
@@ -153,3 +155,46 @@ def test_build_extension_deterministic_and_cached():
     f2 = build_extension(11, 2)
     assert f1 is f2
     assert f1.modulus == build_extension(11, 2, 0).modulus
+
+
+def test_rationals_stay_exact_on_int_arguments():
+    assert QQ.inv(3) == Fraction(1, 3) and type(QQ.inv(3)) is Fraction
+    assert QQ.div(1, 3) == Fraction(1, 3) and type(QQ.div(1, 3)) is Fraction
+    monic = UniPoly(QQ, [1, 0, 3]).monic()
+    assert monic.coeffs == (Fraction(1, 3), 0, 1)
+    assert all(type(c) is Fraction for c in monic.coeffs)
+
+
+# (p, k, modulus, first exp-table entries): the modulus is part of every report
+# over an extension field, and both it and the generator come out of
+# deterministic searches that must not drift.
+FIELD_PINS = [
+    (3, 2, [1, 0, 1], [1, 4, 6, 7, 2, 8]),
+    (3, 3, [1, 2, 0, 1], [1, 3, 9, 5, 15, 23]),
+    (3, 4, [2, 1, 0, 0, 1], [1, 3, 9, 27, 7, 21]),
+    (3, 5, [1, 2, 0, 0, 0, 1], [1, 3, 9, 27, 81, 5]),
+    (3, 6, [2, 1, 0, 0, 0, 0, 1], [1, 3, 9, 27, 81, 243]),
+    (3, 7, [2, 0, 1, 0, 0, 0, 0, 1], [1, 5, 13, 29, 142, 377]),
+    (3, 8, [2, 0, 1, 0, 0, 0, 0, 0, 1], [1, 38, 1333, 788, 1307, 526]),
+    (3, 9, [1, 0, 1, 2, 0, 0, 0, 0, 0, 1], [1, 3, 9, 27, 81, 243]),
+    (5, 2, [2, 0, 1], [1, 6, 14, 5, 8, 21]),
+    (5, 3, [1, 1, 0, 1], [1, 9, 41, 63, 20, 105]),
+    (5, 4, [2, 0, 0, 0, 1], [1, 6, 36, 216, 549, 16]),
+    (5, 5, [1, 4, 0, 0, 0, 1], [1, 10, 100, 375, 625, 13]),
+    (7, 2, [1, 0, 1], [1, 9, 31, 30, 21, 46]),
+    (7, 3, [2, 0, 0, 1], [1, 22, 141, 311, 275, 168]),
+    (7, 4, [1, 1, 0, 0, 1], [1, 12, 74, 433, 2220, 1903]),
+    (7, 5, [3, 1, 0, 0, 0, 1], [1, 9, 81, 673, 2921, 9080]),
+    (23, 2, [1, 0, 1], [1, 25, 95, 255, 39, 422]),
+    (23, 3, [3, 1, 0, 1], [1, 23, 529, 526, 12098, 10606]),
+    (31, 2, [1, 0, 1], [1, 35, 263, 517, 719, 156]),
+    (31, 3, [3, 0, 0, 1], [1, 34, 1156, 9510, 22489, 18852]),
+]
+
+
+@pytest.mark.parametrize("p, k, modulus, exp_head", FIELD_PINS,
+                         ids=[f"{p}^{k}" for p, k, _, _ in FIELD_PINS])
+def test_modulus_and_generator_are_pinned(p, k, modulus, exp_head):
+    field = build_extension(p, k)
+    assert field.describe()["modulus"] == modulus
+    assert field._exp[:len(exp_head)] == exp_head

@@ -149,3 +149,58 @@ class TestSquarefree:
     def test_zero_form_rejected(self):
         with pytest.raises(DegenerateInputError):
             BinaryForm.from_ints(QQ, 3, [0, 0, 0, 0]).is_squarefree()
+
+
+class TestListKernel:
+    """The shared list kernel, through its two consumers: the per-row distinct-
+    root count of the counting kernels and poly_gcd."""
+
+    @staticmethod
+    def _inputs(field):
+        """Constant-first coefficient lists of each shape, built over field."""
+        rng = random.Random(field.q)
+        x = UniPoly.x(field)
+
+        def linear(root):
+            return x - UniPoly.constant(field, root)
+
+        r, s = rng.sample(range(field.q), 2)
+        lead = field.random_nonzero(rng)
+        nonsquare = next(v for v in range(field.q) if field.chi(v) < 0)
+        no_roots = x * x - UniPoly.constant(field, nonsquare)
+        repeated = linear(r) * linear(r) * linear(r) * linear(s) * no_roots
+        non_monic = (linear(s) * linear(r) * no_roots + UniPoly.constant(field, lead)).scale(lead)
+        return {
+            "zero": [field.zero] * 5,
+            "constant": [lead],
+            "linear": [field.random_element(rng), lead],
+            "repeated-root": list(repeated.coeffs),
+            "non-monic": list(non_monic.coeffs) + [field.zero] * 2,  # untrimmed, as rows are
+        }
+
+    @pytest.mark.parametrize("p, k", [(5, 1), (7, 1), (3, 2), (5, 2), (3, 3)],
+                             ids=["F5", "F7", "F9", "F25", "F27"])
+    @pytest.mark.parametrize("shape", ["zero", "constant", "linear", "repeated-root", "non-monic"])
+    def test_distinct_root_count_matches_enumeration(self, p, k, shape):
+        from prymsplit.counting import _distinct_roots_gcd
+
+        field = build_extension(p, k)
+        coeffs = self._inputs(field)[shape]
+        poly = UniPoly(field, coeffs)
+        expected = sum(1 for y in range(field.q) if poly.eval(y) == field.zero)
+        assert _distinct_roots_gcd(coeffs, field) == expected
+
+    def test_gcd_over_qq_with_denominators(self):
+        x = UniPoly.x(QQ)
+
+        def c(num, den):
+            return UniPoly.constant(QQ, Fraction(num, den))
+
+        g = (x - c(1, 2)) * (x + c(2, 3))
+        a = g * (x.scale(Fraction(3)) + c(1, 5))
+        b = g * (x * x + c(7, 4)) * c(-5, 9)
+        d = poly_gcd(a, b)
+        assert d == g
+        assert all(type(v) is Fraction for v in d.coeffs)
+        assert poly_gcd(a, UniPoly.zero(QQ)) == a.monic()
+        assert poly_gcd(UniPoly.zero(QQ), UniPoly.zero(QQ)).is_zero()
