@@ -12,6 +12,7 @@ Exit codes: 0 success/pass, 2 verification failed, 3 rejected input
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -19,7 +20,7 @@ import time
 from fractions import Fraction
 
 from . import __version__
-from .counting import DEFAULT_AXIS_CAP, DEFAULT_EVAL_CAP
+from .counting import DEFAULT_AXIS_CAP
 from .errors import (
     DegenerateInputError,
     InvalidFieldError,
@@ -331,7 +332,7 @@ def _cmd_bruin(args) -> int:
         )
     cover = deform(curve, eps, seed=args.seed)
     result = verify_bruin(cover, depth=args.depth, seed=args.seed,
-                          axis_cap=args.cap_axis, eval_cap=args.cap_evals)
+                          axis_cap=args.cap_axis)
     report = _report_base("bruin", args)
     report["input"] = _curve_doc(curve)
     report["epsilon"] = _element_obj(field, eps)
@@ -454,10 +455,6 @@ def build_parser() -> argparse.ArgumentParser:
                                            "on a deformation fiber")
     common(p_bruin)
     cap_axis(p_bruin)
-    p_bruin.add_argument("--cap-evals", type=int, default=DEFAULT_EVAL_CAP,
-                         dest="cap_evals",
-                         help="q^2 budget of the double-cover count, which scans "
-                              "q values per row")
     p_bruin.add_argument("--epsilon", type=int, default=None,
                          help="deformation parameter (default: seeded random nonzero)")
     p_bruin.add_argument("--depth", type=int, default=3,
@@ -477,9 +474,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built once per process; every parse_args call starts from
+    a fresh namespace, so nothing carries over between calls."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.fn(args)
     except ResourceLimitError as exc:

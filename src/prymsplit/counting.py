@@ -15,9 +15,12 @@ Three counters, all exact:
   the x-line plus the points above x = infinity read off the degree-(2g+2)
   homogenization.
 * the double cover q1 = u^2, q2 = uv, q3 = v^2 of the plane quartic
-  q2^2 = q1 q3: fiber sizes over base points are 1 + chi(q1) (or of q3 when
-  q1 vanishes), and 1 exactly where all three quadrics vanish, so the
-  genus-5 curve is never enumerated in P^4.
+  q2^2 = q1 q3: on a row the three forms are quadratics v_i(y), and the base
+  points are the roots of R(y) = v2^2 - v1 v3 in the field, found as
+  gcd(R, y^q - y) and split by Cantor-Zassenhaus.  The fiber over a base
+  point has 1 + chi(q1) points (or 1 + chi(q3) when q1 vanishes), and 1
+  exactly where all three quadrics vanish, so the genus-5 curve is never
+  enumerated in P^4.
 
 Every kernel walks the x-axis one Frobenius orbit at a time.  The curve's
 coefficients live in a subfield F_r of the counting field, so x -> x^r fixes
@@ -26,10 +29,10 @@ preserves the quadratic character.  One representative row per orbit is
 evaluated and weighted by the orbit size, about q/m rows for a curve over F_p
 counted over F_{p^m}.
 
-Caps are checked on entry.  Every kernel refuses a field larger than the axis
-cap.  Only the cover count scans q values per row, so only it also refuses
-q^2 above the evaluation cap; the plane and weighted counts do at most
-O(log q) field operations per row.
+Caps are checked on entry: every kernel refuses a field larger than the axis
+cap.  Each does O(log q) field operations per row; only a cover row whose R
+vanishes identically (a line x = c inside the base quartic) is scanned over
+its q values of y.
 """
 
 from __future__ import annotations
@@ -45,11 +48,19 @@ from .errors import (
     UnsupportedFieldError,
 )
 from .fields import embedding
-from .poly import BinaryForm, UniPoly, gcd_list, powmod_list, trim
+from .poly import (
+    BinaryForm,
+    UniPoly,
+    divmod_list,
+    gcd_list,
+    mul_list,
+    powmod_list,
+    trim,
+    xq_mod_list,
+)
 from .ternary import TernaryForm, TernaryQuadratic
 
 DEFAULT_AXIS_CAP = 30_000
-DEFAULT_EVAL_CAP = 250_000_000
 
 
 @dataclass(frozen=True)
@@ -139,16 +150,62 @@ def count_projective_roots(form: BinaryForm, field=None) -> int:
 
 # --- per-row root counting over y ----------------------------------------
 
-def _distinct_roots_gcd(coeffs, field) -> int:
-    """Number of distinct roots in the field: deg gcd(x^q - x, f)."""
+def _rational_part(f, field):
+    """Monic gcd(f, x^q - x), the product of f's distinct linear factors; deg f >= 2."""
     zero, one = field.zero, field.one
-    f = trim(list(coeffs), zero)
-    if len(f) <= 2:
-        return field.q if not f else len(f) - 1
-    g = powmod_list([zero, one], field.q, f, field)  # x^q mod f
+    g = xq_mod_list(f, field)
     g += [zero] * (2 - len(g))
     g[1] = field.sub(g[1], one)
-    return len(gcd_list(f, trim(g, zero), field)) - 1
+    return gcd_list(f, trim(g, zero), field)
+
+
+def _distinct_roots_gcd(coeffs, field) -> int:
+    """Number of distinct roots in the field: deg gcd(x^q - x, f)."""
+    f = trim(list(coeffs), field.zero)
+    if len(f) <= 2:
+        return field.q if not f else len(f) - 1
+    return len(_rational_part(f, field)) - 1
+
+
+def _low_degree_roots(f, field):
+    """Distinct roots of a nonzero trimmed f of degree at most 2."""
+    if len(f) == 1:
+        return []
+    if len(f) == 2:
+        return [field.neg(field.div(f[0], f[1]))]
+    c, b, a = f
+    sub, mul = field.sub, field.mul
+    disc = sub(mul(b, b), mul(field.from_int(4), mul(a, c)))
+    cd = field.chi_table[disc]
+    if cd < 0:
+        return []
+    nb = field.neg(b)
+    inv2a = field.inv(mul(field.from_int(2), a))
+    if cd == 0:
+        return [mul(nb, inv2a)]
+    r = field.sqrt_table[disc]
+    return [mul(field.add(nb, r), inv2a), mul(sub(nb, r), inv2a)]
+
+
+def _split_roots(h, field):
+    """Roots of a monic h that is a product of distinct linear factors.
+
+    Above degree 2, h splits into gcd(h, (x + d)^((q-1)/2) - 1) and its
+    cofactor for the first d = 0, 1, 2, ... that separates two roots
+    (equal-degree splitting, Cantor & Zassenhaus, Math. Comp. 36, 1981), and
+    both parts recurse.
+    """
+    if len(h) <= 3:
+        return _low_degree_roots(h, field)
+    zero, one = field.zero, field.one
+    half = (field.q - 1) // 2
+    for d in range(field.q):
+        g = powmod_list([d, one], half, h, field) or [zero]
+        g[0] = field.sub(g[0], one)
+        g = gcd_list(h, trim(g, zero), field)
+        if 1 < len(g) < len(h):
+            return _split_roots(g, field) + _split_roots(divmod_list(h, g, field)[0], field)
+    raise ArithmeticError("no splitting shift: h is not a product of distinct linear factors")
 
 
 def count_plane_quartic(form: TernaryForm, field, *, base_q: int | None = None,
@@ -275,22 +332,23 @@ def count_weighted(poly: UniPoly, genus: int, field, *, base_q: int | None = Non
 
 def count_bruin_cover(q1: TernaryQuadratic, q2: TernaryQuadratic,
                       q3: TernaryQuadratic, field, *, base_q: int | None = None,
-                      axis_cap: int = DEFAULT_AXIS_CAP,
-                      eval_cap: int = DEFAULT_EVAL_CAP):
+                      axis_cap: int = DEFAULT_AXIS_CAP):
     """(base count, cover count) for q2^2 = q1 q3 and its double cover.
 
     Fiber over a base point: 2 points when the first nonvanishing of (q1, q3)
     is a nonzero square, 0 when it is a nonsquare, 1 when q1 = q2 = q3 = 0.
-    Cost is one pass over the orbit rows of P^2; the cover itself is never
-    enumerated in P^4.
+    On each orbit row x the base points are the roots of the quartic
+    R_x(y) = v2^2 - v1 v3 in the field, v_i(y) = q_i(x, y, 1), and the fiber
+    is read off at each root; a row with R_x = 0 is scanned over y.  The
+    cover itself is never enumerated in P^4.
     """
     _require_odd_finite(field)
     if q1.is_zero() and q2.is_zero() and q3.is_zero():
         raise DegenerateInputError("all three quadratic forms are zero")
     q = field.q
-    if q > axis_cap or q * q > eval_cap:
+    if q > axis_cap:
         raise ResourceLimitError(
-            f"field size {q} exceeds the cover-count cap (axis {axis_cap}, evals {eval_cap})"
+            f"field size {q} exceeds the cover-count axis cap {axis_cap}"
         )
     start = time.perf_counter()
     zero = field.zero
@@ -304,48 +362,45 @@ def count_bruin_cover(q1: TernaryQuadratic, q2: TernaryQuadratic,
     data_field = q1.field if q1.field == q2.field == q3.field else field
     orbits = _frobenius_orbits(data_field, field)
 
-    def fiber(v1, v2, v3):
+    def fiber(v1, v3):
         if v1 != zero:
             return 1 + chi[v1]
         if v3 != zero:
             return 1 + chi[v3]
-        return 1
+        return 1  # v2^2 = v1 v3 forces v2 = 0 too
+
+    def value(v, y):
+        return add(mul(add(mul(v[2], y), v[1]), y), v[0])
 
     nz = 0
     ny = 0
     for x, size in orbits:
         x2 = mul(x, x)
-        consts = []
-        lins = []
-        quads = []
-        for (a, b, c, d, e, f) in packs:
-            consts.append(add(add(mul(a, x2), mul(e, x)), c))
-            lins.append(add(mul(d, x), f))
-            quads.append(b)
-        c1, c2m, c3 = consts
-        l1, l2, l3 = lins
-        b1, b2m, b3 = quads
-        row_z = 0
-        row_y = 0
-        for y in range(q):
-            v1 = add(mul(add(mul(b1, y), l1), y), c1)
-            v2 = add(mul(add(mul(b2m, y), l2), y), c2m)
-            v3 = add(mul(add(mul(b3, y), l3), y), c3)
-            if sub(mul(v2, v2), mul(v1, v3)) == zero:
-                row_z += 1
-                row_y += fiber(v1, v2, v3)
+        # v_i(y) = b y^2 + (d x + f) y + (a x^2 + e x + c), constant first
+        v1, v2, v3 = ([add(add(mul(a, x2), mul(e, x)), c), add(mul(d, x), f), b]
+                      for (a, b, c, d, e, f) in packs)
+        r = trim([sub(s, t) for s, t in zip(mul_list(v2, v2, field),
+                                            mul_list(v1, v3, field))], zero)
+        if not r:
+            ys = range(q)  # the line x = const lies inside the base quartic
+        elif len(r) <= 3:
+            ys = _low_degree_roots(r, field)
+        else:
+            ys = _split_roots(_rational_part(r, field), field)
+        row_z = len(ys)
+        row_y = sum(fiber(value(v1, y), value(v3, y)) for y in ys)
         # line z = 0, y = 1: q_i(x, 1, 0) = a x^2 + d x + b
         v1, v2, v3 = (add(add(mul(a, x2), mul(d, x)), b) for (a, b, c, d, e, f) in packs)
         if sub(mul(v2, v2), mul(v1, v3)) == zero:
             row_z += 1
-            row_y += fiber(v1, v2, v3)
+            row_y += fiber(v1, v3)
         nz += size * row_z
         ny += size * row_y
     # the point (1:0:0): q_i = a_i
     v1, v2, v3 = packs[0][0], packs[1][0], packs[2][0]
     if sub(mul(v2, v2), mul(v1, v3)) == zero:
         nz += 1
-        ny += fiber(v1, v2, v3)
+        ny += fiber(v1, v3)
     seconds = time.perf_counter() - start
     base = base_q or field.p
     m = _extension_degree(base, q)

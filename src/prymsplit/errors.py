@@ -50,7 +50,7 @@ class RejectedInputError(PrymError):
 
 
 class ResourceLimitError(PrymError):
-    """A counting job exceeded its evaluation cap."""
+    """A counting job exceeded its field-size cap."""
 
 
 class ModelError(PrymError):

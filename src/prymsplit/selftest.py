@@ -50,7 +50,7 @@ class SelftestConfig:
     ratio_instances: int = 50
     disc_demo_quartics: int = 10
     bruin_fibers: int = 10
-    bruin_full_prime: int = 3
+    bruin_full_primes: tuple = (3, 5, 7)
     negative_instances: int = 100
 
     @classmethod
@@ -62,6 +62,7 @@ class SelftestConfig:
             identity_rational=6,
             ratio_instances=12,
             bruin_fibers=3,
+            bruin_full_primes=(3,),
             negative_instances=20,
         )
 
@@ -240,7 +241,8 @@ def criterion_disc_ratio(cfg: SelftestConfig) -> CriterionResult:
 
 
 def criterion_bruin(cfg: SelftestConfig) -> CriterionResult:
-    """Prym identity for smooth deformation fibers, plus one full certificate."""
+    """Prym identity for smooth deformation fibers, plus a full degree-10
+    certificate over each of cfg.bruin_full_primes."""
 
     def run():
         rng = random.Random(cfg.seed + 5)
@@ -256,20 +258,20 @@ def criterion_bruin(cfg: SelftestConfig) -> CriterionResult:
             if not (result.passed and result.achieved_depth == 3):
                 return False, f"depth-3 failure at eps={eps}: {result.failure}"
             done += 1
-        field3 = build_extension(cfg.bruin_full_prime)
-        while True:
-            curve = random_validated_curve(field3, rng)
-            eps = field3.random_nonzero(rng)
-            cover = deform(curve, eps)
-            if not cover.verifiable:
-                continue
+        for p in cfg.bruin_full_primes:
+            field = build_extension(p)
+            while True:
+                curve = random_validated_curve(field, rng)
+                cover = deform(curve, field.random_nonzero(rng))
+                if cover.verifiable:
+                    break
             result = verify_bruin(cover, depth=5)
             if not (result.passed and result.full_certificate):
-                return False, f"full-depth failure: {result.failure}"
-            break
+                return False, f"full-depth failure over F_{p}: {result.failure}"
+        primes = ", ".join(f"F_{p}" for p in cfg.bruin_full_primes)
         return True, (
             f"{done} fibers verified to depth 3 over F_5; full degree-10 "
-            f"certificate over F_{cfg.bruin_full_prime}"
+            f"certificates over {primes}"
         )
 
     return _timed(6, "double-cover Prym identity", run)

@@ -21,7 +21,6 @@ from fractions import Fraction
 
 from .counting import (
     DEFAULT_AXIS_CAP,
-    DEFAULT_EVAL_CAP,
     count_bruin_cover,
     count_plane_quartic,
     count_weighted,
@@ -233,8 +232,7 @@ def check_bruin_depth(depth: int) -> None:
 
 
 def verify_bruin(cover: BruinCover, depth: int = 3, *, seed: int = 0,
-                 axis_cap: int = DEFAULT_AXIS_CAP,
-                 eval_cap: int = DEFAULT_EVAL_CAP) -> BruinVerification:
+                 axis_cap: int = DEFAULT_AXIS_CAP) -> BruinVerification:
     """Check the Prym identity for a smooth double cover of a plane quartic.
 
     Counts the base Z over F_p..F_{p^3} (giving L_Z), the hyperelliptic model
@@ -266,7 +264,7 @@ def verify_bruin(cover: BruinCover, depth: int = 3, *, seed: int = 0,
         try:
             ext = build_extension(p, m, seed)
             rec_z, rec_y = count_bruin_cover(*cover.triple(), ext, base_q=p,
-                                             axis_cap=axis_cap, eval_cap=eval_cap)
+                                             axis_cap=axis_cap)
         except ResourceLimitError:
             break
         records.extend([rec_z, rec_y])

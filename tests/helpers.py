@@ -5,6 +5,7 @@ code with the implementations they check.
 """
 
 from prymsplit import BinaryForm, TernaryForm, TernaryQuadratic, UniPoly
+from prymsplit.fields import embedding
 
 
 def random_unipoly(field, rng, max_degree):
@@ -95,3 +96,36 @@ def brute_cover_points(q1, q2, q3, field):
             ):
                 n += 1
     return n
+
+
+def scan_cover_counts(q1, q2, q3, field):
+    """(base, cover) counts for q2^2 = q1 q3 and its double cover, by scanning
+    every point of P^2 row by row: a point with q2^2 = q1 q3 carries
+    1 + chi(q1), or 1 + chi(q3) where q1 = 0, or 1 where all three vanish.
+
+    The forms may live in a subfield of `field`; their coefficients are
+    embedded first.
+    """
+    quads = []
+    for quad in (q1, q2, q3):
+        coeffs = quad.coefficients()
+        if quad.field != field:
+            table = embedding(quad.field, field)
+            coeffs = [table[c] for c in coeffs]
+        quads.append(TernaryQuadratic.from_coefficients(field, *coeffs))
+    zero, one = field.zero, field.one
+    points = [(x, y, one) for x in range(field.q) for y in range(field.q)]
+    points += [(x, one, zero) for x in range(field.q)] + [(one, zero, zero)]
+    base = cover = 0
+    for pt in points:
+        v1, v2, v3 = (quad.eval(*pt) for quad in quads)
+        if field.mul(v2, v2) != field.mul(v1, v3):
+            continue
+        base += 1
+        if v1 != zero:
+            cover += 1 + field.euler_character(v1)
+        elif v3 != zero:
+            cover += 1 + field.euler_character(v3)
+        else:
+            cover += 1
+    return base, cover

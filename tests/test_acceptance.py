@@ -62,9 +62,11 @@ def test_criterion_5_discriminant_ratio():
 
 
 def test_criterion_6_bruin_verification():
-    # >= 10 smooth deformation fibers over p = 5 at depth 3, plus one full
-    # degree-10 certificate at p = 3; under 15 minutes
+    # >= 10 smooth deformation fibers over p = 5 at depth 3, plus a full
+    # degree-10 certificate at each of p = 3, 5 and 7 under the default caps;
+    # under 15 minutes
     assert CFG.bruin_fibers >= 10
+    assert set(CFG.bruin_full_primes) >= {3, 5, 7}
     _check(criterion_bruin(CFG), 900)
 
 

@@ -145,8 +145,10 @@ class TestExitCodes:
         [],
         ["verify", "--bogus"],
         ["bruin", "--depth", "x"],
-        ["split", "--cap-evals", "1"],  # only bruin runs the capped cover count
-    ], ids=["no-subcommand", "unknown-option", "non-integer-depth", "cap-evals-on-split"])
+        ["split", "--cap-evals", "1"],  # no command takes an evaluation cap
+        ["bruin", "--cap-evals", "1"],  # the cover count is bounded by --cap-axis alone
+    ], ids=["no-subcommand", "unknown-option", "non-integer-depth", "cap-evals-on-split",
+            "cap-evals-on-bruin"])
     def test_usage_error_is_rejected_input(self, argv, capsys):
         # exit 2 is reserved for "verification failed"
         with pytest.raises(SystemExit) as exc:
@@ -160,6 +162,51 @@ class TestExitCodes:
             cli.main(argv)
         assert exc.value.code == 0
         assert capsys.readouterr().out
+
+
+class TestParserReuse:
+    def test_parser_is_built_once(self, monkeypatch):
+        builds = []
+        real = cli.build_parser
+
+        def counting_build():
+            builds.append(1)
+            return real()
+
+        cli._parser.cache_clear()
+        monkeypatch.setattr(cli, "build_parser", counting_build)
+        try:
+            assert cli.main(["disc-check"]) == 0
+            assert cli.main(["disc-check"]) == 0
+        finally:
+            cli._parser.cache_clear()
+        assert len(builds) == 1
+
+    def test_successive_calls_do_not_leak(self, tmp_path, capsys):
+        path = write(tmp_path, DEMO_F7)
+
+        def run(argv):
+            code = cli.main(argv + ["--format", "json"])
+            return code, json.loads(capsys.readouterr().out)
+
+        code, report = run(["bruin", "--input", path, "--epsilon", "3", "--depth", "1",
+                            "--seed", "5"])
+        assert code == 0 and (report["seed"], report["depth"]) == (5, 1)
+        code, report = run(["bruin", "--input", path, "--epsilon", "3"])
+        assert code == 0 and (report["seed"], report["depth"]) == (0, 3)
+        code, report = run(["validate", "--input", path])
+        assert code == 0 and report["command"] == "validate" and report["seed"] == 0
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["verify", "--input", path, "--depth", "2"])  # a bruin-only option
+        assert exc.value.code == 3
+        assert "usage:" in capsys.readouterr().err
+        assert run(["validate", "--input", path])[0] == 0
+        # the namespace holds exactly the options of the command just parsed
+        bruin = vars(cli._parser().parse_args(["bruin", "--depth", "4", "--cap-axis", "9"]))
+        verify = vars(cli._parser().parse_args(["verify"]))
+        assert bruin["depth"] == 4 and bruin["cap_axis"] == 9
+        assert "depth" not in verify and "epsilon" not in verify
+        assert verify["cap_axis"] == cli.DEFAULT_AXIS_CAP
 
 
 class TestReports:

@@ -28,6 +28,7 @@ from helpers import (
     random_even_quartic,
     random_quadratic,
     random_ternary_form,
+    scan_cover_counts,
 )
 
 F3 = build_extension(3)
@@ -198,11 +199,6 @@ class TestBruinCover:
         with pytest.raises(DegenerateInputError):
             count_bruin_cover(z, z, z, F5)
 
-    def test_eval_cap(self):
-        quads = [random_quadratic(F7, random.Random(7)) for _ in range(3)]
-        with pytest.raises(ResourceLimitError):
-            count_bruin_cover(*quads, F7, eval_cap=48)
-
     @pytest.mark.parametrize("field", [F3, F5, F9], ids=["F3", "F5", "F9"])
     def test_fiber_table_against_p4_enumeration(self, field):
         rng = random.Random(field.q)
@@ -351,6 +347,149 @@ class TestFrobeniusOrbits:
             assert rec_y.n == brute_cover_points(*lifted, big)
             assert rec_z.n == count_bruin_cover(*lifted, big)[0].n
             assert rec_y.rows == len(_frobenius_orbits(small, big))
+
+
+def quadratic(field, *terms):
+    """sum of s * L * M over (s, L, M), L and M linear forms (x, y, z)-coefficients."""
+    cs = [field.zero] * 6  # (x^2, y^2, z^2, xy, xz, yz)
+    add, mul = field.add, field.mul
+    for s, lin, mon in terms:
+        (l0, l1, l2), (m0, m1, m2) = lin, mon
+        for i, v in enumerate((mul(l0, m0), mul(l1, m1), mul(l2, m2),
+                               add(mul(l0, m1), mul(l1, m0)), add(mul(l0, m2), mul(l2, m0)),
+                               add(mul(l1, m2), mul(l2, m1)))):
+            cs[i] = add(cs[i], mul(s, v))
+    return TernaryQuadratic.from_coefficients(field, *cs)
+
+
+def random_linear(field, rng):
+    return tuple(field.random_element(rng) for _ in range(3))
+
+
+def nonsquare(field):
+    return next(a for a in range(1, field.q) if field.chi(a) < 0)
+
+
+class TestCoverRootFinding:
+    """count_bruin_cover (roots of R_x per row) against the whole-plane scan."""
+
+    FIELDS = [(3, 3, 3), (7, 2, 2), (3, 4, 2), (5, 3, 1), (3, 5, 1)]  # (p, k, triples)
+
+    def check(self, quads, field):
+        rec_z, rec_y = count_bruin_cover(*quads, field)
+        assert (rec_z.n, rec_y.n) == scan_cover_counts(*quads, field)
+
+    @pytest.mark.parametrize("p, k, trials", FIELDS, ids=lambda v: str(v))
+    def test_extension_field_triples(self, p, k, trials):
+        field = build_extension(p, k)
+        rng = random.Random(100 * p + k)
+        for _ in range(trials):
+            self.check([random_quadratic(field, rng) for _ in range(3)], field)
+
+    @pytest.mark.parametrize("p, k, trials", FIELDS, ids=lambda v: str(v))
+    def test_prime_field_triples_over_extensions(self, p, k, trials):
+        small, field = build_extension(p), build_extension(p, k)
+        rng = random.Random(200 * p + k)
+        for _ in range(trials):
+            self.check([random_quadratic(small, rng) for _ in range(3)], field)
+
+    def test_subfield_triple_over_f81(self):
+        small, field = build_extension(3, 2), build_extension(3, 4)
+        rng = random.Random(81)
+        for _ in range(2):
+            self.check([random_quadratic(small, rng) for _ in range(3)], field)
+
+    @pytest.mark.parametrize("p, k", [(7, 1), (5, 2), (3, 3)], ids=["F7", "F25", "F27"])
+    def test_line_inside_the_base(self, p, k):
+        # on x = c z the triple is s (A^2, AB, B^2), so R_c vanishes identically
+        field = build_extension(p, k)
+        rng = random.Random(300 + field.q)
+        one, zero = field.one, field.zero
+        for s in (one, nonsquare(field)):
+            c = field.random_element(rng)
+            line = (one, zero, field.neg(c))  # x - c z
+            a, b = (zero, one, field.random_element(rng)), (zero, one, field.random_element(rng))
+            quads = [quadratic(field, (s, a, a), (one, line, random_linear(field, rng))),
+                     quadratic(field, (s, a, b), (one, line, random_linear(field, rng))),
+                     quadratic(field, (s, b, b), (one, line, random_linear(field, rng)))]
+            self.check(quads, field)
+
+    @pytest.mark.parametrize("p, k", [(7, 1), (5, 2), (3, 3)], ids=["F7", "F25", "F27"])
+    def test_rows_below_degree_four(self, p, k):
+        # y^2-coefficients with b2^2 = b1 b3 (R_x of degree <= 3), or none at
+        # all (degree <= 2, the quadratic formula on every row)
+        field = build_extension(p, k)
+        rng = random.Random(400 + field.q)
+        for scale in (field.random_nonzero(rng), field.zero):
+            t = field.random_element(rng)
+            quads = []
+            for b in (scale, field.mul(scale, t), field.mul(scale, field.mul(t, t))):
+                cs = [field.random_element(rng) for _ in range(6)]
+                cs[1] = b
+                quads.append(TernaryQuadratic.from_coefficients(field, *cs))
+            self.check(quads, field)
+
+    @pytest.mark.parametrize("p, k", [(7, 1), (3, 2), (5, 2), (3, 3)],
+                             ids=["F7", "F9", "F25", "F27"])
+    def test_row_with_four_roots(self, p, k):
+        # on x = 0: v1 = s and v2^2 - s v3 = (y - r1)(y - r2)(y - r3)(y - r4)
+        field = build_extension(p, k)
+        add, sub, mul, neg = field.add, field.sub, field.mul, field.neg
+        rng = random.Random(500 + field.q)
+        roots = rng.sample(range(field.q), 4)
+        quartic = [field.one]  # constant first
+        for r in roots:
+            quartic = [add(lo, mul(neg(r), hi)) for lo, hi in zip([field.zero] + quartic,
+                                                                  quartic + [field.zero])]
+        e0, e1, e2, e3 = quartic[:4]
+        alpha = field.div(e3, field.from_int(2))
+        beta = field.random_element(rng)
+        v2 = (beta, alpha, field.one)  # constant first in y
+        v2sq = (mul(beta, beta), mul(field.from_int(2), mul(alpha, beta)),
+                add(mul(alpha, alpha), mul(field.from_int(2), beta)))
+        for s in (field.one, nonsquare(field)):
+            v3 = [field.div(sub(u, e), s) for u, e in zip(v2sq, (e0, e1, e2))]
+            x_terms = [random_linear(field, rng) for _ in range(3)]
+            x = (field.one, field.zero, field.zero)
+            quads = [
+                quadratic(field, (s, (0, 0, 1), (0, 0, 1)), (field.one, x, x_terms[0])),
+                quadratic(field, (field.one, (0, 1, 0), (0, 1, alpha)),
+                          (beta, (0, 0, 1), (0, 0, 1)), (field.one, x, x_terms[1])),
+                TernaryQuadratic.from_coefficients(
+                    field, *(add(a, b) for a, b in zip(
+                        (field.zero, v3[2], v3[0], field.zero, field.zero, v3[1]),
+                        quadratic(field, (field.one, x, x_terms[2])).coefficients()))),
+            ]
+            self.check(quads, field)
+
+    @pytest.mark.parametrize("p, k", [(7, 1), (5, 2), (3, 3)], ids=["F7", "F25", "F27"])
+    def test_roots_where_q1_vanishes(self, p, k):
+        # q1 and q2 are multiples of y: every row has the root y = 0 with
+        # v1 = v2 = 0, and its fiber is read off v3
+        field = build_extension(p, k)
+        rng = random.Random(600 + field.q)
+        y = (field.zero, field.one, field.zero)
+        for _ in range(3):
+            quads = [quadratic(field, (field.one, y, random_linear(field, rng))),
+                     quadratic(field, (field.one, y, random_linear(field, rng))),
+                     random_quadratic(field, rng)]
+            self.check(quads, field)
+
+    @pytest.mark.parametrize("p, k", [(7, 1), (5, 2), (3, 3)], ids=["F7", "F25", "F27"])
+    def test_roots_where_all_three_vanish(self, p, k):
+        # no z^2 terms: all three forms vanish at (0:0:1), a fiber of size 1;
+        # with a common factor y they also vanish along the line y = 0
+        field = build_extension(p, k)
+        rng = random.Random(700 + field.q)
+        y = (field.zero, field.one, field.zero)
+        quads = []
+        for _ in range(3):
+            cs = [field.random_element(rng) for _ in range(6)]
+            cs[2] = field.zero
+            quads.append(TernaryQuadratic.from_coefficients(field, *cs))
+        self.check(quads, field)
+        self.check([quadratic(field, (field.one, y, random_linear(field, rng)))
+                    for _ in range(3)], field)
 
 
 def test_count_record_weil_is_exact_integer_arithmetic():

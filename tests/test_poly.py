@@ -152,8 +152,8 @@ class TestSquarefree:
 
 
 class TestListKernel:
-    """The shared list kernel, through its two consumers: the per-row distinct-
-    root count of the counting kernels and poly_gcd."""
+    """The shared list kernel, through its consumers: the per-row distinct-
+    root count of the counting kernels, x^q mod f and poly_gcd."""
 
     @staticmethod
     def _inputs(field):
@@ -189,6 +189,26 @@ class TestListKernel:
         poly = UniPoly(field, coeffs)
         expected = sum(1 for y in range(field.q) if poly.eval(y) == field.zero)
         assert _distinct_roots_gcd(coeffs, field) == expected
+
+    @pytest.mark.parametrize("p, k", [(7, 1), (3, 2), (5, 2), (3, 3), (3, 5), (7, 2)],
+                             ids=["F7", "F9", "F25", "F27", "F243", "F49"])
+    def test_frobenius_x_power_matches_square_and_multiply(self, p, k):
+        from prymsplit.poly import powmod_list, trim, xq_mod_list
+
+        field = build_extension(p, k)
+        rng = random.Random(field.q + 1)
+        for degree in (2, 3, 4, 6):
+            for _ in range(3):
+                f = [field.random_element(rng) for _ in range(degree)]
+                f = trim(f + [field.random_nonzero(rng)], field.zero)
+                expected = powmod_list([field.zero, field.one], field.q, f, field)
+                assert xq_mod_list(f, field) == expected
+        # x^q = x mod every product of distinct linear factors
+        roots = rng.sample(range(field.q), 3)
+        f = [field.one]
+        for r in roots:
+            f = (UniPoly(field, f) * (UniPoly.x(field) - UniPoly.constant(field, r))).coeffs
+        assert xq_mod_list(list(f), field) == [field.zero, field.one]
 
     def test_gcd_over_qq_with_denominators(self):
         x = UniPoly.x(QQ)
