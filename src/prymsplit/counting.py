@@ -5,15 +5,14 @@ Three counters, all exact:
 * plane quartics in P^2: the affine chart z = 1 row by row (a quartic in y per
   x), then the line z = 0, then (1:0:0).  The form picks the row path: with
   no odd power of y (the bielliptic quartic y^4 - h y^2 + fg always qualifies)
-  a row is a polynomial in w = y^2 of degree at most 2, resolved by the
-  quadratic character; otherwise a row's points are the degree of
+  a row is a polynomial in w = y^2 of degree at most 2, evaluated and solved
+  in discrete-log form (below); otherwise a row's points are the degree of
   gcd(y^q - y, row), computed by the list kernel of the poly module.  Both
   paths are cross-checked against brute enumeration in the test suite.  The
-  line z = 0 is a polynomial of degree at most 4 in x and is counted by the
-  same gcd.
+  line z = 0 is a polynomial of degree at most 4 in x, counted by that gcd.
 * hyperelliptic-type models y^2 = F(x) in P(1, g+1, 1): character sums over
-  the x-line plus the points above x = infinity read off the degree-(2g+2)
-  homogenization.
+  the x-line, F evaluated in log form, plus the points above x = infinity
+  read off the degree-(2g+2) homogenization.
 * the double cover q1 = u^2, q2 = uv, q3 = v^2 of the plane quartic
   q2^2 = q1 q3: on a row the three forms are quadratics v_i(y), and the base
   points are the roots of R(y) = v2^2 - v1 v3 in the field, found as
@@ -117,7 +116,7 @@ def _frobenius_orbits(data_field, field):
 
     r is the size of data_field, where the curve's coefficients live.  Built on
     first use and cached on the counting field per r; for r = q every orbit is
-    a single element.
+    a single element.  The first orbit is always (0, 1).
     """
     r = data_field.q
     orbits = field._orbits.get(r)
@@ -167,6 +166,29 @@ def _distinct_roots_gcd(coeffs, field) -> int:
     return len(_rational_part(f, field)) - 1
 
 
+# --- discrete-log form: v = g^j is kept as j in [0, q - 1) and zero as -1 ---
+# (fields._FiniteField.log_tables).  A product adds logs mod q - 1, a sum is
+# one Zech lookup, -v adds (q - 1)/2, chi(v) = (-1)^j, and for even j g^(j/2)
+# is a square root of v.
+
+def _log_poly(terms, lx, qm1, zech):
+    """log of sum c_i x^i from the pairs (log c_i, i) of its nonzero terms; x != 0."""
+    acc = -1
+    for lc, i in terms:
+        t = (lc + i * lx) % qm1
+        if acc < 0:
+            acc = t
+        else:
+            z = zech[t - acc]  # a negative index wraps mod q - 1
+            acc = -1 if z < 0 else (acc + z) % qm1
+    return acc
+
+
+def _one_plus_chi(lv):
+    """1 + chi(v) from the log of v: the number of y with y^2 = v."""
+    return 1 if lv < 0 else 2 - 2 * (lv & 1)
+
+
 def _low_degree_roots(f, field):
     """Distinct roots of a nonzero trimmed f of degree at most 2."""
     if len(f) == 1:
@@ -174,17 +196,15 @@ def _low_degree_roots(f, field):
     if len(f) == 2:
         return [field.neg(field.div(f[0], f[1]))]
     c, b, a = f
-    sub, mul = field.sub, field.mul
-    disc = sub(mul(b, b), mul(field.from_int(4), mul(a, c)))
-    cd = field.chi_table[disc]
-    if cd < 0:
+    exp, log, _ = field.log_tables
+    nh = field.neg(field.div(b, field.mul(field.from_int(2), a)))  # roots -h +- s
+    ld = log[field.sub(field.mul(nh, nh), field.div(c, a))]  # s^2 = h^2 - c/a
+    if ld < 0:
+        return [nh]
+    if ld & 1:
         return []
-    nb = field.neg(b)
-    inv2a = field.inv(mul(field.from_int(2), a))
-    if cd == 0:
-        return [mul(nb, inv2a)]
-    r = field.sqrt_table[disc]
-    return [mul(field.add(nb, r), inv2a), mul(sub(nb, r), inv2a)]
+    s = exp[ld // 2]
+    return [field.add(nh, s), field.sub(nh, s)]
 
 
 def _split_roots(h, field):
@@ -247,37 +267,41 @@ def count_plane_quartic(form: TernaryForm, field, *, base_q: int | None = None,
 
     if even:
         # a4 w^2 + b2 w + c0 with w = y^2; a4 is the constant y^4 coefficient
-        chi = field.chi_table
-        sqrt = field.sqrt_table
-        sub, neg = field.sub, field.neg
-        four = field.from_int(4)
-        a4 = rows[4][0]
-        inv2a = (
-            field.mul(field.inv(field.from_int(2)), field.inv(a4))
-            if a4 != zero
-            else None
-        )
-        r2, r0 = rows[2], rows[0]
+        _, log, zech = field.log_tables
+        qm1, half, la = q - 1, (q - 1) // 2, log[rows[4][0]]
+        l2a = (log[field.from_int(2)] + la) % qm1
+        b_terms, c_terms = ([(log[c], i) for i, c in enumerate(cs) if c]
+                            for cs in (rows[2], rows[0]))
 
         def row_points(x):
-            b2 = eval_row(r2, x)
-            c0 = eval_row(r0, x)
-            if a4 == zero:
-                if b2 == zero:
-                    return q if c0 == zero else 0
-                return 1 + chi[field.div(neg(c0), b2)]
-            disc = sub(mul(b2, b2), mul(four, mul(a4, c0)))
-            cd = chi[disc]
-            if cd < 0:
+            if x == zero:
+                lb, lc = log[rows[2][0]], log[rows[0][0]]
+            else:
+                lx = log[x]
+                lb, lc = _log_poly(b_terms, lx, qm1, zech), _log_poly(c_terms, lx, qm1, zech)
+            # each root w of a4 w^2 + b w + c gives 1 + chi(w) points y
+            if la < 0:
+                if lb < 0:
+                    return q if lc < 0 else 0
+                return _one_plus_chi((lc - lb + half) % qm1 if lc >= 0 else -1)
+            if lc < 0:  # w (a4 w + b)
+                return 1 + (_one_plus_chi((lb - la + half) % qm1) if lb >= 0 else 0)
+            lk = (lc - la + half) % qm1  # -c/a4
+            if lb < 0:  # w = +-s with s^2 = -c/a4
+                return 0 if lk & 1 else _one_plus_chi(lk // 2) + _one_plus_chi(lk // 2 + half)
+            # w = -h +- s with h = b/(2 a4) and s^2 = h^2 - c/a4 = h^2 (1 + (-c/a4)/h^2)
+            lnh = (lb - l2a + half) % qm1
+            z = zech[lk - 2 * lnh % qm1]
+            if z < 0:
+                return 2 - 2 * (lnh & 1)
+            ld = (2 * lnh + z) % qm1
+            if ld & 1:
                 return 0
-            nb = neg(b2)
-            if cd == 0:
-                return 1 + chi[mul(nb, inv2a)]
-            r = sqrt[disc]
-            return 2 + chi[mul(add(nb, r), inv2a)] + chi[mul(sub(nb, r), inv2a)]
+            z1, z2 = zech[ld // 2 - lnh], zech[ld // 2 + half - lnh]
+            return ((1 if z1 < 0 else 2 - 2 * ((lnh + z1) & 1))
+                    + (1 if z2 < 0 else 2 - 2 * ((lnh + z2) & 1)))
 
     else:
-
         def row_points(x):
             return _distinct_roots_gcd([eval_row(cs, x) for cs in rows], field)
 
@@ -314,17 +338,14 @@ def count_weighted(poly: UniPoly, genus: int, field, *, base_q: int | None = Non
     start = time.perf_counter()
     zero = field.zero
     coeffs = _coerce_scalars(poly.coeffs, poly.field, field)
-    chi = field.chi_table
-    add, mul = field.add, field.mul
+    _, log, zech = field.log_tables
+    terms = [(log[c], i) for i, c in enumerate(coeffs) if c]
     orbits = _frobenius_orbits(poly.field, field)
-    n = 0
-    for x, size in orbits:
-        acc = zero
-        for c in reversed(coeffs):
-            acc = add(mul(acc, x), c)
-        n += size * (1 + chi[acc])
+    n = _one_plus_chi(log[coeffs[0]] if coeffs else -1)  # x = 0, the first orbit
+    for x, size in orbits[1:]:
+        n += size * _one_plus_chi(_log_poly(terms, log[x], q - 1, zech))
     top = coeffs[2 * genus + 2] if len(coeffs) > 2 * genus + 2 else zero
-    n += 1 + chi[top]
+    n += _one_plus_chi(log[top])
     base = base_q or field.p
     return CountRecord("weighted-hyperelliptic", base, _extension_degree(base, q), n,
                        time.perf_counter() - start, len(orbits))
@@ -353,7 +374,7 @@ def count_bruin_cover(q1: TernaryQuadratic, q2: TernaryQuadratic,
     start = time.perf_counter()
     zero = field.zero
     add, mul, sub = field.add, field.mul, field.sub
-    chi = field.chi_table
+    log = field.log_tables[1]
     packs = []
     for quad in (q1, q2, q3):
         cs = _coerce_scalars(quad.coefficients(), quad.field, field)
@@ -363,11 +384,8 @@ def count_bruin_cover(q1: TernaryQuadratic, q2: TernaryQuadratic,
     orbits = _frobenius_orbits(data_field, field)
 
     def fiber(v1, v3):
-        if v1 != zero:
-            return 1 + chi[v1]
-        if v3 != zero:
-            return 1 + chi[v3]
-        return 1  # v2^2 = v1 v3 forces v2 = 0 too
+        # 1 where v1 = v3 = 0, since v2^2 = v1 v3 forces v2 = 0 too
+        return _one_plus_chi(log[v1 or v3])
 
     def value(v, y):
         return add(mul(add(mul(v[2], y), v[1]), y), v[0])

@@ -7,9 +7,11 @@ the embedding F_p -> F_{p^k} is the identity on representatives.  All
 operations go through the owning field object; none of this ever touches
 floating point.
 
-Extension fields precompute exp/log tables for a fixed generator plus a Zech
-logarithm table, making every field operation O(1) table lookups.  That is
-what keeps the point-counting kernels fast enough in pure Python.
+Every finite field has exp/log tables for a fixed generator of F_q^* plus a
+Zech logarithm table.  Extension fields ride them for every operation, O(1)
+lookups each; prime fields keep int arithmetic and build them on first use.
+The counting kernels keep a row's values as logs, so a product is an addition
+and a sum one Zech lookup: that keeps them fast enough in pure Python.
 """
 
 from __future__ import annotations
@@ -110,10 +112,12 @@ QQ = RationalField()
 class _FiniteField:
     """Shared behaviour for prime and extension fields.
 
-    Subclasses provide p, k, q, modulus and the four ring operations; the
-    quadratic-character and square-root tables are built lazily from mul and
-    cached on the field object (fields themselves are cached, see
-    build_extension), as are the Frobenius orbits the counting kernels walk.
+    Subclasses provide p, k, q, modulus, the four ring operations and
+    _build_log_tables.  The exp/log/Zech tables serve the counting kernels;
+    the quadratic-character and square-root tables, built lazily from mul,
+    serve only chi() and sqrt().  All are cached on the field object (fields
+    themselves are cached, see build_extension), as are the Frobenius orbits
+    the counting kernels walk.
     """
 
     kind = "finite"
@@ -123,7 +127,29 @@ class _FiniteField:
     def __init__(self):
         self._sqrt_table = None
         self._chi_table = None
+        self._exp = None
         self._orbits = {}  # r -> orbits of x -> x^r, see counting._frobenius_orbits
+
+    def _set_log_tables(self, exp):
+        """log and Zech tables from exp[i] = g^i, g a generator of F_q^*.
+
+        zech[d] = log(1 + g^d), and -1 stands for zero: log[0] = -1, and
+        zech[d] = -1 where 1 + g^d = 0.  Adding one to a packed value only
+        touches its low base-p digit.
+        """
+        q, pm1 = self.q, self.p - 1
+        log = [-1] * q
+        for i, v in enumerate(exp):
+            log[v] = i
+        self._zech = [log[v + 1 if v % self.p != pm1 else v - pm1] for v in exp]
+        self._exp, self._log, self._qm1, self._half = exp, log, q - 1, (q - 1) // 2
+
+    @property
+    def log_tables(self):
+        """(exp, log, zech), see _set_log_tables; built on first use."""
+        if self._exp is None:
+            self._build_log_tables()
+        return self._exp, self._log, self._zech
 
     @property
     def char(self):
@@ -223,6 +249,12 @@ class PrimeField(_FiniteField):
 
     def coeffs(self, a):
         return (a,)
+
+    def _build_log_tables(self):
+        p = self.p
+        cofactors = [(p - 1) // f for f in _factor_small(p - 1)]
+        g = next(g for g in range(2, p) if all(pow(g, c, p) != 1 for c in cofactors))
+        self._set_log_tables([pow(g, i, p) for i in range(p - 1)])
 
     def describe(self) -> dict:
         return {"kind": "prime-field", "p": self.p, "k": 1}
@@ -344,35 +376,20 @@ class ExtensionField(_FiniteField):
             if not is_irreducible(modulus, p):
                 raise InvalidFieldError("modulus is reducible")
         self.modulus = tuple(modulus)
-        self._build_tables()
+        self._build_log_tables()
 
-    def _build_tables(self):
+    def _build_log_tables(self):
         p, k, q = self.p, self.k, self.q
         mod = list(self.modulus)
         g = self._find_generator(mod)
         exp = [0] * (q - 1)
-        log = [-1] * q
         cur = [1] + [0] * (k - 1)
         for i in range(q - 1):
-            v = _pack(cur, p)
-            exp[i] = v
-            log[v] = i
+            exp[i] = _pack(cur, p)
             cur = _poly_mul_mod(cur, g, mod, p)
         if _pack(cur, p) != 1:
             raise InvalidFieldError("generator order mismatch (bad modulus?)")
-        # Zech logarithms: zech[d] = log(1 + g^d), -1 when 1 + g^d = 0.
-        # Adding one only touches the low digit of the packed value.
-        zech = [-1] * (q - 1)
-        pm1 = p - 1
-        for d in range(q - 1):
-            v = exp[d]
-            s = v + 1 if v % p != pm1 else v - pm1
-            zech[d] = log[s]  # log[0] is -1, the wanted sentinel
-        self._exp = exp
-        self._log = log
-        self._zech = zech
-        self._qm1 = q - 1
-        self._half = (q - 1) // 2
+        self._set_log_tables(exp)
 
     def _find_generator(self, mod):
         p, k, q = self.p, self.k, self.q
@@ -403,9 +420,7 @@ class ExtensionField(_FiniteField):
         log = self._log
         la = log[a]
         z = self._zech[(log[b] - la) % self._qm1]
-        if z < 0:
-            return 0
-        return self._exp[(la + z) % self._qm1]
+        return 0 if z < 0 else self._exp[(la + z) % self._qm1]
 
     def neg(self, a):
         if a == 0:
@@ -413,7 +428,14 @@ class ExtensionField(_FiniteField):
         return self._exp[(self._log[a] + self._half) % self._qm1]
 
     def sub(self, a, b):
-        return self.add(a, self.neg(b))
+        if b == 0:
+            return a
+        lb = self._log[b] + self._half  # log(-b)
+        if a == 0:
+            return self._exp[lb % self._qm1]
+        la = self._log[a]
+        z = self._zech[(lb - la) % self._qm1]
+        return 0 if z < 0 else self._exp[(la + z) % self._qm1]
 
     def mul(self, a, b):
         if a == 0 or b == 0:

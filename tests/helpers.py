@@ -4,6 +4,8 @@ The oracles here enumerate naively (all points, all tuples) and never share
 code with the implementations they check.
 """
 
+from collections import Counter
+
 from prymsplit import BinaryForm, TernaryForm, TernaryQuadratic, UniPoly
 from prymsplit.fields import embedding
 
@@ -57,6 +59,7 @@ def brute_plane_points(form, field):
 def brute_weighted_points(poly, genus, field):
     """Points of y^2 = F~ in P(1, g+1, 1) by orbit counting on (x, z) != 0."""
     d = 2 * genus + 2
+    squares = Counter(field.mul(y, y) for y in range(field.q))  # value -> #y with y^2 = value
     total = 0
     for x in range(field.q):
         for z in range(field.q):
@@ -66,9 +69,7 @@ def brute_weighted_points(poly, genus, field):
             for i, c in enumerate(poly.coeffs):
                 term = field.mul(c, field.mul(field.pow(x, i), field.pow(z, d - i)))
                 acc = field.add(acc, term)
-            for y in range(field.q):
-                if field.mul(y, y) == acc:
-                    total += 1
+            total += squares[acc]
     assert total % (field.q - 1) == 0
     return total // (field.q - 1)
 

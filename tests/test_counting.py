@@ -19,7 +19,7 @@ from prymsplit import (
     random_validated_curve,
     singular_model,
 )
-from prymsplit.counting import CountRecord, _frobenius_orbits
+from prymsplit.counting import CountRecord, _frobenius_orbits, _low_degree_roots
 from prymsplit.fields import embedding
 from helpers import (
     brute_cover_points,
@@ -347,6 +347,122 @@ class TestFrobeniusOrbits:
             assert rec_y.n == brute_cover_points(*lifted, big)
             assert rec_z.n == count_bruin_cover(*lifted, big)[0].n
             assert rec_y.rows == len(_frobenius_orbits(small, big))
+
+
+def even_quartic(field, a4, b_row, c_row):
+    """a4 y^4 + b(x, z) y^2 + c(x, z): in the chart z = 1 every row is
+    a4 w^2 + b(x) w + c(x) with w = y^2, b = sum b_i x^i, c = sum c_i x^i."""
+    coeffs = {(0, 4, 0): a4}
+    coeffs.update({(i, 2, 2 - i): v for i, v in enumerate(b_row)})
+    coeffs.update({(i, 0, 4 - i): v for i, v in enumerate(c_row)})
+    return TernaryForm(field, 4, coeffs)
+
+
+def _random_row(field, rng, length):
+    return [field.random_element(rng) for _ in range(length)]
+
+
+def _discriminant_vanishing_at(field, rng, roots):
+    """Rows with b^2 - 4 a4 c = s * prod (x - u) over u in roots."""
+    a4, s = field.random_nonzero(rng), field.random_nonzero(rng)
+    b = _random_row(field, rng, 3)
+    d = [s]
+    for u in roots:  # d <- d * (x - u)
+        d = [field.sub(lo, field.mul(u, hi)) for lo, hi in zip(d + [0], [0] + d)]
+    b_sq = [field.zero] * 5
+    for i, bi in enumerate(b):
+        for j, bj in enumerate(b):
+            b_sq[i + j] = field.add(b_sq[i + j], field.mul(bi, bj))
+    four_a = field.mul(field.from_int(4), a4)
+    c = [field.div(field.sub(v, d[i] if i < len(d) else 0), four_a) for i, v in enumerate(b_sq)]
+    return even_quartic(field, a4, b, c)
+
+
+# Even quartics whose rows hit every branch of the log-domain row solver.
+EVEN_SHAPES = {
+    "random": lambda F, rng: even_quartic(F, F.random_element(rng), _random_row(F, rng, 3),
+                                          _random_row(F, rng, 5)),
+    "a4-zero": lambda F, rng: even_quartic(F, 0, _random_row(F, rng, 3), _random_row(F, rng, 5)),
+    "b2-zero": lambda F, rng: even_quartic(F, F.random_nonzero(rng), [0, 0, 0],
+                                           _random_row(F, rng, 5)),
+    # a4 (w - r(x))^2: a double root w = r(x) on every row
+    "disc-zero-everywhere": lambda F, rng: _discriminant_vanishing_at(F, rng, []),
+    "disc-zero-on-two-rows": lambda F, rng: _discriminant_vanishing_at(
+        F, rng, [F.random_nonzero(rng), F.random_element(rng)]),
+    "c0-zero-at-origin": lambda F, rng: even_quartic(F, F.random_nonzero(rng),
+                                                     _random_row(F, rng, 3),
+                                                     [0] + _random_row(F, rng, 4)),
+    "a4-nonsquare": lambda F, rng: even_quartic(
+        F, next(a for a in range(1, F.q) if F.chi(F.mul(2 % F.p, a)) < 0),
+        _random_row(F, rng, 3), _random_row(F, rng, 5)),
+}
+
+
+class TestLogDomainKernels:
+    """The even plane rows and count_weighted, computed on discrete logs,
+    against brute-force enumeration over prime and extension fields."""
+
+    FIELDS = [(23, 1), (5, 2), (3, 3), (7, 2)]
+
+    @pytest.mark.parametrize("p, k", FIELDS, ids=lambda v: str(v))
+    @pytest.mark.parametrize("shape", sorted(EVEN_SHAPES))
+    def test_even_rows_agree_with_brute_force(self, p, k, shape):
+        field = build_extension(p, k)
+        rng = random.Random(f"{shape}-{p}-{k}")
+        for _ in range(2):
+            form = EVEN_SHAPES[shape](field, rng)
+            assert count_plane_quartic(form, field).n == brute_plane_points(form, field)
+
+    @pytest.mark.parametrize("shape", ["random", "disc-zero-on-two-rows"])
+    def test_even_rows_over_f243(self, shape):
+        field = build_extension(3, 5)
+        form = EVEN_SHAPES[shape](field, random.Random(shape))
+        assert count_plane_quartic(form, field).n == brute_plane_points(form, field)
+
+    @pytest.mark.parametrize("shape", sorted(EVEN_SHAPES))
+    def test_prime_field_curve_over_cubic_extension(self, shape):
+        small, big = F3, build_extension(3, 3)
+        rng = random.Random(shape)
+        for _ in range(3):
+            form = EVEN_SHAPES[shape](small, rng)
+            expected = brute_plane_points(lift(form, small, big), big)
+            assert count_plane_quartic(form, big, base_q=3).n == expected
+
+    @pytest.mark.parametrize("p, k", FIELDS + [(3, 5)], ids=lambda v: str(v))
+    def test_weighted_agrees_with_brute_force(self, p, k):
+        field = build_extension(p, k)
+        rng = random.Random(p ** k)
+        ns = next(a for a in range(1, field.q) if field.chi(a) < 0)
+        for genus in (1, 2) if field.q < 100 else (2,):
+            d = 2 * genus + 2
+            coeffs = _random_row(field, rng, d + 1)
+            polys = [
+                coeffs,
+                [0] + coeffs[1:],  # F(0) = 0
+                coeffs[:d],  # degree below 2g + 2: the top coefficient is zero
+                coeffs[:d] + [ns],  # nonsquare top coefficient
+            ]
+            for cs in polys:
+                poly = UniPoly(field, cs)
+                assert count_weighted(poly, genus, field).n == brute_weighted_points(
+                    poly, genus, field
+                )
+
+    @pytest.mark.parametrize("p, k", [(7, 1), (3, 2), (5, 2)], ids=lambda v: str(v))
+    def test_low_degree_roots_exhaustive(self, p, k):
+        field = build_extension(p, k)
+        for a in range(field.q):
+            for b in range(field.q):
+                for c in range(field.q):
+                    f = [c, b, a]
+                    while f and f[-1] == 0:
+                        f.pop()
+                    if not f:
+                        continue
+                    expected = {w for w in range(field.q)
+                                if field.add(field.mul(field.add(field.mul(a, w), b), w), c) == 0}
+                    roots = _low_degree_roots(f, field)
+                    assert len(roots) == len(expected) and set(roots) == expected
 
 
 def quadratic(field, *terms):

@@ -11,7 +11,8 @@ from prymsplit import (
     build_extension,
     quadratic_character,
 )
-from prymsplit.fields import embedding, is_irreducible
+from prymsplit.fields import PrimeField, embedding, is_irreducible
+from prymsplit.zeta import _PRIME_POOL
 
 
 def test_prime_field_descriptor():
@@ -123,6 +124,46 @@ def test_field_axioms_random(p, k):
         assert field.mul(a, field.add(b, c)) == field.add(field.mul(a, b), field.mul(a, c))
         assert field.add(a, field.neg(a)) == field.zero
         assert field.sub(a, b) == field.add(a, field.neg(b))
+
+
+@pytest.mark.parametrize("p,k", [(3, 2), (5, 2), (3, 3)], ids=["F9", "F25", "F27"])
+def test_sub_is_add_of_negation_exhaustive(p, k):
+    field = build_extension(p, k)
+    for a in range(field.q):
+        for b in range(field.q):
+            assert field.sub(a, b) == field.add(a, field.neg(b))
+
+
+def test_sub_is_add_of_negation_seeded():
+    field = build_extension(23, 3)
+    rng = random.Random(5)
+    pairs = [(field.random_element(rng), field.random_element(rng)) for _ in range(10**4)]
+    pairs += [(0, 0), (0, 1), (1, 0), (7, 7), (0, 12166), (12166, 0)]
+    for a, b in pairs:
+        assert field.sub(a, b) == field.add(a, field.neg(b))
+
+
+LOG_TABLE_FIELDS = [(p, 1) for p in _PRIME_POOL] + [(3, 2), (5, 2), (3, 3), (7, 2)]
+
+
+@pytest.mark.parametrize("p,k", LOG_TABLE_FIELDS, ids=[f"{p}^{k}" for p, k in LOG_TABLE_FIELDS])
+def test_log_tables(p, k):
+    field = build_extension(p, k)
+    exp, log, zech = field.log_tables
+    assert sorted(exp) == list(range(1, field.q))  # exp permutes F_q^*
+    assert all(exp[i] == field.mul(exp[i - 1], exp[1]) for i in range(1, field.q - 1))
+    assert log[0] == -1 and all(log[v] == i for i, v in enumerate(exp))
+    # adding one to a packed element bumps its low base-p digit
+    assert zech == [log[v - v % p + (v + 1) % p] for v in exp]
+    for a in range(field.q):  # the character the tables give is Euler's
+        assert (log[a] < 0 and a == 0) or (-1) ** log[a] == field.euler_character(a)
+
+
+def test_prime_field_builds_log_tables_only_on_demand():
+    field = PrimeField(23)  # as the modulus and generator searches build it
+    assert field._exp is None
+    exp, log, _ = field.log_tables
+    assert field._exp is exp and exp[:4] == [1, 5, 2, 10]  # 5 is the least primitive root
 
 
 def test_rational_field_elements_are_reduced_fractions():
