@@ -20,7 +20,6 @@ import time
 from fractions import Fraction
 
 from . import __version__
-from .counting import DEFAULT_AXIS_CAP
 from .errors import (
     DegenerateInputError,
     InvalidFieldError,
@@ -32,12 +31,19 @@ from .errors import (
     UndefinedResultantError,
     UnsupportedFieldError,
 )
-from .fields import QQ, build_extension
+from .fields import QQ, ExtensionField, build_extension
 from .poly import BinaryForm
 from .prym import BiellipticQuartic, deform, split, validate
 from .resultants import disc_ternary_quartic
 from .ternary import TernaryForm
-from .zeta import check_bruin_depth, verify_bruin, verify_split, verify_split_rational
+from .zeta import (
+    DEFAULT_AXIS_CAP,
+    check_axis_cap,
+    check_bruin_depth,
+    verify_bruin,
+    verify_split,
+    verify_split_rational,
+)
 
 SCHEMA = "prymsplit-report/1"
 
@@ -55,7 +61,9 @@ class DocumentError(RejectedInputError):
     pass
 
 
-def _parse_field(doc: dict, seed: int):
+def _parse_field(doc: dict):
+    """The document's field.  Every bad field exits 3, and an F_{p^k} above
+    the default axis cap exits 4 before any of its tables is built."""
     if "p" not in doc:
         if "k" in doc or "modulus" in doc:
             raise DocumentError('keys "k"/"modulus" need "p"')
@@ -66,14 +74,21 @@ def _parse_field(doc: dict, seed: int):
     k = doc.get("k", 1)
     if not isinstance(k, int) or k < 1:
         raise DocumentError('key "k" must be a positive integer')
+    modulus = doc.get("modulus")
+    if "modulus" in doc:
+        if k == 1:
+            raise DocumentError('key "modulus" needs "k" > 1')
+        if not (isinstance(modulus, list) and len(modulus) == k + 1
+                and all(isinstance(c, int) for c in modulus)):
+            raise DocumentError(f'key "modulus" must be a list of k + 1 = {k + 1} integers')
     try:
-        if "modulus" in doc:
-            from .fields import ExtensionField
-
-            if k == 1:
-                raise DocumentError('key "modulus" needs "k" > 1')
-            return ExtensionField(p, k, modulus=doc["modulus"], seed=seed)
-        return build_extension(p, k, seed)
+        base = build_extension(p)  # rejects a p that is not an odd prime; no tables
+        if k == 1:
+            return base
+        check_axis_cap(p, k)
+        if modulus is not None:
+            return ExtensionField(p, k, modulus=modulus)
+        return build_extension(p, k)
     except InvalidFieldError as exc:
         raise DocumentError(f"invalid field: {exc}") from exc
 
@@ -105,7 +120,7 @@ def _element_obj(field, value):
     return list(field.coeffs(value))
 
 
-def parse_curve_document(doc, seed: int = 0) -> BiellipticQuartic:
+def parse_curve_document(doc) -> BiellipticQuartic:
     if not isinstance(doc, dict):
         raise DocumentError("curve document must be a JSON object")
     for key in doc:
@@ -116,7 +131,7 @@ def parse_curve_document(doc, seed: int = 0) -> BiellipticQuartic:
             raise DocumentError(f'missing key "{key}" in curve document')
         if not isinstance(doc[key], list) or len(doc[key]) != 3:
             raise DocumentError(f'key "{key}" must be a list of 3 coefficients')
-    field = _parse_field(doc, seed)
+    field = _parse_field(doc)
     forms = {}
     try:
         for key in ("f", "g", "h"):
@@ -127,7 +142,7 @@ def parse_curve_document(doc, seed: int = 0) -> BiellipticQuartic:
         raise DocumentError(str(exc)) from exc
 
 
-def parse_quartic_document(doc, seed: int = 0) -> TernaryForm:
+def parse_quartic_document(doc) -> TernaryForm:
     if not isinstance(doc, dict):
         raise DocumentError("quartic document must be a JSON object")
     for key in doc:
@@ -135,7 +150,9 @@ def parse_quartic_document(doc, seed: int = 0) -> TernaryForm:
             raise DocumentError(f'unknown key "{key}" in quartic document')
     if "quartic" not in doc:
         raise DocumentError('missing key "quartic"')
-    field = _parse_field(doc, seed)
+    if not isinstance(doc["quartic"], list):
+        raise DocumentError('key "quartic" must be a list of [i, j, k, coeff] entries')
+    field = _parse_field(doc)
     coeffs = {}
     for entry in doc["quartic"]:
         if not (isinstance(entry, list) and len(entry) == 4):
@@ -239,7 +256,7 @@ def _load_input(args) -> dict:
 
 def _curve_from_args(args) -> BiellipticQuartic:
     """Parse the curve document, honoring a --p field override."""
-    curve = parse_curve_document(_load_input(args), args.seed)
+    curve = parse_curve_document(_load_input(args))
     if args.p is None:
         return curve
     if curve.field.kind == "rationals":
@@ -255,7 +272,7 @@ def _curve_from_args(args) -> BiellipticQuartic:
 
 def _cmd_validate(args) -> int:
     curve = _curve_from_args(args)
-    report_data = validate(curve, seed=args.seed)
+    report_data = validate(curve)
     report = _report_base("validate", args)
     report["input"] = _curve_doc(curve)
     report["checks"] = {
@@ -274,7 +291,7 @@ def _cmd_validate(args) -> int:
 
 def _cmd_split(args) -> int:
     curve = _curve_from_args(args)
-    sr = split(curve, skip_validation=args.skip_validation, seed=args.seed)
+    sr = split(curve, skip_validation=args.skip_validation)
     report = _report_base("split", args)
     report["input"] = _curve_doc(curve)
     report["split"] = _split_obj(curve, sr)
@@ -288,9 +305,9 @@ def _cmd_verify(args) -> int:
     report = _report_base("verify", args)
     report["input"] = _curve_doc(curve)
     if curve.field.kind == "rationals":
-        results = verify_split_rational(curve, seed=args.seed, axis_cap=args.cap_axis)
+        results = verify_split_rational(curve, axis_cap=args.cap_axis)
     else:
-        results = [verify_split(curve, seed=args.seed, axis_cap=args.cap_axis)]
+        results = [verify_split(curve, axis_cap=args.cap_axis)]
     subreports = []
     for res in results:
         subreports.append({
@@ -324,15 +341,14 @@ def _cmd_bruin(args) -> int:
         eps = field.random_nonzero(random.Random(args.seed))
     else:
         eps = field.from_int(args.epsilon)
-    report_valid = validate(curve, seed=args.seed)
+    report_valid = validate(curve)
     if not report_valid.passed:
         raise RejectedInputError(
             "curve fails validation: " + "; ".join(report_valid.failures),
             failures=report_valid.failures,
         )
-    cover = deform(curve, eps, seed=args.seed)
-    result = verify_bruin(cover, depth=args.depth, seed=args.seed,
-                          axis_cap=args.cap_axis)
+    cover = deform(curve, eps)
+    result = verify_bruin(cover, depth=args.depth, axis_cap=args.cap_axis)
     report = _report_base("bruin", args)
     report["input"] = _curve_doc(curve)
     report["epsilon"] = _element_obj(field, eps)
@@ -355,8 +371,8 @@ def _cmd_bruin(args) -> int:
 def _cmd_disc_check(args) -> int:
     report = _report_base("disc-check", args)
     if args.input:
-        form = parse_quartic_document(_load_input(args), args.seed)
-        value = disc_ternary_quartic(form, seed=args.seed)
+        form = parse_quartic_document(_load_input(args))
+        value = disc_ternary_quartic(form)
         report["input"] = {"quartic": [[*m, _element_obj(form.field, c)]
                                        for m, c in sorted(form.coeffs.items())]}
         report["discriminant"] = _element_obj(form.field, value)
@@ -366,7 +382,7 @@ def _cmd_disc_check(args) -> int:
         return EXIT_PASS
     # no input: the golden value must be exactly -2^40
     golden = TernaryForm.from_ints(QQ, 4, {(4, 0, 0): 1, (0, 4, 0): -1, (0, 0, 4): 1})
-    value = disc_ternary_quartic(golden, seed=args.seed)
+    value = disc_ternary_quartic(golden)
     expected = -(2**40)
     report["input"] = {"quartic": "x1^4 - x2^4 + x3^4 (golden check)"}
     report["discriminant"] = str(value)
@@ -428,7 +444,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="field prime: reduces a rational document mod p, "
                             "or asserts the document's p")
         p.add_argument("--seed", type=int, default=0,
-                       help="seed for every randomized step (default 0)")
+                       help="seed for bruin's default epsilon and selftest's "
+                            "draws (default 0); no other result depends on it")
         p.add_argument("--format", choices=("json", "text"), default="text")
         p.add_argument("--out", help="write the JSON report to this path (atomic)")
 

@@ -28,10 +28,12 @@ preserves the quadratic character.  One representative row per orbit is
 evaluated and weighted by the orbit size, about q/m rows for a curve over F_p
 counted over F_{p^m}.
 
-Caps are checked on entry: every kernel refuses a field larger than the axis
-cap.  Each does O(log q) field operations per row; only a cover row whose R
-vanishes identically (a line x = c inside the base quartic) is scanned over
-its q values of y.
+A kernel takes the curve and the counting field and nothing else: the
+verifiers in zeta pick each field and check the axis cap before they build
+it.  The record's base is the curve's field F_r, and its degree is the
+counting field's degree over F_r.  Each kernel does O(log q) field
+operations per row; only a cover row whose R vanishes identically (a line
+x = c inside the base quartic) is scanned over its q values of y.
 """
 
 from __future__ import annotations
@@ -39,13 +41,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field as dc_field
 
-from .errors import (
-    DegenerateInputError,
-    InvalidParameterError,
-    ModelError,
-    ResourceLimitError,
-    UnsupportedFieldError,
-)
+from .errors import DegenerateInputError, ModelError, UnsupportedFieldError
 from .fields import embedding
 from .poly import (
     BinaryForm,
@@ -58,9 +54,6 @@ from .poly import (
     xq_mod_list,
 )
 from .ternary import TernaryForm, TernaryQuadratic
-
-DEFAULT_AXIS_CAP = 30_000
-
 
 @dataclass(frozen=True)
 class CountRecord:
@@ -85,16 +78,6 @@ def _require_odd_finite(field):
         raise UnsupportedFieldError("point counting needs a finite field")
     if field.p == 2:
         raise UnsupportedFieldError("even characteristic is excluded")
-
-
-def _extension_degree(base_q: int, q: int) -> int:
-    m, t = 0, 1
-    while t < q:
-        t *= base_q
-        m += 1
-    if t != q:
-        raise InvalidParameterError(f"{q} is not a power of the base size {base_q}")
-    return m
 
 
 def _coerce_scalars(values, data_field, count_field):
@@ -228,8 +211,7 @@ def _split_roots(h, field):
     raise ArithmeticError("no splitting shift: h is not a product of distinct linear factors")
 
 
-def count_plane_quartic(form: TernaryForm, field, *, base_q: int | None = None,
-                        axis_cap: int = DEFAULT_AXIS_CAP) -> CountRecord:
+def count_plane_quartic(form: TernaryForm, field) -> CountRecord:
     """Exact number of projective points of a quartic plane curve.
 
     Charts: {z = 1} as rows over x, then {z = 0, y = 1}, then (1:0:0).  A
@@ -242,10 +224,6 @@ def count_plane_quartic(form: TernaryForm, field, *, base_q: int | None = None,
     if form.is_zero():
         raise DegenerateInputError("zero quartic")
     q = field.q
-    if q > axis_cap:
-        raise ResourceLimitError(
-            f"field size {q} exceeds the plane-count axis cap {axis_cap}"
-        )
     start = time.perf_counter()
     zero = field.zero
     items = list(form.coeffs.items())
@@ -316,13 +294,11 @@ def count_plane_quartic(form: TernaryForm, field, *, base_q: int | None = None,
     # the point (1:0:0)
     if monomials.get((4, 0, 0), zero) == zero:
         n += 1
-    base = base_q or field.p
-    return CountRecord("plane-quartic", base, _extension_degree(base, q), n,
+    return CountRecord("plane-quartic", form.field.q, field.k // form.field.k, n,
                        time.perf_counter() - start, len(orbits))
 
 
-def count_weighted(poly: UniPoly, genus: int, field, *, base_q: int | None = None,
-                   axis_cap: int = DEFAULT_AXIS_CAP) -> CountRecord:
+def count_weighted(poly: UniPoly, genus: int, field) -> CountRecord:
     """Points of y^2 = F(x) completed in P(1, g+1, 1).
 
     Homogenize F to degree 2g+2: the affine chart contributes
@@ -333,8 +309,6 @@ def count_weighted(poly: UniPoly, genus: int, field, *, base_q: int | None = Non
     if poly.degree != float("-inf") and poly.degree > 2 * genus + 2:
         raise ModelError(f"degree {poly.degree} exceeds 2g+2 = {2 * genus + 2}")
     q = field.q
-    if q > axis_cap:
-        raise ResourceLimitError(f"field size {q} exceeds the axis cap {axis_cap}")
     start = time.perf_counter()
     zero = field.zero
     coeffs = _coerce_scalars(poly.coeffs, poly.field, field)
@@ -346,14 +320,12 @@ def count_weighted(poly: UniPoly, genus: int, field, *, base_q: int | None = Non
         n += size * _one_plus_chi(_log_poly(terms, log[x], q - 1, zech))
     top = coeffs[2 * genus + 2] if len(coeffs) > 2 * genus + 2 else zero
     n += _one_plus_chi(log[top])
-    base = base_q or field.p
-    return CountRecord("weighted-hyperelliptic", base, _extension_degree(base, q), n,
+    return CountRecord("weighted-hyperelliptic", poly.field.q, field.k // poly.field.k, n,
                        time.perf_counter() - start, len(orbits))
 
 
 def count_bruin_cover(q1: TernaryQuadratic, q2: TernaryQuadratic,
-                      q3: TernaryQuadratic, field, *, base_q: int | None = None,
-                      axis_cap: int = DEFAULT_AXIS_CAP):
+                      q3: TernaryQuadratic, field):
     """(base count, cover count) for q2^2 = q1 q3 and its double cover.
 
     Fiber over a base point: 2 points when the first nonvanishing of (q1, q3)
@@ -367,10 +339,6 @@ def count_bruin_cover(q1: TernaryQuadratic, q2: TernaryQuadratic,
     if q1.is_zero() and q2.is_zero() and q3.is_zero():
         raise DegenerateInputError("all three quadratic forms are zero")
     q = field.q
-    if q > axis_cap:
-        raise ResourceLimitError(
-            f"field size {q} exceeds the cover-count axis cap {axis_cap}"
-        )
     start = time.perf_counter()
     zero = field.zero
     add, mul, sub = field.add, field.mul, field.sub
@@ -420,9 +388,8 @@ def count_bruin_cover(q1: TernaryQuadratic, q2: TernaryQuadratic,
         nz += 1
         ny += fiber(v1, v3)
     seconds = time.perf_counter() - start
-    base = base_q or field.p
-    m = _extension_degree(base, q)
+    r, m = data_field.q, field.k // data_field.k
     return (
-        CountRecord("plane-quartic", base, m, nz, seconds, len(orbits)),
-        CountRecord("bruin-cover", base, m, ny, seconds, len(orbits)),
+        CountRecord("plane-quartic", r, m, nz, seconds, len(orbits)),
+        CountRecord("bruin-cover", r, m, ny, seconds, len(orbits)),
     )

@@ -354,7 +354,7 @@ class ExtensionField(_FiniteField):
     table, add/sub ride the Zech table.  Sized for q up to a few times 10^4.
     """
 
-    def __init__(self, p: int, k: int, modulus=None, seed: int = 0):
+    def __init__(self, p: int, k: int, modulus=None):
         if p == 2:
             raise InvalidFieldError("characteristic 2 is excluded")
         if not is_prime(p):
@@ -365,7 +365,6 @@ class ExtensionField(_FiniteField):
         self.p = p
         self.k = k
         self.q = p**k
-        self.seed = seed
         if modulus is None:
             modulus = _find_irreducible(p, k)
         else:
@@ -496,19 +495,24 @@ def _find_irreducible(p: int, k: int):
     raise InvalidFieldError(f"no irreducible modulus of degree {k} over F_{p}")
 
 
-@lru_cache(maxsize=None)
-def build_extension(p: int, k: int = 1, seed: int = 0):
+def build_extension(p: int, k: int = 1, _seed=None):
     """Field descriptor for F_{p^k}, p an odd prime.
 
-    Deterministic for a given (p, k, seed): the modulus search order is fixed,
-    so repeated runs build identical fields.  Descriptors are cached; tables
-    are built once per process.
+    Deterministic: the modulus search order is fixed, so repeated runs build
+    identical fields.  There is one field per (p, k) in a process, so its
+    tables are built once.  The third argument is ignored; it is accepted
+    only because perfbench's warm() still calls build_extension(p, k, 0).
     """
+    return _field(p, k)
+
+
+@lru_cache(maxsize=None)
+def _field(p: int, k: int):
     if k < 1:
         raise InvalidFieldError("extension degree must be >= 1")
     if k == 1:
         return PrimeField(p)
-    return ExtensionField(p, k, seed=seed)
+    return ExtensionField(p, k)
 
 
 def quadratic_character(field, a) -> int:

@@ -112,7 +112,7 @@ class ValidationReport:
         return out
 
 
-def validate(curve: BiellipticQuartic, seed: int = 0) -> ValidationReport:
+def validate(curve: BiellipticQuartic) -> ValidationReport:
     """The smoothness + invertibility gate for the construction.
 
     Checks det A != 0, f*g squarefree and h^2 - 4fg squarefree; a singular
@@ -128,7 +128,7 @@ def validate(curve: BiellipticQuartic, seed: int = 0) -> ValidationReport:
     s_sf = False if s.is_zero() else s.is_squarefree()
     cross = None
     if F.kind == "rationals" or (F.kind == "finite" and F.p > CROSS_CHECK_MIN_PRIME):
-        disc = disc_ternary_quartic(curve.plane_quartic(), seed=seed)
+        disc = disc_ternary_quartic(curve.plane_quartic())
         cross = (disc != F.zero) == (fg_sf and s_sf)
     return ValidationReport(det, det != F.zero, fg_sf, s_sf, cross)
 
@@ -175,13 +175,12 @@ def _inverse_column_quadratic(inverse: Matrix3, j: int) -> UniPoly:
     return UniPoly(F, (v1, F.add(v2, v2), v3))
 
 
-def split(curve: BiellipticQuartic, skip_validation: bool = False,
-          seed: int = 0) -> SplitResult:
+def split(curve: BiellipticQuartic, skip_validation: bool = False) -> SplitResult:
     """Decompose: y^2 = b(b^2 - ac) is the genus-2 factor, Y^2 = h^2 - 4fg the
     genus-1 factor.  Rejects invalid curves unless skip_validation is set
     (formula-only mode for degenerate inputs)."""
     if not skip_validation:
-        report = validate(curve, seed=seed)
+        report = validate(curve)
         if not report.passed:
             raise RejectedInputError(
                 "curve fails validation: " + "; ".join(report.failures),
@@ -309,12 +308,12 @@ class BruinCover:
 
 
 def bruin_cover(q1: TernaryQuadratic, q2: TernaryQuadratic,
-                q3: TernaryQuadratic, seed: int = 0) -> BruinCover:
+                q3: TernaryQuadratic) -> BruinCover:
     """Assemble the cover data and report (never assume) smoothness."""
     F = q1.field
     base = cover_quartic(q1, q2, q3)
     sextic = pencil_sextic(q1, q2, q3)
-    disc = disc_ternary_quartic(base, seed=seed)
+    disc = disc_ternary_quartic(base)
     if sextic.is_zero():
         sf = False
     else:
@@ -322,7 +321,7 @@ def bruin_cover(q1: TernaryQuadratic, q2: TernaryQuadratic,
     return BruinCover(q1, q2, q3, base, sextic, disc, sf)
 
 
-def deform(curve: BiellipticQuartic, eps, seed: int = 0) -> BruinCover:
+def deform(curve: BiellipticQuartic, eps) -> BruinCover:
     """Fiber of the deformation pencil at a concrete parameter value.
 
     Directions are (target_i - q_i) for the fixed smooth targets, so eps = 0
@@ -334,7 +333,7 @@ def deform(curve: BiellipticQuartic, eps, seed: int = 0) -> BruinCover:
     fibers = []
     for q, t in zip(model.triple(), targets):
         fibers.append(q + (t - q).scale(eps))
-    return bruin_cover(*fibers, seed=seed)
+    return bruin_cover(*fibers)
 
 
 def random_curve(field, rng) -> BiellipticQuartic:
@@ -354,11 +353,10 @@ def random_curve(field, rng) -> BiellipticQuartic:
             continue
 
 
-def random_validated_curve(field, rng, max_tries: int = 2000,
-                           seed: int = 0) -> BiellipticQuartic:
+def random_validated_curve(field, rng, max_tries: int = 2000) -> BiellipticQuartic:
     """Rejection-sample until validation passes."""
     for _ in range(max_tries):
         curve = random_curve(field, rng)
-        if validate(curve, seed=seed).passed:
+        if validate(curve).passed:
             return curve
     raise RejectedInputError(f"no validated curve found in {max_tries} tries over {field}")

@@ -34,6 +34,7 @@ from .poly import BinaryForm, UniPoly
 from .ternary import TernaryForm
 
 QUARTIC_DISC_NORMALIZER = 4**7
+_MACAULAY_RETRIES = 24
 
 
 def _sylvester_rows(p_desc, q_desc, field):
@@ -188,8 +189,7 @@ def _random_gl3(field, rng):
     raise ResultantIndeterminateError("could not sample an invertible change of variables")
 
 
-def macaulay_resultant_cubics(f1: TernaryForm, f2: TernaryForm, f3: TernaryForm,
-                              seed: int = 0, max_retries: int = 24):
+def macaulay_resultant_cubics(f1: TernaryForm, f2: TernaryForm, f3: TernaryForm):
     """Macaulay resultant of three ternary cubics at critical degree 7.
 
     Whenever the designated minor det(M') is nonzero, the quotient
@@ -201,7 +201,9 @@ def macaulay_resultant_cubics(f1: TernaryForm, f2: TernaryForm, f3: TernaryForm,
     invertible substitution T, undoing Res(f o T) = det(T)^27 Res(f).
     Over small prime fields the retries may move to an extension field, where
     invertible substitutions are plentiful; the value still lies in the base
-    field and is mapped back.
+    field and is mapped back.  Every successful retry returns the resultant
+    itself, so the fixed draw sequence decides only whether a retry succeeds,
+    never the value.
     """
     for f in (f1, f2, f3):
         if f.degree != 3:
@@ -213,11 +215,12 @@ def macaulay_resultant_cubics(f1: TernaryForm, f2: TernaryForm, f3: TernaryForm,
         return value
     if _shares_projective_zero(cubics, field):
         return field.zero
-    rng = random.Random((seed & 0xFFFFFFFF) * 0x9E3779B1 + 0xAC)
-    for attempt in range(max_retries):
+    rng = random.Random(0xAC)
+    for attempt in range(_MACAULAY_RETRIES):
         work_field = field
-        if field.kind == "finite" and field.q < 32 and attempt >= max_retries // 3:
-            work_field = _lifted_field(field, 2 if attempt < 2 * max_retries // 3 else 3)
+        if field.kind == "finite" and field.q < 32 and attempt >= _MACAULAY_RETRIES // 3:
+            lift = 2 if attempt < 2 * _MACAULAY_RETRIES // 3 else 3
+            work_field = _lifted_field(field, lift)
             cubics = tuple(
                 TernaryForm(work_field, 3, dict(f.coeffs)) for f in (f1, f2, f3)
             )
@@ -246,7 +249,7 @@ def _lifted_field(field, factor: int):
     return build_extension(field.p, factor)
 
 
-def disc_ternary_quartic(F: TernaryForm, seed: int = 0):
+def disc_ternary_quartic(F: TernaryForm):
     """Discriminant of a ternary quartic; zero iff the plane curve is singular.
 
     Computed as the Macaulay resultant of the three partials divided by the
@@ -256,5 +259,5 @@ def disc_ternary_quartic(F: TernaryForm, seed: int = 0):
     if F.degree != 4:
         raise DegenerateInputError("input must be a ternary quartic")
     field = F.field
-    res = macaulay_resultant_cubics(F.partial(0), F.partial(1), F.partial(2), seed=seed)
+    res = macaulay_resultant_cubics(F.partial(0), F.partial(1), F.partial(2))
     return field.div(res, field.from_int(QUARTIC_DISC_NORMALIZER))

@@ -12,6 +12,11 @@ and the genus-2 count of y^2 = b(b^2 - ac).  verify_bruin checks the double
 cover q1 = u^2, q2 = uv, q3 = v^2: counts of the genus-5 cover against the
 prediction of L_Z * L_H up to a configurable depth (depth 5 pins the full
 degree-10 polynomial).
+
+The verifiers are the one place that picks the fields a count runs over and
+enforces the axis cap: check_axis_cap refuses F_{p^m} before
+build_extension(p, m) is called, so they never build a field above the cap.
+The counting kernels take only the curve and the field.
 """
 
 from __future__ import annotations
@@ -19,12 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .counting import (
-    DEFAULT_AXIS_CAP,
-    count_bruin_cover,
-    count_plane_quartic,
-    count_weighted,
-)
+from .counting import count_bruin_cover, count_plane_quartic, count_weighted
 from .errors import (
     InconsistentCountsError,
     InvalidParameterError,
@@ -36,6 +36,7 @@ from .fields import PrimeField, build_extension
 from .poly import BinaryForm, UniPoly
 from .prym import BiellipticQuartic, BruinCover, SplitResult, split, validate
 
+DEFAULT_AXIS_CAP = 30_000
 DEFAULT_GOOD_PRIME_COUNT = 3
 _PRIME_POOL = (5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67)
 
@@ -118,6 +119,17 @@ def predicted_counts(lpoly: WeilPolynomial, m: int) -> int:
     return lpoly.q**m + 1 - lpoly.power_sums(m)[-1]
 
 
+def check_axis_cap(p: int, k: int, axis_cap: int = DEFAULT_AXIS_CAP) -> None:
+    """Raise ResourceLimitError when F_{p^k} has more than axis_cap elements.
+
+    Runs before the field is built.  p >= 2, so p^k > axis_cap once k
+    exceeds the bit length of axis_cap; clipping k there keeps the power
+    small whatever k a document asks for.
+    """
+    if p ** min(k, axis_cap.bit_length() + 1) > axis_cap:
+        raise ResourceLimitError(f"field size {p}^{k} exceeds the axis cap {axis_cap}")
+
+
 def _require_prime_base(curve_field):
     if not isinstance(curve_field, PrimeField):
         raise UnsupportedFieldError(
@@ -143,7 +155,7 @@ class SplitVerification:
         return "pass" if self.passed else "fail"
 
 
-def verify_split(curve: BiellipticQuartic, *, seed: int = 0,
+def verify_split(curve: BiellipticQuartic, *,
                  sextic_override: UniPoly | None = None,
                  axis_cap: int = DEFAULT_AXIS_CAP) -> SplitVerification:
     """End-to-end check that the curve's L-polynomial splits as L_D * L_X.
@@ -151,37 +163,37 @@ def verify_split(curve: BiellipticQuartic, *, seed: int = 0,
     Counts the plane quartic over F_p..F_{p^3}, the genus-1 model over F_p
     and the genus-2 model over F_p..F_{p^2}, reconstructs the three
     L-polynomials and compares exactly.  A validation failure raises
-    RejectedInputError before any counting happens; a mismatch is reported,
-    not raised.  sextic_override replaces the genus-2 polynomial before
-    counting (negative-control hook used by the self tests).
+    RejectedInputError before any counting happens, and an F_{p^3} above
+    axis_cap raises ResourceLimitError before any field is built; a mismatch
+    is reported, not raised.  sextic_override replaces the genus-2
+    polynomial before counting (negative-control hook used by the self
+    tests).
     """
     F = curve.field
     _require_prime_base(F)
-    report = validate(curve, seed=seed)
+    report = validate(curve)
     if not report.passed:
         raise RejectedInputError(
             "curve fails validation: " + "; ".join(report.failures),
             failures=report.failures,
         )
-    sr = split(curve, skip_validation=True, seed=seed)
     p = F.p
+    check_axis_cap(p, 3, axis_cap)
+    sr = split(curve, skip_validation=True)
     quartic = curve.plane_quartic()
     genus2 = sextic_override if sextic_override is not None else sr.sextic
     genus1 = sr.genus_one.quartic.dehomogenize()
     records = []
     counts_c = []
     for m in (1, 2, 3):
-        ext = build_extension(p, m, seed)
-        rec = count_plane_quartic(quartic, ext, base_q=p, axis_cap=axis_cap)
+        rec = count_plane_quartic(quartic, build_extension(p, m))
         records.append(rec)
         counts_c.append(rec.n)
-    rec_d = count_weighted(genus1, 1, build_extension(p, 1, seed), base_q=p,
-                           axis_cap=axis_cap)
+    rec_d = count_weighted(genus1, 1, build_extension(p, 1))
     records.append(rec_d)
     counts_x = []
     for m in (1, 2):
-        ext = build_extension(p, m, seed)
-        rec = count_weighted(genus2, 2, ext, base_q=p, axis_cap=axis_cap)
+        rec = count_weighted(genus2, 2, build_extension(p, m))
         records.append(rec)
         counts_x.append(rec.n)
     try:
@@ -231,7 +243,7 @@ def check_bruin_depth(depth: int) -> None:
         raise InvalidParameterError(f"depth must be between 1 and 5, got {depth}")
 
 
-def verify_bruin(cover: BruinCover, depth: int = 3, *, seed: int = 0,
+def verify_bruin(cover: BruinCover, depth: int = 3, *,
                  axis_cap: int = DEFAULT_AXIS_CAP) -> BruinVerification:
     """Check the Prym identity for a smooth double cover of a plane quartic.
 
@@ -239,7 +251,8 @@ def verify_bruin(cover: BruinCover, depth: int = 3, *, seed: int = 0,
     y^2 = -det(pencil) over F_p..F_{p^2} (giving L_H), then compares the
     cover counts N_m(Y) with the prediction of L_Z * L_H for m = 1..depth.
     depth = 5 makes the comparison a full degree-10 certificate; smaller
-    depths are partial and labeled as such.  Hitting a resource cap yields a
+    depths are partial and labeled as such.  The depth loop stops at the
+    first m with p^m above axis_cap, before F_{p^m} is built, and yields a
     partial result at the achieved depth rather than an error.
     """
     check_bruin_depth(depth)
@@ -262,11 +275,10 @@ def verify_bruin(cover: BruinCover, depth: int = 3, *, seed: int = 0,
     achieved = 0
     for m in range(1, max(3, depth) + 1):
         try:
-            ext = build_extension(p, m, seed)
-            rec_z, rec_y = count_bruin_cover(*cover.triple(), ext, base_q=p,
-                                             axis_cap=axis_cap)
+            check_axis_cap(p, m, axis_cap)
         except ResourceLimitError:
             break
+        rec_z, rec_y = count_bruin_cover(*cover.triple(), build_extension(p, m))
         records.extend([rec_z, rec_y])
         if m <= 3:
             counts_z.append(rec_z.n)
@@ -280,8 +292,7 @@ def verify_bruin(cover: BruinCover, depth: int = 3, *, seed: int = 0,
     hyper = cover.sextic
     counts_h = []
     for m in (1, 2):
-        ext = build_extension(p, m, seed)
-        rec = count_weighted(hyper, 2, ext, base_q=p, axis_cap=axis_cap)
+        rec = count_weighted(hyper, 2, build_extension(p, m))
         records.append(rec)
         counts_h.append(rec.n)
     l_z = lpoly_from_counts(p, counts_z, 3)
@@ -320,8 +331,7 @@ def reduce_curve(curve: BiellipticQuartic, p: int) -> BiellipticQuartic:
     return BiellipticQuartic(field, *forms)
 
 
-def good_primes(curve: BiellipticQuartic, count: int = DEFAULT_GOOD_PRIME_COUNT,
-                seed: int = 0) -> list:
+def good_primes(curve: BiellipticQuartic, count: int = DEFAULT_GOOD_PRIME_COUNT) -> list:
     """First `count` odd primes where the reduction is defined and validates."""
     from .errors import DegenerateInputError
 
@@ -331,7 +341,7 @@ def good_primes(curve: BiellipticQuartic, count: int = DEFAULT_GOOD_PRIME_COUNT,
             reduced = reduce_curve(curve, p)
         except (RejectedInputError, DegenerateInputError):
             continue
-        if validate(reduced, seed=seed).passed:
+        if validate(reduced).passed:
             out.append(p)
         if len(out) == count:
             return out
@@ -341,12 +351,9 @@ def good_primes(curve: BiellipticQuartic, count: int = DEFAULT_GOOD_PRIME_COUNT,
 
 
 def verify_split_rational(curve: BiellipticQuartic, *, primes=None,
-                          count: int = DEFAULT_GOOD_PRIME_COUNT, seed: int = 0,
+                          count: int = DEFAULT_GOOD_PRIME_COUNT,
                           axis_cap: int = DEFAULT_AXIS_CAP) -> list:
     """verify_split on the reductions at several good primes (default 3)."""
     if primes is None:
-        primes = good_primes(curve, count=count, seed=seed)
-    return [
-        verify_split(reduce_curve(curve, p), seed=seed, axis_cap=axis_cap)
-        for p in primes
-    ]
+        primes = good_primes(curve, count=count)
+    return [verify_split(reduce_curve(curve, p), axis_cap=axis_cap) for p in primes]

@@ -1,4 +1,5 @@
-"""Shared generators and brute-force oracles for the test suite.
+"""Shared generators, brute-force oracles and a field-size tripwire for the
+test suite.
 
 The oracles here enumerate naively (all points, all tuples) and never share
 code with the implementations they check.
@@ -7,7 +8,24 @@ code with the implementations they check.
 from collections import Counter
 
 from prymsplit import BinaryForm, TernaryForm, TernaryQuadratic, UniPoly
-from prymsplit.fields import embedding
+from prymsplit.fields import ExtensionField, embedding
+from prymsplit.zeta import DEFAULT_AXIS_CAP
+
+
+def field_tripwire(monkeypatch, limit=DEFAULT_AXIS_CAP):
+    """Record the size q of every extension field whose tables get built, and
+    raise AssertionError, before its tables are allocated, on a q above limit."""
+    sizes = []
+    real = ExtensionField._build_log_tables
+
+    def tripwire(self):
+        sizes.append(self.q)
+        if self.q > limit:
+            raise AssertionError(f"a field of size {self.q} above {limit} was built")
+        return real(self)
+
+    monkeypatch.setattr(ExtensionField, "_build_log_tables", tripwire)
+    return sizes
 
 
 def random_unipoly(field, rng, max_degree):

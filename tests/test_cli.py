@@ -3,6 +3,7 @@ import json
 import pytest
 
 from prymsplit import cli
+from helpers import field_tripwire
 
 DEMO_F7 = {"p": 7, "f": [0, 1, 0], "g": [1, 1, 1], "h": [1, 0, -1]}
 DEMO_QQ = {"f": [0, 1, 0], "g": [1, "1/2", 1], "h": [1, 0, -1]}
@@ -80,6 +81,36 @@ class TestParsing:
 
     def test_p_flag_conflict_rejected(self, tmp_path):
         assert cli.main(["verify", "--input", write(tmp_path, DEMO_F7), "--p", "5"]) == 3
+
+
+CURVE_FGH = {"f": [0, 1, 0], "g": [1, [0, 1], 1], "h": [1, 0, -1]}
+FERMAT = [[4, 0, 0, 1], [0, 4, 0, -1], [0, 0, 4, 1]]
+
+
+@pytest.mark.parametrize("command, doc, expected", [
+    ("validate", {"p": 3, "k": 2, "modulus": [2, 2, 1], **CURVE_FGH}, 0),
+    ("validate", {"p": 3, "k": 2, "modulus": "abc", **CURVE_FGH}, 3),
+    ("validate", {"p": 3, "k": 2, "modulus": 5, **CURVE_FGH}, 3),
+    ("validate", {"p": 3, "k": 2, "modulus": [1, [0], 1], **CURVE_FGH}, 3),
+    ("validate", {"p": 3, "k": 2, "modulus": [1, 0, 1.0], **CURVE_FGH}, 3),
+    ("validate", {"p": 3, "k": 2, "modulus": [2, 1], **CURVE_FGH}, 3),
+    ("validate", {"p": 3, "k": 40, **CURVE_FGH}, 4),
+    ("validate", {"p": 1009, "k": 2, **CURVE_FGH}, 4),
+    ("validate", {"p": 181, "k": 2, "modulus": [2, 0, 1], **CURVE_FGH}, 4),
+    ("validate", {"p": 9, "k": 2, **CURVE_FGH}, 3),
+    ("validate", {"p": 10**6, "k": 3, **CURVE_FGH}, 3),
+    ("verify", {"p": 10007, **{key: DEMO_F7[key] for key in "fgh"}}, 4),
+    ("disc-check", {"p": 3, "k": 40, "quartic": FERMAT}, 4),
+    ("disc-check", {"p": 3, "k": 2, "modulus": [0, 1, 1], "quartic": FERMAT}, 3),
+    ("disc-check", {"p": 7, "quartic": 5}, 3),
+], ids=["modulus-ok", "modulus-str", "modulus-int", "modulus-nested", "modulus-float",
+        "modulus-short", "k-40", "p-1009-k-2", "p-181-modulus", "composite-p",
+        "composite-p-above-cap", "verify-p-10007", "quartic-k-40", "quartic-reducible-modulus",
+        "quartic-not-a-list"])
+def test_field_documents_exit_3_or_4_before_tables(command, doc, expected, monkeypatch):
+    # a table above the cap raises inside the command, which then exits 1
+    field_tripwire(monkeypatch)
+    assert cli.main([command, "--input", json.dumps(doc)]) == expected
 
 
 class TestExitCodes:

@@ -198,6 +198,14 @@ def test_build_extension_deterministic_and_cached():
     assert f1.modulus == build_extension(11, 2, 0).modulus
 
 
+@pytest.mark.parametrize("p, k", [(5, 1), (5, 2), (3, 3)])
+def test_one_field_per_p_and_k(p, k):
+    # the ignored third argument must not build the field a second time
+    field = build_extension(p, k)
+    assert build_extension(p, k, 0) is field
+    assert build_extension(p, k=k) is field
+
+
 def test_rationals_stay_exact_on_int_arguments():
     assert QQ.inv(3) == Fraction(1, 3) and type(QQ.inv(3)) is Fraction
     assert QQ.div(1, 3) == Fraction(1, 3) and type(QQ.div(1, 3)) is Fraction

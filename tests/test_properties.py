@@ -1,14 +1,19 @@
-"""Property tests: counts on generated inputs against brute-force enumeration.
+"""Property tests: counts on generated inputs against brute-force enumeration,
+and the CLI's exit codes on generated documents.
 
 derandomize=True fixes the examples for a given hypothesis version, so a run
 of the suite is deterministic, and database=None keeps it from writing
 replay files.
 """
 
+import contextlib
+import io
+import json
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from prymsplit import TernaryForm, build_extension, count_plane_quartic
+from prymsplit import TernaryForm, build_extension, cli, count_plane_quartic
 from helpers import brute_plane_points
 
 # every odd field up to F_27: (p, k)
@@ -32,3 +37,99 @@ def even_quartics(draw):
 def test_even_quartic_count_matches_brute_force(case):
     field, form = case
     assert count_plane_quartic(form, field).n == brute_plane_points(form, field)
+
+
+# --- fuzzing the document parser and the CLI ---------------------------------
+# Documents are mostly well formed, so that the examples get past the key
+# checks; each part is malformed, missing or extra with a small probability.
+# Hypothesis favours small integers, so "rare" is a draw near the top of 0..99.
+
+# composites, units, 2, negatives, small odd primes, and 181 (181^2 is above the cap)
+P_VALUES = [-7, -1, 0, 1, 2, 3, 5, 7, 9, 15, 181, 10**6]
+
+JUNK = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.lists(st.lists(st.integers(0, 2), max_size=2), min_size=1, max_size=2),
+    st.lists(st.integers(-4, 4), max_size=5),
+    st.sampled_from(["1/2", "-3/7", "1/0", "x", "2/", "", "1.5", "nan", "1/2/3"]),
+    st.none(),
+    st.booleans(),
+    st.dictionaries(st.sampled_from(["a", "b"]), st.integers(0, 2), max_size=1),
+)
+
+
+def rare(percent: int):
+    return st.integers(0, 99).map(lambda i: i >= 100 - percent)
+
+
+def sometimes_junk(good, percent: int):
+    """good, or JUNK in about `percent` of the draws."""
+    return rare(percent).flatmap(lambda junk: JUNK if junk else good)
+
+
+def entries(doc):
+    """Well-formed coefficients for the document's field, or JUNK now and then."""
+    good = st.integers(-9, 9)
+    if "p" not in doc:
+        good = st.one_of(good, st.sampled_from(["1/2", "-3/7", "5", "0/4"]))
+    elif doc.get("k", 1) > 1:
+        good = st.one_of(good, st.lists(st.integers(-4, 4), min_size=1, max_size=doc["k"]))
+    return sometimes_junk(good, 5)
+
+
+MONOMIAL = st.integers(0, 4).flatmap(
+    lambda i: st.integers(0, 4 - i).map(lambda j: [i, j, 4 - i - j]))
+
+
+@st.composite
+def documents(draw, kind):
+    """A curve or quartic document over Q or a drawn field, with the field
+    keys, coefficients and key set each malformed now and then."""
+    doc = {}
+    if not draw(rare(25)):
+        doc["p"] = draw(st.one_of(st.sampled_from([3, 5, 7]), st.sampled_from(P_VALUES)))
+        k = draw(st.integers(1, 2)) if not draw(rare(20)) else draw(st.integers(-1, 4))
+        if k != 1 or draw(st.booleans()):
+            doc["k"] = k
+        if draw(rare(30)):
+            coeff = sometimes_junk(st.integers(-3, 3), 10)
+            doc["modulus"] = draw(sometimes_junk(st.lists(coeff, min_size=k + 1,
+                                                          max_size=k + 1), 20))
+    elif draw(rare(10)):
+        doc[draw(st.sampled_from(["k", "modulus"]))] = 2
+    entry = entries(doc)
+    if kind == "curve":
+        triple = sometimes_junk(st.lists(entry, min_size=3, max_size=3), 5)
+        for key in ("f", "g", "h"):
+            doc[key] = draw(triple)
+    else:
+        term = sometimes_junk(st.tuples(MONOMIAL, entry).map(lambda mc: mc[0] + [mc[1]]), 5)
+        doc["quartic"] = draw(sometimes_junk(st.lists(term, min_size=1, max_size=8), 5))
+    if draw(rare(5)):
+        del doc[draw(st.sampled_from(sorted(doc)))]
+    if draw(rare(5)):
+        doc[draw(st.sampled_from(["q", "F", "seed"]))] = 1
+    return doc
+
+
+def exit_code(argv) -> int:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        return cli.main(argv)
+
+
+FUZZ = settings(derandomize=True, database=None, max_examples=200, deadline=None)
+
+
+@FUZZ
+@given(documents("curve"))
+def test_curve_documents_never_exit_1(doc):
+    text = json.dumps(doc)
+    for command in ("validate", "split"):
+        assert exit_code([command, "--input", text]) in (0, 2, 3, 4), (command, doc)
+
+
+@FUZZ
+@given(documents("quartic"))
+def test_quartic_documents_never_exit_1(doc):
+    assert exit_code(["disc-check", "--input", json.dumps(doc)]) in (0, 2, 3, 4), doc

@@ -237,7 +237,7 @@ class TestMacaulayOrder:
                 cubics = tuple(_random_form(field, rng, 3) for _ in range(3))
             if any(f.is_zero() for f in cubics):
                 continue
-            value = macaulay_resultant_cubics(*cubics, seed=trial)
+            value = macaulay_resultant_cubics(*cubics)
             common = resultants._shares_projective_zero(cubics, field)
             assert (value == field.zero) == common
             shared += common

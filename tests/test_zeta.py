@@ -9,6 +9,7 @@ from prymsplit import (
     PrymError,
     QQ,
     RejectedInputError,
+    ResourceLimitError,
     UniPoly,
     UnsupportedFieldError,
     WeilPolynomial,
@@ -25,6 +26,7 @@ from prymsplit import (
     verify_split,
     verify_split_rational,
 )
+from helpers import field_tripwire
 
 F5 = build_extension(5)
 F7 = build_extension(7)
@@ -90,7 +92,7 @@ class TestPredictedCounts:
         # exhaustive count of y^2 = x^3 + x over F_25
         assert predicted_counts(lp, 2) == 32
         f25 = build_extension(5, 2)
-        rec = count_weighted(UniPoly.from_ints(F5, [0, 1, 0, 1]), 1, f25, base_q=5)
+        rec = count_weighted(UniPoly.from_ints(F5, [0, 1, 0, 1]), 1, f25)
         assert rec.n == 32
 
     def test_m_zero_rejected(self):
@@ -151,10 +153,17 @@ class TestVerifySplit:
         with pytest.raises(UnsupportedFieldError):
             verify_split(curve)
 
+    def test_cap_refuses_before_any_field_is_built(self, monkeypatch):
+        # 181^3 is above the default cap; so is 181^2 = 32761
+        curve = random_validated_curve(build_extension(181), random.Random(181))
+        field_tripwire(monkeypatch)
+        with pytest.raises(ResourceLimitError):
+            verify_split(curve)
+
     def test_determinism(self):
         curve = BiellipticQuartic.from_ints(F7, **DEMO)
-        r1 = verify_split(curve, seed=9)
-        r2 = verify_split(curve, seed=9)
+        r1 = verify_split(curve)
+        r2 = verify_split(curve)
         assert r1.l_curve == r2.l_curve
         assert [c.n for c in r1.counts] == [c.n for c in r2.counts]
 
@@ -204,6 +213,15 @@ class TestVerifyBruin:
         assert result.passed
         assert not result.full_certificate
         assert "depth 3 of 5" in result.failure
+
+    def test_depth_stops_before_the_refused_field_is_built(self, monkeypatch):
+        # 11^4 = 14641 fits the default cap, 11^5 = 161051 does not
+        cover = self._smooth_cover(build_extension(11), random.Random(11))
+        built = field_tripwire(monkeypatch)
+        result = verify_bruin(cover, depth=5)
+        assert result.achieved_depth == 4 and result.passed
+        assert not result.full_certificate
+        assert 11**5 not in built
 
 
 class TestRationalCurves:
