@@ -33,7 +33,7 @@ from .errors import (
 )
 from .fields import QQ, ExtensionField, build_extension
 from .poly import BinaryForm
-from .prym import BiellipticQuartic, deform, split, validate
+from .prym import BiellipticQuartic, deform, require_valid, split, validate
 from .resultants import disc_ternary_quartic
 from .ternary import TernaryForm
 from .zeta import (
@@ -248,7 +248,7 @@ def _load_input(args) -> dict:
     try:
         with open(args.input, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except FileNotFoundError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise DocumentError(f"cannot read {args.input}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise DocumentError(f"malformed JSON in {args.input}: {exc}") from exc
@@ -341,12 +341,7 @@ def _cmd_bruin(args) -> int:
         eps = field.random_nonzero(random.Random(args.seed))
     else:
         eps = field.from_int(args.epsilon)
-    report_valid = validate(curve)
-    if not report_valid.passed:
-        raise RejectedInputError(
-            "curve fails validation: " + "; ".join(report_valid.failures),
-            failures=report_valid.failures,
-        )
+    require_valid(curve)
     cover = deform(curve, eps)
     result = verify_bruin(cover, depth=args.depth, axis_cap=args.cap_axis)
     report = _report_base("bruin", args)
@@ -398,7 +393,8 @@ def _cmd_selftest(args) -> int:
 
     cfg = SelftestConfig(seed=args.seed) if args.full else SelftestConfig.quick(args.seed)
     t0 = time.perf_counter()
-    results = run_all(cfg)
+    printer = print if args.format == "text" else functools.partial(print, file=sys.stderr)
+    results = run_all(cfg, printer)
     passed = all(r.passed for r in results)
     report = _report_base("selftest", args)
     report["full"] = bool(args.full)
@@ -408,14 +404,7 @@ def _cmd_selftest(args) -> int:
         for r in results
     ]
     report["verdict"] = "pass" if passed else "fail"
-    summary = f"selftest: {report['verdict']} ({time.perf_counter() - t0:.1f}s)"
-    if args.format == "json":
-        _emit(report, args, summary)
-    else:
-        if args.out:
-            _emit(report, args, summary)
-        else:
-            print(summary)
+    _emit(report, args, f"selftest: {report['verdict']} ({time.perf_counter() - t0:.1f}s)")
     return EXIT_PASS if passed else EXIT_VERIFICATION_FAILED
 
 
@@ -437,40 +426,46 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--input",
-                       help="path to a JSON input document, or an inline JSON object")
-        p.add_argument("--p", type=int, default=None,
-                       help="field prime: reduces a rational document mod p, "
-                            "or asserts the document's p")
+    def report_options(p):
         p.add_argument("--seed", type=int, default=0,
                        help="seed for bruin's default epsilon and selftest's "
                             "draws (default 0); no other result depends on it")
         p.add_argument("--format", choices=("json", "text"), default="text")
         p.add_argument("--out", help="write the JSON report to this path (atomic)")
 
+    def input_option(p):
+        p.add_argument("--input",
+                       help="path to a JSON input document, or an inline JSON object")
+
+    def curve_options(p):
+        report_options(p)
+        input_option(p)
+        p.add_argument("--p", type=int, default=None,
+                       help="field prime: reduces a rational document mod p, "
+                            "or asserts the document's p")
+
     def cap_axis(p):
         p.add_argument("--cap-axis", type=int, default=DEFAULT_AXIS_CAP,
                        dest="cap_axis", help="largest counting field size")
 
     p_validate = sub.add_parser("validate", help="run the smoothness/invertibility checks")
-    common(p_validate)
+    curve_options(p_validate)
     p_validate.set_defaults(fn=_cmd_validate)
 
     p_split = sub.add_parser("split", help="compute the genus-1 and genus-2 factors")
-    common(p_split)
+    curve_options(p_split)
     p_split.add_argument("--skip-validation", action="store_true",
                          help="formula-only mode for degenerate inputs")
     p_split.set_defaults(fn=_cmd_split)
 
     p_verify = sub.add_parser("verify", help="check L_C = L_D * L_X by point counting")
-    common(p_verify)
+    curve_options(p_verify)
     cap_axis(p_verify)
     p_verify.set_defaults(fn=_cmd_verify)
 
     p_bruin = sub.add_parser("bruin", help="verify the double-cover Prym identity "
                                            "on a deformation fiber")
-    common(p_bruin)
+    curve_options(p_bruin)
     cap_axis(p_bruin)
     p_bruin.add_argument("--epsilon", type=int, default=None,
                          help="deformation parameter (default: seeded random nonzero)")
@@ -480,11 +475,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_disc = sub.add_parser("disc-check", help="ternary quartic discriminant "
                                                "(golden -2^40 check without --input)")
-    common(p_disc)
+    report_options(p_disc)
+    input_option(p_disc)
     p_disc.set_defaults(fn=_cmd_disc_check)
 
     p_self = sub.add_parser("selftest", help="run the acceptance criteria")
-    common(p_self)
+    report_options(p_self)
     p_self.add_argument("--full", action="store_true",
                         help="full-scale run (the pytest acceptance scale)")
     p_self.set_defaults(fn=_cmd_selftest)

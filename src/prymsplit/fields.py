@@ -23,6 +23,7 @@ from .errors import InvalidFieldError, UnsupportedFieldError
 from .poly import gcd_list, powmod_list, trim
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+RANDOM_RATIONAL_SPAN = 10  # random rationals are the integers in [-10, 10]
 
 
 def is_prime(n: int) -> bool:
@@ -90,8 +91,8 @@ class RationalField:
             return self.inv(a) ** (-e)
         return a**e
 
-    def random_element(self, rng, span=10):
-        return Fraction(rng.randint(-span, span))
+    def random_element(self, rng):
+        return Fraction(rng.randint(-RANDOM_RATIONAL_SPAN, RANDOM_RATIONAL_SPAN))
 
     def describe(self) -> dict:
         return {"kind": self.kind}

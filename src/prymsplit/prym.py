@@ -29,6 +29,7 @@ from .ternary import TernaryForm, TernaryQuadratic, cover_quartic
 log = logging.getLogger(__name__)
 
 CROSS_CHECK_MIN_PRIME = 13  # quartic-discriminant cross-check runs over QQ or p > 13
+RANDOM_CURVE_TRIES = 2000
 
 
 @dataclass(frozen=True)
@@ -133,6 +134,17 @@ def validate(curve: BiellipticQuartic) -> ValidationReport:
     return ValidationReport(det, det != F.zero, fg_sf, s_sf, cross)
 
 
+def require_valid(curve: BiellipticQuartic) -> None:
+    """Raise RejectedInputError, naming every failed check, unless the curve
+    passes validate."""
+    report = validate(curve)
+    if not report.passed:
+        raise RejectedInputError(
+            "curve fails validation: " + "; ".join(report.failures),
+            failures=report.failures,
+        )
+
+
 @dataclass(frozen=True)
 class GenusOneModel:
     """Y^2 = s(x, z) in P(1,2,1), with Y = 2y - h relating it to the quotient
@@ -180,12 +192,7 @@ def split(curve: BiellipticQuartic, skip_validation: bool = False) -> SplitResul
     genus-1 factor.  Rejects invalid curves unless skip_validation is set
     (formula-only mode for degenerate inputs)."""
     if not skip_validation:
-        report = validate(curve)
-        if not report.passed:
-            raise RejectedInputError(
-                "curve fails validation: " + "; ".join(report.failures),
-                failures=report.failures,
-            )
+        require_valid(curve)
     matrix = curve.coefficient_matrix()
     inverse = matrix.inverse()
     a = _inverse_column_quadratic(inverse, 0)
@@ -353,10 +360,12 @@ def random_curve(field, rng) -> BiellipticQuartic:
             continue
 
 
-def random_validated_curve(field, rng, max_tries: int = 2000) -> BiellipticQuartic:
+def random_validated_curve(field, rng) -> BiellipticQuartic:
     """Rejection-sample until validation passes."""
-    for _ in range(max_tries):
+    for _ in range(RANDOM_CURVE_TRIES):
         curve = random_curve(field, rng)
         if validate(curve).passed:
             return curve
-    raise RejectedInputError(f"no validated curve found in {max_tries} tries over {field}")
+    raise RejectedInputError(
+        f"no validated curve found in {RANDOM_CURVE_TRIES} tries over {field}"
+    )

@@ -26,6 +26,7 @@ from fractions import Fraction
 
 from .counting import count_bruin_cover, count_plane_quartic, count_weighted
 from .errors import (
+    DegenerateInputError,
     InconsistentCountsError,
     InvalidParameterError,
     RejectedInputError,
@@ -33,7 +34,7 @@ from .errors import (
     UnsupportedFieldError,
 )
 from .fields import PrimeField, build_extension
-from .poly import BinaryForm, UniPoly
+from .poly import BinaryForm
 from .prym import BiellipticQuartic, BruinCover, SplitResult, split, validate
 
 DEFAULT_AXIS_CAP = 30_000
@@ -156,7 +157,6 @@ class SplitVerification:
 
 
 def verify_split(curve: BiellipticQuartic, *,
-                 sextic_override: UniPoly | None = None,
                  axis_cap: int = DEFAULT_AXIS_CAP) -> SplitVerification:
     """End-to-end check that the curve's L-polynomial splits as L_D * L_X.
 
@@ -165,52 +165,31 @@ def verify_split(curve: BiellipticQuartic, *,
     L-polynomials and compares exactly.  A validation failure raises
     RejectedInputError before any counting happens, and an F_{p^3} above
     axis_cap raises ResourceLimitError before any field is built; a mismatch
-    is reported, not raised.  sextic_override replaces the genus-2
-    polynomial before counting (negative-control hook used by the self
-    tests).
+    is reported, not raised.
     """
     F = curve.field
     _require_prime_base(F)
-    report = validate(curve)
-    if not report.passed:
-        raise RejectedInputError(
-            "curve fails validation: " + "; ".join(report.failures),
-            failures=report.failures,
-        )
+    sr = split(curve)
     p = F.p
     check_axis_cap(p, 3, axis_cap)
-    sr = split(curve, skip_validation=True)
     quartic = curve.plane_quartic()
-    genus2 = sextic_override if sextic_override is not None else sr.sextic
     genus1 = sr.genus_one.quartic.dehomogenize()
-    records = []
-    counts_c = []
-    for m in (1, 2, 3):
-        rec = count_plane_quartic(quartic, build_extension(p, m))
-        records.append(rec)
-        counts_c.append(rec.n)
+    records = [count_plane_quartic(quartic, build_extension(p, m)) for m in (1, 2, 3)]
+    counts_c = [rec.n for rec in records]
     rec_d = count_weighted(genus1, 1, build_extension(p, 1))
     records.append(rec_d)
-    counts_x = []
-    for m in (1, 2):
-        rec = count_weighted(genus2, 2, build_extension(p, m))
-        records.append(rec)
-        counts_x.append(rec.n)
-    try:
-        if not all(r.weil_ok(g) for r, g in zip(records, (3, 3, 3, 1, 2, 2))):
-            raise InconsistentCountsError("a count violates its Weil bound")
-        l_c = lpoly_from_counts(p, counts_c, 3)
-        l_d = lpoly_from_counts(p, [rec_d.n], 1)
-        l_x = lpoly_from_counts(p, counts_x, 2)
-        for lp, ns in ((l_c, counts_c), (l_d, [rec_d.n]), (l_x, counts_x)):
-            for m, n in enumerate(ns, start=1):
-                if predicted_counts(lp, m) != n:
-                    raise InconsistentCountsError("round trip through Newton failed")
-    except InconsistentCountsError as exc:
-        if sextic_override is None:
-            raise
-        return SplitVerification(False, p, None, None, None, None,
-                                 tuple(records), sr, failure=str(exc))
+    recs_x = [count_weighted(sr.sextic, 2, build_extension(p, m)) for m in (1, 2)]
+    records.extend(recs_x)
+    counts_x = [rec.n for rec in recs_x]
+    if not all(r.weil_ok(g) for r, g in zip(records, (3, 3, 3, 1, 2, 2))):
+        raise InconsistentCountsError("a count violates its Weil bound")
+    l_c = lpoly_from_counts(p, counts_c, 3)
+    l_d = lpoly_from_counts(p, [rec_d.n], 1)
+    l_x = lpoly_from_counts(p, counts_x, 2)
+    for lp, ns in ((l_c, counts_c), (l_d, [rec_d.n]), (l_x, counts_x)):
+        for m, n in enumerate(ns, start=1):
+            if predicted_counts(lp, m) != n:
+                raise InconsistentCountsError("round trip through Newton failed")
     product = l_d * l_x
     passed = product.coeffs == l_c.coeffs
     failure = None if passed else "L_C differs from L_D * L_X"
@@ -251,9 +230,11 @@ def verify_bruin(cover: BruinCover, depth: int = 3, *,
     y^2 = -det(pencil) over F_p..F_{p^2} (giving L_H), then compares the
     cover counts N_m(Y) with the prediction of L_Z * L_H for m = 1..depth.
     depth = 5 makes the comparison a full degree-10 certificate; smaller
-    depths are partial and labeled as such.  The depth loop stops at the
-    first m with p^m above axis_cap, before F_{p^m} is built, and yields a
-    partial result at the achieved depth rather than an error.
+    depths are partial and labeled as such.  An F_{p^3} above axis_cap
+    raises ResourceLimitError before any field is built.  Only depths 4 and
+    5 can stop early: the loop stops at the first m with p^m above axis_cap,
+    before F_{p^m} is built, and yields a partial result at the achieved
+    depth rather than an error.
     """
     check_bruin_depth(depth)
     F = cover.field
@@ -269,6 +250,7 @@ def verify_bruin(cover: BruinCover, depth: int = 3, *,
             failures=["pencil sextic not squarefree"],
         )
     p = F.p
+    check_axis_cap(p, 3, axis_cap)
     records = []
     counts_z = []
     counts_y = []
@@ -285,28 +267,19 @@ def verify_bruin(cover: BruinCover, depth: int = 3, *,
         if m <= depth:
             counts_y.append(rec_y.n)
             achieved = m
-    if len(counts_z) < 3:
-        return BruinVerification(False, p, depth, achieved, False, None, None,
-                                 (), tuple(counts_y), tuple(records),
-                                 failure="resource cap before the genus-3 counts finished")
-    hyper = cover.sextic
-    counts_h = []
-    for m in (1, 2):
-        rec = count_weighted(hyper, 2, build_extension(p, m))
-        records.append(rec)
-        counts_h.append(rec.n)
+    recs_h = [count_weighted(cover.sextic, 2, build_extension(p, m)) for m in (1, 2)]
+    records.extend(recs_h)
     l_z = lpoly_from_counts(p, counts_z, 3)
-    l_h = lpoly_from_counts(p, counts_h, 2)
+    l_h = lpoly_from_counts(p, [rec.n for rec in recs_h], 2)
     product = l_z * l_h
     predicted = tuple(predicted_counts(product, m) for m in range(1, achieved + 1))
     actual = tuple(counts_y)
-    passed = achieved >= 1 and predicted == actual
+    passed = predicted == actual
     failure = None
     if not passed:
         failure = "cover counts differ from the L_Z * L_H prediction"
     elif achieved < depth:
         failure = f"only depth {achieved} of {depth} reached (resource cap)"
-        passed = achieved >= 1
     return BruinVerification(passed, p, depth, achieved,
                              achieved >= 5 and passed, l_z, l_h,
                              predicted, actual, tuple(records), failure=failure)
@@ -331,10 +304,9 @@ def reduce_curve(curve: BiellipticQuartic, p: int) -> BiellipticQuartic:
     return BiellipticQuartic(field, *forms)
 
 
-def good_primes(curve: BiellipticQuartic, count: int = DEFAULT_GOOD_PRIME_COUNT) -> list:
-    """First `count` odd primes where the reduction is defined and validates."""
-    from .errors import DegenerateInputError
-
+def good_primes(curve: BiellipticQuartic) -> list:
+    """First DEFAULT_GOOD_PRIME_COUNT odd primes where the reduction is
+    defined and validates."""
     out = []
     for p in _PRIME_POOL:
         try:
@@ -343,17 +315,16 @@ def good_primes(curve: BiellipticQuartic, count: int = DEFAULT_GOOD_PRIME_COUNT)
             continue
         if validate(reduced).passed:
             out.append(p)
-        if len(out) == count:
+        if len(out) == DEFAULT_GOOD_PRIME_COUNT:
             return out
     raise RejectedInputError(
         f"found only {len(out)} good primes among {_PRIME_POOL}", failures=["no good primes"]
     )
 
 
-def verify_split_rational(curve: BiellipticQuartic, *, primes=None,
-                          count: int = DEFAULT_GOOD_PRIME_COUNT,
+def verify_split_rational(curve: BiellipticQuartic, *,
                           axis_cap: int = DEFAULT_AXIS_CAP) -> list:
-    """verify_split on the reductions at several good primes (default 3)."""
-    if primes is None:
-        primes = good_primes(curve, count=count)
-    return [verify_split(reduce_curve(curve, p), axis_cap=axis_cap) for p in primes]
+    """verify_split on the reductions at the first DEFAULT_GOOD_PRIME_COUNT
+    good primes."""
+    return [verify_split(reduce_curve(curve, p), axis_cap=axis_cap)
+            for p in good_primes(curve)]

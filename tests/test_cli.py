@@ -66,6 +66,14 @@ class TestParsing:
     def test_missing_input_flag(self, capsys):
         assert cli.main(["validate"]) == 3
 
+    @pytest.mark.parametrize("kind", ["directory", "not-utf-8"])
+    def test_unreadable_input_rejected(self, tmp_path, kind):
+        path = tmp_path
+        if kind == "not-utf-8":
+            path = tmp_path / "bad.json"
+            path.write_bytes(b"\xff\xfe")
+        assert cli.main(["validate", "--input", str(path)]) == 3
+
     def test_extension_field_document(self, tmp_path):
         doc = {"p": 3, "k": 2, "f": [0, 1, 0], "g": [[1, 1], 1, 1], "h": [1, 0, -1]}
         code = cli.main(["validate", "--input", write(tmp_path, doc)])
@@ -149,6 +157,10 @@ class TestExitCodes:
                          "--epsilon", "3", "--depth", "2"])
         assert code == 0
 
+    def test_bruin_cubic_field_above_cap_exits_4(self):
+        # 37^3 is above the default cap, so the genus-3 counts cannot finish
+        assert cli.main(["bruin", "--input", json.dumps(dict(DEMO_F7, p=37))]) == 4
+
     def test_bruin_singular_fiber_rejected(self, tmp_path):
         # eps = 2 lands on a singular fiber for this curve over F_7
         code = cli.main(["bruin", "--input", write(tmp_path, DEMO_F7),
@@ -161,7 +173,7 @@ class TestExitCodes:
         def must_not_run(*args, **kwargs):
             raise AssertionError("depth must be rejected before any curve work")
 
-        monkeypatch.setattr(cli, "validate", must_not_run)
+        monkeypatch.setattr(cli, "require_valid", must_not_run)
         monkeypatch.setattr(cli, "deform", must_not_run)
         code = cli.main(["bruin", "--input", write(tmp_path, DEMO_F7),
                          "--epsilon", "3", "--depth", depth])
@@ -178,8 +190,11 @@ class TestExitCodes:
         ["bruin", "--depth", "x"],
         ["split", "--cap-evals", "1"],  # no command takes an evaluation cap
         ["bruin", "--cap-evals", "1"],  # the cover count is bounded by --cap-axis alone
+        ["disc-check", "--p", "7"],  # the discriminant is taken over the document's field
+        ["selftest", "--p", "7"],
+        ["selftest", "--input", "{}"],
     ], ids=["no-subcommand", "unknown-option", "non-integer-depth", "cap-evals-on-split",
-            "cap-evals-on-bruin"])
+            "cap-evals-on-bruin", "p-on-disc-check", "p-on-selftest", "input-on-selftest"])
     def test_usage_error_is_rejected_input(self, argv, capsys):
         # exit 2 is reserved for "verification failed"
         with pytest.raises(SystemExit) as exc:
@@ -307,3 +322,11 @@ def test_selftest_quick_passes(capsys):
     assert cli.main(["selftest", "--seed", "3"]) == 0
     out = capsys.readouterr().out
     assert out.count("[PASS]") == 8
+
+
+def test_selftest_json_stdout_is_the_report(capsys):
+    assert cli.main(["selftest", "--seed", "3", "--format", "json"]) == 0
+    captured = capsys.readouterr()
+    report = json.loads(captured.out)
+    assert report["verdict"] == "pass" and len(report["criteria"]) == 8
+    assert captured.err.count("[PASS]") == 8

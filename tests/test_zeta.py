@@ -21,11 +21,11 @@ from prymsplit import (
     predicted_counts,
     random_validated_curve,
     reduce_curve,
-    split,
     verify_bruin,
     verify_split,
     verify_split_rational,
 )
+from prymsplit.selftest import _genus2_factor_holds
 from helpers import field_tripwire
 
 F5 = build_extension(5)
@@ -140,13 +140,17 @@ class TestVerifySplit:
         with pytest.raises(RejectedInputError):
             verify_split(curve)
 
-    def test_corrupted_sextic_fails(self):
-        rng = random.Random(3)
-        curve = random_validated_curve(F7, rng)
-        sr = split(curve, skip_validation=True)
-        bad = sr.sextic.add_constant(F7.one)
-        result = verify_split(curve, sextic_override=bad)
-        assert not result.passed
+    def test_corrupted_sextic_breaks_the_factorization(self):
+        result = verify_split(random_validated_curve(F7, random.Random(3)))
+        sextic = result.split_result.sextic
+        assert _genus2_factor_holds(result, sextic)
+        assert not _genus2_factor_holds(result, sextic.add_constant(F7.one))
+
+    def test_counts_no_genus2_curve_has_break_the_factorization(self):
+        # y^2 = x^6 has 2*23 + 1 points over F_23: a_1 = 23 breaks the Weil bound
+        F23 = build_extension(23)
+        result = verify_split(random_validated_curve(F23, random.Random(23)))
+        assert not _genus2_factor_holds(result, UniPoly(F23, [0] * 6 + [1]))
 
     def test_rational_base_rejected(self):
         curve = BiellipticQuartic.from_ints(QQ, **DEMO)
@@ -213,6 +217,14 @@ class TestVerifyBruin:
         assert result.passed
         assert not result.full_certificate
         assert "depth 3 of 5" in result.failure
+
+    def test_cubic_field_above_cap_refused_before_any_field_is_built(self, monkeypatch):
+        # 37^3 = 50653 is above the default cap, 37^2 = 1369 is not
+        cover = self._smooth_cover(build_extension(37), random.Random(37))
+        built = field_tripwire(monkeypatch)
+        with pytest.raises(ResourceLimitError):
+            verify_bruin(cover, depth=3)
+        assert built == []
 
     def test_depth_stops_before_the_refused_field_is_built(self, monkeypatch):
         # 11^4 = 14641 fits the default cap, 11^5 = 161051 does not
