@@ -25,7 +25,6 @@ from prymsplit import (
     verify_split,
     verify_split_rational,
 )
-from prymsplit.selftest import _genus2_factor_holds
 from helpers import field_tripwire
 
 F5 = build_extension(5)
@@ -140,17 +139,32 @@ class TestVerifySplit:
         with pytest.raises(RejectedInputError):
             verify_split(curve)
 
-    def test_corrupted_sextic_breaks_the_factorization(self):
-        result = verify_split(random_validated_curve(F7, random.Random(3)))
-        sextic = result.split_result.sextic
-        assert _genus2_factor_holds(result, sextic)
-        assert not _genus2_factor_holds(result, sextic.add_constant(F7.one))
+    @staticmethod
+    def _count_genus2_as(monkeypatch, corrupt):
+        """Make verify_split count y^2 = corrupt(F) for its genus-2 factor."""
+        import prymsplit.zeta as zeta_module
 
-    def test_counts_no_genus2_curve_has_break_the_factorization(self):
+        def corrupted_count(poly, genus, field):
+            if genus == 2:
+                poly = corrupt(poly)
+            return count_weighted(poly, genus, field)
+
+        monkeypatch.setattr(zeta_module, "count_weighted", corrupted_count)
+
+    def test_corrupted_sextic_fails(self, monkeypatch):
+        curve = random_validated_curve(F7, random.Random(3))
+        self._count_genus2_as(monkeypatch, lambda f: f.add_constant(F7.one))
+        result = verify_split(curve)
+        assert not result.passed
+        assert result.failure == "L_C differs from L_D * L_X"
+
+    def test_counts_no_genus2_curve_has_raise(self, monkeypatch):
         # y^2 = x^6 has 2*23 + 1 points over F_23: a_1 = 23 breaks the Weil bound
         F23 = build_extension(23)
-        result = verify_split(random_validated_curve(F23, random.Random(23)))
-        assert not _genus2_factor_holds(result, UniPoly(F23, [0] * 6 + [1]))
+        curve = random_validated_curve(F23, random.Random(23))
+        self._count_genus2_as(monkeypatch, lambda f: UniPoly(F23, [0] * 6 + [1]))
+        with pytest.raises(InconsistentCountsError):
+            verify_split(curve)
 
     def test_rational_base_rejected(self):
         curve = BiellipticQuartic.from_ints(QQ, **DEMO)
