@@ -36,7 +36,7 @@ from .fields import (
     build_extension,
     quadratic_character,
 )
-from .linalg import Matrix3, invert3
+from .linalg import Matrix3
 from .poly import NEG_INF, BinaryForm, UniPoly, poly_gcd
 from .prym import (
     BiellipticQuartic,
@@ -64,7 +64,7 @@ from .resultants import (
     resultant,
     resultant_forms,
 )
-from .ternary import TernaryForm, TernaryQuadratic, cover_quartic
+from .ternary import TernaryForm, cover_quartic, quadric, quadric_coefficients
 from .zeta import (
     BruinVerification,
     SplitVerification,

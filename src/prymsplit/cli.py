@@ -3,7 +3,9 @@
 Input documents are strict JSON: a curve is
 {"p": 7, "k": 1, "f": [0,1,0], "g": [1,1,1], "h": [1,0,-1]} with coefficient
 triples ordered (x^2, xz, z^2); drop "p" for a curve over the rationals, whose
-entries may be "num/den" strings.  Unknown keys are rejected by name.
+entries may be "num/den" strings.  An integer is a JSON integer (not a
+boolean) and a rational string is [+-]digits[/digits], nothing else.
+Unknown keys are rejected by name.
 
 Exit codes: 0 success/pass, 2 verification failed, 3 rejected input
 (usage errors included), 4 resource cap exceeded, 1 internal error.
@@ -12,9 +14,11 @@ Exit codes: 0 success/pass, 2 verification failed, 3 rejected input
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import os
+import re
 import sys
 import time
 from fractions import Fraction
@@ -55,10 +59,18 @@ EXIT_RESOURCE = 4
 
 _CURVE_KEYS = {"p", "k", "modulus", "f", "g", "h"}
 _QUARTIC_KEYS = {"p", "k", "modulus", "quartic"}
+# Fraction also takes decimals and exponents: "1e999999999" would build an
+# integer of a billion digits
+_RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 
 
 class DocumentError(RejectedInputError):
     pass
+
+
+def _is_int(value) -> bool:
+    """A JSON integer; JSON true/false load as bool, a subclass of int."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _parse_field(doc: dict):
@@ -69,17 +81,17 @@ def _parse_field(doc: dict):
             raise DocumentError('keys "k"/"modulus" need "p"')
         return QQ
     p = doc["p"]
-    if not isinstance(p, int):
+    if not _is_int(p):
         raise DocumentError('key "p" must be an integer')
     k = doc.get("k", 1)
-    if not isinstance(k, int) or k < 1:
+    if not _is_int(k) or k < 1:
         raise DocumentError('key "k" must be a positive integer')
     modulus = doc.get("modulus")
     if "modulus" in doc:
         if k == 1:
             raise DocumentError('key "modulus" needs "k" > 1')
         if not (isinstance(modulus, list) and len(modulus) == k + 1
-                and all(isinstance(c, int) for c in modulus)):
+                and all(_is_int(c) for c in modulus)):
             raise DocumentError(f'key "modulus" must be a list of k + 1 = {k + 1} integers')
     try:
         base = build_extension(p)  # rejects a p that is not an odd prime; no tables
@@ -95,18 +107,18 @@ def _parse_field(doc: dict):
 
 def _parse_element(field, value, where: str):
     if field.kind == "rationals":
-        if isinstance(value, int):
+        if _is_int(value):
             return Fraction(value)
-        if isinstance(value, str):
+        if isinstance(value, str) and _RATIONAL.fullmatch(value):
             try:
                 return Fraction(value)
             except (ValueError, ZeroDivisionError) as exc:
                 raise DocumentError(f'bad rational "{value}" in {where}') from exc
         raise DocumentError(f"entries of {where} must be integers or num/den strings")
-    if isinstance(value, int):
+    if _is_int(value):
         return field.from_int(value)
     if isinstance(value, list) and field.k > 1:
-        if len(value) > field.k or not all(isinstance(v, int) for v in value):
+        if len(value) > field.k or not all(_is_int(v) for v in value):
             raise DocumentError(f"coefficient vector in {where} needs <= k integers")
         return field.from_coeffs(value)
     raise DocumentError(f"entries of {where} must be integers")
@@ -158,7 +170,7 @@ def parse_quartic_document(doc) -> TernaryForm:
         if not (isinstance(entry, list) and len(entry) == 4):
             raise DocumentError('entries of "quartic" must be [i, j, k, coeff]')
         i, j, k, value = entry
-        if not all(isinstance(e, int) and e >= 0 for e in (i, j, k)) or i + j + k != 4:
+        if not all(_is_int(e) and e >= 0 for e in (i, j, k)) or i + j + k != 4:
             raise DocumentError(f"monomial ({i},{j},{k}) is not of degree 4")
         coeffs[(i, j, k)] = _parse_element(field, value, '"quartic"')
     form = TernaryForm(field, 4, coeffs)
@@ -226,9 +238,17 @@ def _emit(report: dict, args, summary: str) -> None:
     text = json.dumps(report, indent=2, sort_keys=True)
     if args.out:
         tmp = args.out + ".tmp"
-        with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-        os.replace(tmp, args.out)
+        opened = False
+        try:
+            with open(tmp, "w", encoding="utf-8") as fh:
+                opened = True
+                fh.write(text + "\n")
+            os.replace(tmp, args.out)
+        except OSError as exc:
+            if opened:
+                with contextlib.suppress(OSError):
+                    os.remove(tmp)
+            raise DocumentError(f"cannot write {args.out}: {exc}") from exc
     if args.format == "json":
         print(text)
     else:

@@ -53,7 +53,7 @@ from .poly import (
     trim,
     xq_mod_list,
 )
-from .ternary import TernaryForm, TernaryQuadratic
+from .ternary import TernaryForm, quadric_coefficients
 
 @dataclass(frozen=True)
 class CountRecord:
@@ -324,9 +324,9 @@ def count_weighted(poly: UniPoly, genus: int, field) -> CountRecord:
                        time.perf_counter() - start, len(orbits))
 
 
-def count_bruin_cover(q1: TernaryQuadratic, q2: TernaryQuadratic,
-                      q3: TernaryQuadratic, field):
-    """(base count, cover count) for q2^2 = q1 q3 and its double cover.
+def count_bruin_cover(q1: TernaryForm, q2: TernaryForm, q3: TernaryForm, field):
+    """(base count, cover count) for q2^2 = q1 q3 and its double cover, the
+    q_i being quadrics (degree-2 TernaryForms).
 
     Fiber over a base point: 2 points when the first nonvanishing of (q1, q3)
     is a nonzero square, 0 when it is a nonsquare, 1 when q1 = q2 = q3 = 0.
@@ -336,6 +336,8 @@ def count_bruin_cover(q1: TernaryQuadratic, q2: TernaryQuadratic,
     cover itself is never enumerated in P^4.
     """
     _require_odd_finite(field)
+    if any(quad.degree != 2 for quad in (q1, q2, q3)):
+        raise ModelError("cover counting needs three degree-2 forms")
     if q1.is_zero() and q2.is_zero() and q3.is_zero():
         raise DegenerateInputError("all three quadratic forms are zero")
     q = field.q
@@ -345,7 +347,7 @@ def count_bruin_cover(q1: TernaryQuadratic, q2: TernaryQuadratic,
     log = field.log_tables[1]
     packs = []
     for quad in (q1, q2, q3):
-        cs = _coerce_scalars(quad.coefficients(), quad.field, field)
+        cs = _coerce_scalars(quadric_coefficients(quad), quad.field, field)
         packs.append(cs)  # (x^2, y^2, z^2, xy, xz, yz)
     # a curve is Frobenius-stable over the field its three forms share
     data_field = q1.field if q1.field == q2.field == q3.field else field

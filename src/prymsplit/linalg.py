@@ -39,9 +39,6 @@ class Matrix3:
             and self.rows == other.rows
         )
 
-    def __getitem__(self, ij):
-        return self.rows[ij[0]][ij[1]]
-
     def det(self):
         F = self.field
         (a, b, c), (d, e, f), (g, h, i) = self.rows
@@ -113,10 +110,6 @@ class Matrix3:
 
     def __repr__(self):
         return f"Matrix3({self.rows})"
-
-
-def invert3(matrix: Matrix3) -> Matrix3:
-    return matrix.inverse()
 
 
 def det_bareiss_int(rows) -> int:

@@ -199,12 +199,6 @@ class UniPoly:
         F = self.field
         return UniPoly(F, [F.mul(c, a) for a in self.coeffs])
 
-    def shift(self, n: int):
-        """Multiply by x^n."""
-        if not self.coeffs:
-            return self
-        return UniPoly(self.field, (self.field.zero,) * n + self.coeffs)
-
     def add_constant(self, c):
         F = self.field
         if not self.coeffs:

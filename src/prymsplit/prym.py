@@ -11,7 +11,8 @@ quadratics a, b, c (with doubled middle coefficients), produces:
 * a pencil of quadric triples joining it to the fixed smooth triple
   (x2^2 + x3^2, x1^2, x2^2 - x3^2).
 
-The Gram-matrix pencil determinant ties the pieces together:
+Each quadric is a degree-2 TernaryForm.  The pencil determinant over their
+Gram matrices G_i = gram(q_i) ties the pieces together:
 4 * (-det(G1 + 2x G2 + x^2 G3)) equals b (b^2 - a c) identically.
 """
 
@@ -24,7 +25,7 @@ from .errors import DegenerateInputError, RejectedInputError, UnsupportedFieldEr
 from .linalg import Matrix3
 from .poly import BinaryForm, UniPoly
 from .resultants import disc_ternary_quartic
-from .ternary import TernaryForm, TernaryQuadratic, cover_quartic
+from .ternary import TernaryForm, cover_quartic, gram, quadric
 
 log = logging.getLogger(__name__)
 
@@ -222,9 +223,9 @@ def split(curve: BiellipticQuartic, skip_validation: bool = False) -> SplitResul
 class SingularModel:
     """Quadric triple with q2^2 = q1 q3 cutting the singular plane model."""
 
-    q1: TernaryQuadratic
-    q2: TernaryQuadratic
-    q3: TernaryQuadratic
+    q1: TernaryForm
+    q2: TernaryForm
+    q3: TernaryForm
 
     @property
     def field(self):
@@ -243,31 +244,17 @@ def singular_model(curve: BiellipticQuartic) -> SingularModel:
     quads = []
     for i in range(3):
         ai, bi, ci = inverse.rows[i]
-        quads.append(
-            TernaryQuadratic.from_coefficients(
-                F, F.zero, bi, F.zero, ai, bi, ci
-            )
-        )
+        quads.append(quadric(F, F.zero, bi, F.zero, ai, bi, ci))
     return SingularModel(*quads)
 
 
-def pencil_sextic(q1: TernaryQuadratic, q2: TernaryQuadratic,
-                  q3: TernaryQuadratic) -> UniPoly:
-    """-det(G1 + 2x G2 + x^2 G3) with Gram matrices, a polynomial of degree <= 6."""
+def pencil_sextic(q1: TernaryForm, q2: TernaryForm, q3: TernaryForm) -> UniPoly:
+    """-det(G1 + 2x G2 + x^2 G3) with G_i = gram(q_i), a polynomial of degree <= 6."""
     F = q1.field
     two = F.from_int(2)
-
-    def entry(i, j):
-        return UniPoly(
-            F,
-            (
-                q1.gram[i][j],
-                F.mul(two, q2.gram[i][j]),
-                q3.gram[i][j],
-            ),
-        )
-
-    m = [[entry(i, j) for j in range(3)] for i in range(3)]
+    g1, g2, g3 = gram(q1), gram(q2), gram(q3)
+    m = [[UniPoly(F, (g1[i][j], F.mul(two, g2[i][j]), g3[i][j])) for j in range(3)]
+         for i in range(3)]
     det = (
         m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
         - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
@@ -279,9 +266,9 @@ def pencil_sextic(q1: TernaryQuadratic, q2: TernaryQuadratic,
 # the smooth endpoint of the deformation pencil: quartic x1^4 - x2^4 + x3^4
 def _pencil_targets(F):
     zero, one = F.zero, F.one
-    t1 = TernaryQuadratic.from_coefficients(F, zero, one, one, zero, zero, zero)
-    t2 = TernaryQuadratic.from_coefficients(F, one, zero, zero, zero, zero, zero)
-    t3 = TernaryQuadratic.from_coefficients(F, zero, one, F.neg(one), zero, zero, zero)
+    t1 = quadric(F, zero, one, one, zero, zero, zero)
+    t2 = quadric(F, one, zero, zero, zero, zero, zero)
+    t3 = quadric(F, zero, one, F.neg(one), zero, zero, zero)
     return t1, t2, t3
 
 
@@ -290,9 +277,9 @@ class BruinCover:
     """A quadric triple, its plane quartic base q2^2 = q1 q3, the double cover
     q1 = u^2, q2 = uv, q3 = v^2 over it, and the pencil hyperelliptic model."""
 
-    q1: TernaryQuadratic
-    q2: TernaryQuadratic
-    q3: TernaryQuadratic
+    q1: TernaryForm
+    q2: TernaryForm
+    q3: TernaryForm
     base_quartic: TernaryForm
     sextic: UniPoly
     quartic_disc: object
@@ -314,8 +301,7 @@ class BruinCover:
         return (self.q1, self.q2, self.q3)
 
 
-def bruin_cover(q1: TernaryQuadratic, q2: TernaryQuadratic,
-                q3: TernaryQuadratic) -> BruinCover:
+def bruin_cover(q1: TernaryForm, q2: TernaryForm, q3: TernaryForm) -> BruinCover:
     """Assemble the cover data and report (never assume) smoothness."""
     F = q1.field
     base = cover_quartic(q1, q2, q3)

@@ -1,9 +1,11 @@
-"""Homogeneous forms in three variables and quadratic forms as Gram matrices.
+"""Homogeneous forms in three variables.
 
 TernaryForm keeps a sparse exponent->coefficient map with zero entries
-dropped; arithmetic is exact over the owning field.  TernaryQuadratic stores
-the symmetric Gram matrix M with Q(v) = v^T M v, so off-diagonal entries are
-half the mixed coefficients (characteristic 2 is excluded everywhere).
+dropped; arithmetic is exact over the owning field.  A quadric is a degree-2
+TernaryForm: quadric builds one from its six monomial coefficients,
+quadric_coefficients reads them back, and gram gives its symmetric Gram
+matrix, whose off-diagonal entries are half the mixed coefficients
+(characteristic 2 is excluded everywhere).
 """
 
 from __future__ import annotations
@@ -155,123 +157,33 @@ def _powers(field, v, n):
     return out
 
 
-class TernaryQuadratic:
-    """Quadratic form in x1, x2, x3 held as its symmetric Gram matrix."""
-
-    __slots__ = ("field", "gram")
-
-    def __init__(self, field, gram):
-        g = tuple(tuple(r) for r in gram)
-        if len(g) != 3 or any(len(r) != 3 for r in g):
-            raise ValueError("Gram matrix must be 3x3")
-        for i in range(3):
-            for j in range(i + 1, 3):
-                if g[i][j] != g[j][i]:
-                    raise ValueError("Gram matrix must be symmetric")
-        self.field = field
-        self.gram = g
-
-    @classmethod
-    def from_coefficients(cls, field, c200, c020, c002, c110, c101, c011):
-        """Build from monomial coefficients (x1^2, x2^2, x3^2, x1x2, x1x3, x2x3)."""
-        half = field.inv(field.from_int(2))
-        h110 = field.mul(half, c110)
-        h101 = field.mul(half, c101)
-        h011 = field.mul(half, c011)
-        return cls(
-            field,
-            ((c200, h110, h101), (h110, c020, h011), (h101, h011, c002)),
-        )
-
-    @classmethod
-    def zero_form(cls, field):
-        z = field.zero
-        return cls(field, ((z, z, z), (z, z, z), (z, z, z)))
-
-    def coefficients(self):
-        """Monomial coefficients (x1^2, x2^2, x3^2, x1x2, x1x3, x2x3)."""
-        F = self.field
-        g = self.gram
-        two = F.from_int(2)
-        return (
-            g[0][0],
-            g[1][1],
-            g[2][2],
-            F.mul(two, g[0][1]),
-            F.mul(two, g[0][2]),
-            F.mul(two, g[1][2]),
-        )
-
-    def is_zero(self) -> bool:
-        zero = self.field.zero
-        return all(e == zero for r in self.gram for e in r)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, TernaryQuadratic)
-            and self.field == other.field
-            and self.gram == other.gram
-        )
-
-    def __add__(self, other):
-        F = self.field
-        return TernaryQuadratic(
-            F,
-            [
-                [F.add(self.gram[i][j], other.gram[i][j]) for j in range(3)]
-                for i in range(3)
-            ],
-        )
-
-    def __sub__(self, other):
-        F = self.field
-        return TernaryQuadratic(
-            F,
-            [
-                [F.sub(self.gram[i][j], other.gram[i][j]) for j in range(3)]
-                for i in range(3)
-            ],
-        )
-
-    def scale(self, c):
-        F = self.field
-        return TernaryQuadratic(
-            F, [[F.mul(c, self.gram[i][j]) for j in range(3)] for i in range(3)]
-        )
-
-    def eval(self, x, y, z):
-        c200, c020, c002, c110, c101, c011 = self.coefficients()
-        F = self.field
-        acc = F.mul(c200, F.mul(x, x))
-        acc = F.add(acc, F.mul(c020, F.mul(y, y)))
-        acc = F.add(acc, F.mul(c002, F.mul(z, z)))
-        acc = F.add(acc, F.mul(c110, F.mul(x, y)))
-        acc = F.add(acc, F.mul(c101, F.mul(x, z)))
-        acc = F.add(acc, F.mul(c011, F.mul(y, z)))
-        return acc
-
-    def to_form(self) -> TernaryForm:
-        c200, c020, c002, c110, c101, c011 = self.coefficients()
-        return TernaryForm(
-            self.field,
-            2,
-            {
-                (2, 0, 0): c200,
-                (0, 2, 0): c020,
-                (0, 0, 2): c002,
-                (1, 1, 0): c110,
-                (1, 0, 1): c101,
-                (0, 1, 1): c011,
-            },
-        )
-
-    def __repr__(self):
-        return f"TernaryQuadratic({self.gram})"
+QUADRIC_MONOMIALS = ((2, 0, 0), (0, 2, 0), (0, 0, 2), (1, 1, 0), (1, 0, 1), (0, 1, 1))
 
 
-def cover_quartic(q1: TernaryQuadratic, q2: TernaryQuadratic, q3: TernaryQuadratic) -> TernaryForm:
+def quadric(field, c200, c020, c002, c110, c101, c011) -> TernaryForm:
+    """The quadric with monomial coefficients (x1^2, x2^2, x3^2, x1x2, x1x3, x2x3)."""
+    return TernaryForm(
+        field, 2, dict(zip(QUADRIC_MONOMIALS, (c200, c020, c002, c110, c101, c011)))
+    )
+
+
+def quadric_coefficients(q: TernaryForm) -> tuple:
+    """The six monomial coefficients of a quadric, in the order quadric takes."""
+    return tuple(q.coeff(m) for m in QUADRIC_MONOMIALS)
+
+
+def gram(q: TernaryForm) -> tuple:
+    """The symmetric Gram matrix M with q(v) = v^T M v: the off-diagonal
+    entries are half the mixed coefficients (characteristic 2 is excluded)."""
+    F = q.field
+    half = F.inv(F.from_int(2))
+    c200, c020, c002, c110, c101, c011 = quadric_coefficients(q)
+    h110, h101, h011 = (F.mul(half, c) for c in (c110, c101, c011))
+    return ((c200, h110, h101), (h110, c020, h011), (h101, h011, c002))
+
+
+def cover_quartic(q1: TernaryForm, q2: TernaryForm, q3: TernaryForm) -> TernaryForm:
     """The plane quartic q2^2 - q1*q3 cut out by a quadric triple."""
     if q1.is_zero() and q2.is_zero() and q3.is_zero():
         raise DegenerateInputError("all three quadratic forms are zero")
-    f2 = q2.to_form()
-    return f2 * f2 - q1.to_form() * q3.to_form()
+    return q2 * q2 - q1 * q3

@@ -7,7 +7,7 @@ code with the implementations they check.
 
 from collections import Counter
 
-from prymsplit import BinaryForm, TernaryForm, TernaryQuadratic, UniPoly
+from prymsplit import BinaryForm, TernaryForm, UniPoly, quadric, quadric_coefficients
 from prymsplit.fields import ExtensionField, embedding
 from prymsplit.zeta import DEFAULT_AXIS_CAP
 
@@ -54,9 +54,7 @@ def random_even_quartic(field, rng):
 
 
 def random_quadratic(field, rng):
-    return TernaryQuadratic.from_coefficients(
-        field, *(field.random_element(rng) for _ in range(6))
-    )
+    return quadric(field, *(field.random_element(rng) for _ in range(6)))
 
 
 def brute_plane_points(form, field):
@@ -127,11 +125,11 @@ def scan_cover_counts(q1, q2, q3, field):
     """
     quads = []
     for quad in (q1, q2, q3):
-        coeffs = quad.coefficients()
+        coeffs = quadric_coefficients(quad)
         if quad.field != field:
             table = embedding(quad.field, field)
             coeffs = [table[c] for c in coeffs]
-        quads.append(TernaryQuadratic.from_coefficients(field, *coeffs))
+        quads.append(quadric(field, *coeffs))
     zero, one = field.zero, field.one
     points = [(x, y, one) for x in range(field.q) for y in range(field.q)]
     points += [(x, one, zero) for x in range(field.q)] + [(one, zero, zero)]

@@ -1,4 +1,9 @@
 import json
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
@@ -119,6 +124,34 @@ def test_field_documents_exit_3_or_4_before_tables(command, doc, expected, monke
     # a table above the cap raises inside the command, which then exits 1
     field_tripwire(monkeypatch)
     assert cli.main([command, "--input", json.dumps(doc)]) == expected
+
+
+QQ_FGH = {"g": [1, 1, 1], "h": [1, 0, -1]}
+F7_FGH = {"p": 7, **QQ_FGH}
+
+
+@pytest.mark.parametrize("command, doc", [
+    ("validate", {"f": ["1e999999999", 1, 0], **QQ_FGH}),
+    ("validate", {"f": ["1e99999", 1, 0], **QQ_FGH}),
+    ("validate", {"f": ["1.5", 1, 0], **QQ_FGH}),
+    ("validate", {"f": [" 1/2", 1, 0], **QQ_FGH}),
+    ("validate", {"f": [False, 1, 0], **QQ_FGH}),
+    ("validate", {"k": True, "f": [0, 1, 0], **F7_FGH}),
+    ("validate", {"f": [True, 1, 0], **F7_FGH}),
+    ("validate", {"p": 3, "k": 2, "modulus": [2, True, 1], **CURVE_FGH}),
+    ("disc-check", {"p": 7, "quartic": [[True, 3, 0, 1], [0, 4, 0, 1], [4, 0, 0, 1]]}),
+], ids=["exponent-1e999999999", "exponent-1e99999", "decimal", "padded", "bool-rational",
+        "bool-k", "bool-entry", "bool-modulus", "bool-exponent"])
+def test_entries_outside_the_documented_forms_exit_3_within_a_second(command, doc):
+    # a subprocess first, so a parser that hangs fails the test instead of the suite
+    argv = [command, "--input", json.dumps(doc)]
+    src = str(Path(cli.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-m", "prymsplit.cli", *argv], timeout=10,
+                          capture_output=True, env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 3, proc.stderr
+    start = time.perf_counter()
+    assert cli.main(argv) == 3
+    assert time.perf_counter() - start < 1.0
 
 
 class TestExitCodes:
@@ -303,6 +336,17 @@ class TestReports:
         cli.main(["validate", "--input", write(tmp_path, DEMO_F7), "--out", str(out)])
         assert out.exists()
         assert not (tmp_path / "r.json.tmp").exists()
+
+    @pytest.mark.parametrize("target", ["missing-directory", "existing-directory"])
+    def test_unwritable_out_exits_3_and_leaves_no_tmp(self, tmp_path, capsys, target):
+        out = tmp_path / "missing" / "r.json"
+        if target == "existing-directory":
+            out = tmp_path / "reports"
+            out.mkdir()
+        code = cli.main(["validate", "--input", write(tmp_path, DEMO_F7), "--out", str(out)])
+        assert code == 3
+        assert "cannot write" in capsys.readouterr().err
+        assert not list(tmp_path.rglob("*.tmp"))
 
     def test_disc_check_document(self, tmp_path):
         doc = {"quartic": [[4, 0, 0, 1], [0, 4, 0, -1], [0, 0, 4, 1]]}

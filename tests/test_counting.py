@@ -4,9 +4,9 @@ import pytest
 
 from prymsplit import (
     DegenerateInputError,
+    ModelError,
     QQ,
     TernaryForm,
-    TernaryQuadratic,
     UniPoly,
     UnsupportedFieldError,
     build_extension,
@@ -15,6 +15,8 @@ from prymsplit import (
     count_projective_roots,
     count_weighted,
     random_validated_curve,
+    quadric,
+    quadric_coefficients,
     singular_model,
 )
 from prymsplit.counting import CountRecord, _frobenius_orbits, _low_degree_roots
@@ -189,9 +191,15 @@ class TestWeighted:
 
 class TestBruinCover:
     def test_all_zero_rejected(self):
-        z = TernaryQuadratic.zero_form(F5)
+        z = TernaryForm.zero_form(F5, 2)
         with pytest.raises(DegenerateInputError):
             count_bruin_cover(z, z, z, F5)
+
+    def test_non_quadric_rejected(self):
+        q = random_quadratic(F5, random.Random(15))
+        quartic = q * q
+        with pytest.raises(ModelError):
+            count_bruin_cover(q, quartic, q, F5)
 
     @pytest.mark.parametrize("field", [F3, F5, F9], ids=["F3", "F5", "F9"])
     def test_fiber_table_against_p4_enumeration(self, field):
@@ -336,7 +344,7 @@ class TestFrobeniusOrbits:
         rng = random.Random(p)
         for _ in range(trials):
             quads = [random_quadratic(small, rng) for _ in range(3)]
-            lifted = [TernaryQuadratic.from_coefficients(big, *q.coefficients()) for q in quads]
+            lifted = [quadric(big, *quadric_coefficients(q)) for q in quads]
             rec_z, rec_y = count_bruin_cover(*quads, big)
             assert rec_y.n == brute_cover_points(*lifted, big)
             assert rec_z.n == count_bruin_cover(*lifted, big)[0].n
@@ -469,7 +477,7 @@ def quadratic(field, *terms):
                                add(mul(l0, m1), mul(l1, m0)), add(mul(l0, m2), mul(l2, m0)),
                                add(mul(l1, m2), mul(l2, m1)))):
             cs[i] = add(cs[i], mul(s, v))
-    return TernaryQuadratic.from_coefficients(field, *cs)
+    return quadric(field, *cs)
 
 
 def random_linear(field, rng):
@@ -536,7 +544,7 @@ class TestCoverRootFinding:
             for b in (scale, field.mul(scale, t), field.mul(scale, field.mul(t, t))):
                 cs = [field.random_element(rng) for _ in range(6)]
                 cs[1] = b
-                quads.append(TernaryQuadratic.from_coefficients(field, *cs))
+                quads.append(quadric(field, *cs))
             self.check(quads, field)
 
     @pytest.mark.parametrize("p, k", [(7, 1), (3, 2), (5, 2), (3, 3)],
@@ -565,10 +573,10 @@ class TestCoverRootFinding:
                 quadratic(field, (s, (0, 0, 1), (0, 0, 1)), (field.one, x, x_terms[0])),
                 quadratic(field, (field.one, (0, 1, 0), (0, 1, alpha)),
                           (beta, (0, 0, 1), (0, 0, 1)), (field.one, x, x_terms[1])),
-                TernaryQuadratic.from_coefficients(
+                quadric(
                     field, *(add(a, b) for a, b in zip(
                         (field.zero, v3[2], v3[0], field.zero, field.zero, v3[1]),
-                        quadratic(field, (field.one, x, x_terms[2])).coefficients()))),
+                        quadric_coefficients(quadratic(field, (field.one, x, x_terms[2])))))),
             ]
             self.check(quads, field)
 
@@ -596,7 +604,7 @@ class TestCoverRootFinding:
         for _ in range(3):
             cs = [field.random_element(rng) for _ in range(6)]
             cs[2] = field.zero
-            quads.append(TernaryQuadratic.from_coefficients(field, *cs))
+            quads.append(quadric(field, *cs))
         self.check(quads, field)
         self.check([quadratic(field, (field.one, y, random_linear(field, rng)))
                     for _ in range(3)], field)

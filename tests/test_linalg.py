@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from prymsplit import Matrix3, QQ, SingularMatrixError, build_extension, invert3
+from prymsplit import Matrix3, QQ, SingularMatrixError, build_extension
 from prymsplit.linalg import det_bareiss_int, det_in_field, det_rational, rank_in_field
 
 F7 = build_extension(7)
@@ -11,7 +11,7 @@ F7 = build_extension(7)
 
 def test_identity_inverse():
     ident = Matrix3.identity(QQ)
-    assert invert3(ident) == ident
+    assert ident.inverse() == ident
 
 
 def _cofactor_inverse(rows):

@@ -10,12 +10,14 @@ from prymsplit import (
     QQ,
     RejectedInputError,
     SingularMatrixError,
+    TernaryForm,
     UniPoly,
     bruin_cover,
     build_extension,
     deform,
     genus_one_model,
     pencil_sextic,
+    quadric_coefficients,
     random_validated_curve,
     singular_model,
     split,
@@ -154,9 +156,9 @@ class TestSingularModel:
     def test_identity_matrix_model(self):
         curve = BiellipticQuartic.from_ints(QQ, f=[1, 0, 0], g=[0, 0, 1], h=[0, 1, 0])
         model = singular_model(curve)
-        assert model.q1.coefficients() == (0, 0, 0, 1, 0, 0)  # x1 x2
-        assert model.q2.coefficients() == (0, 1, 0, 0, 1, 0)  # x2^2 + x1 x3
-        assert model.q3.coefficients() == (0, 0, 0, 0, 0, 1)  # x2 x3
+        assert quadric_coefficients(model.q1) == (0, 0, 0, 1, 0, 0)  # x1 x2
+        assert quadric_coefficients(model.q2) == (0, 1, 0, 0, 1, 0)  # x2^2 + x1 x3
+        assert quadric_coefficients(model.q3) == (0, 0, 0, 0, 0, 1)  # x2 x3
 
     def test_defining_property(self):
         # A (q1, q2, q3)^T = (x1 x2, x2^2 + x1 x3, x2 x3)^T, checked by
@@ -196,9 +198,7 @@ class TestPencil:
         assert cover.sextic_squarefree
 
     def test_zero_forms_give_zero_polynomial(self):
-        from prymsplit import TernaryQuadratic
-
-        z = TernaryQuadratic.zero_form(QQ)
+        z = TernaryForm.zero_form(QQ, 2)
         assert pencil_sextic(z, z, z).is_zero()
 
     def test_four_times_pencil_equals_split_polynomial(self):
