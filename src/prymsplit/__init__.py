@@ -11,7 +11,6 @@ from .counting import (
     CountRecord,
     count_bruin_cover,
     count_plane_quartic,
-    count_projective_roots,
     count_weighted,
 )
 from .errors import (
@@ -34,20 +33,16 @@ from .fields import (
     PrimeField,
     RationalField,
     build_extension,
-    quadratic_character,
 )
 from .linalg import Matrix3
 from .poly import NEG_INF, BinaryForm, UniPoly, poly_gcd
 from .prym import (
     BiellipticQuartic,
     BruinCover,
-    GenusOneModel,
-    SingularModel,
     SplitResult,
     ValidationReport,
     bruin_cover,
     deform,
-    genus_one_model,
     pencil_sextic,
     random_curve,
     random_validated_curve,

@@ -38,7 +38,7 @@ from .errors import (
 from .fields import QQ, ExtensionField, build_extension
 from .poly import BinaryForm
 from .prym import BiellipticQuartic, deform, require_valid, split, validate
-from .resultants import disc_ternary_quartic
+from .resultants import GOLDEN_QUARTIC_DISC, disc_ternary_quartic
 from .ternary import TernaryForm
 from .zeta import (
     DEFAULT_AXIS_CAP,
@@ -219,7 +219,7 @@ def _split_obj(curve, sr) -> dict:
         "b": _poly_obj(field, sr.b),
         "c": _poly_obj(field, sr.c),
         "F": _poly_obj(field, sr.sextic),
-        "s": [_element_obj(field, c) for c in sr.genus_one.quartic.coeffs],
+        "s": [_element_obj(field, c) for c in sr.genus_one.coeffs],
         "genus2_model": "y^2 = F(x) in P(1,3,1)",
         "genus1_model": "Y^2 = s(x,z) in P(1,2,1)",
     }
@@ -263,14 +263,14 @@ def _load_input(args) -> dict:
     if args.input.lstrip().startswith("{"):  # inline document
         try:
             return json.loads(args.input)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # JSONDecodeError, or an over-long integer
             raise DocumentError(f"malformed inline JSON: {exc}") from exc
     try:
         with open(args.input, "r", encoding="utf-8") as fh:
             return json.load(fh)
     except (OSError, UnicodeDecodeError) as exc:
         raise DocumentError(f"cannot read {args.input}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # after UnicodeDecodeError, itself a ValueError
         raise DocumentError(f"malformed JSON in {args.input}: {exc}") from exc
 
 
@@ -398,7 +398,7 @@ def _cmd_disc_check(args) -> int:
     # no input: the golden value must be exactly -2^40
     golden = TernaryForm.from_ints(QQ, 4, {(4, 0, 0): 1, (0, 4, 0): -1, (0, 0, 4): 1})
     value = disc_ternary_quartic(golden)
-    expected = -(2**40)
+    expected = GOLDEN_QUARTIC_DISC
     report["input"] = {"quartic": "x1^4 - x2^4 + x3^4 (golden check)"}
     report["discriminant"] = str(value)
     report["expected"] = str(expected)

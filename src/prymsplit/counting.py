@@ -44,7 +44,6 @@ from dataclasses import dataclass, field as dc_field
 from .errors import DegenerateInputError, ModelError, UnsupportedFieldError
 from .fields import embedding
 from .poly import (
-    BinaryForm,
     UniPoly,
     divmod_list,
     gcd_list,
@@ -116,18 +115,6 @@ def _frobenius_orbits(data_field, field):
                 orbits.append((x, size))
         orbits = field._orbits[r] = tuple(orbits)
     return orbits
-
-
-def count_projective_roots(form: BinaryForm, field=None) -> int:
-    """Distinct projective roots of a binary form over a finite field."""
-    F = field or form.field
-    if form.is_zero():
-        raise DegenerateInputError("zero form has no root divisor")
-    coeffs = _coerce_scalars(form.coeffs, form.field, F)
-    affine = list(reversed(coeffs))  # F(x, 1), constant first
-    dedup = _distinct_roots_gcd(affine, F)
-    at_infinity = 1 if coeffs[0] == F.zero else 0
-    return dedup + at_infinity
 
 
 # --- per-row root counting over y ----------------------------------------

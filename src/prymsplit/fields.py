@@ -11,7 +11,9 @@ Every finite field has exp/log tables for a fixed generator of F_q^* plus a
 Zech logarithm table.  Extension fields ride them for every operation, O(1)
 lookups each; prime fields keep int arithmetic and build them on first use.
 The counting kernels keep a row's values as logs, so a product is an addition
-and a sum one Zech lookup: that keeps them fast enough in pure Python.
+and a sum one Zech lookup: that keeps them fast enough in pure Python.  The
+quadratic character is read from the same log table: g^j is a square exactly
+when j is even.
 """
 
 from __future__ import annotations
@@ -113,19 +115,25 @@ QQ = RationalField()
 class _FiniteField:
     """Shared behaviour for prime and extension fields.
 
-    Subclasses provide p, k, q, modulus, the four ring operations and
-    _build_log_tables.  The exp/log/Zech tables serve the counting kernels;
-    the quadratic-character and square-root tables, built lazily from mul,
-    serve only chi() and sqrt().  All are cached on the field object (fields
-    themselves are cached, see build_extension), as are the Frobenius orbits
-    the counting kernels walk.
+    The constructor checks p once; subclasses set k, q and modulus and
+    provide the four ring operations and _build_log_tables.  The exp/log/Zech
+    tables serve the counting kernels and chi().  The square-root and
+    quadratic-character tables, built lazily from mul, are read by no code in
+    this package, only by perfbench's warm-up and tracer.  All are cached
+    on the field object (fields themselves are cached, see build_extension),
+    as are the Frobenius orbits the counting kernels walk.
     """
 
     kind = "finite"
     zero = 0
     one = 1
 
-    def __init__(self):
+    def __init__(self, p: int):
+        if p == 2:
+            raise InvalidFieldError("characteristic 2 is excluded")
+        if not is_prime(p):
+            raise InvalidFieldError(f"{p} is not prime")
+        self.p = p
         self._sqrt_table = None
         self._chi_table = None
         self._exp = None
@@ -190,16 +198,15 @@ class _FiniteField:
         return self._chi_table
 
     def chi(self, a) -> int:
-        """Quadratic character: 0 on zero, +1 on nonzero squares, -1 otherwise."""
-        return self.chi_table[a]
+        """Quadratic character: 0 on zero, +1 on nonzero squares, -1 otherwise.
 
-    def sqrt(self, a):
-        """A square root of a, or None if a is a nonsquare."""
-        r = self.sqrt_table[a]
-        return None if r < 0 else r
+        g^j is a square exactly when j is even, g a generator of F_q^*."""
+        if a == 0:
+            return 0
+        return 1 - 2 * (self.log_tables[1][a] & 1)
 
     def euler_character(self, a) -> int:
-        """chi computed as a^((q-1)/2), the definition the tables must match."""
+        """chi computed as a^((q-1)/2), the definition chi() must match."""
         if a == 0:
             return 0
         v = self.pow(a, (self.q - 1) // 2)
@@ -210,12 +217,7 @@ class PrimeField(_FiniteField):
     """F_p for an odd prime p; elements are ints in [0, p)."""
 
     def __init__(self, p: int):
-        if p == 2:
-            raise InvalidFieldError("characteristic 2 is excluded")
-        if not is_prime(p):
-            raise InvalidFieldError(f"{p} is not prime")
-        super().__init__()
-        self.p = p
+        super().__init__(p)
         self.k = 1
         self.q = p
         self.modulus = None
@@ -356,14 +358,9 @@ class ExtensionField(_FiniteField):
     """
 
     def __init__(self, p: int, k: int, modulus=None):
-        if p == 2:
-            raise InvalidFieldError("characteristic 2 is excluded")
-        if not is_prime(p):
-            raise InvalidFieldError(f"{p} is not prime")
+        super().__init__(p)
         if k < 2:
             raise InvalidFieldError("extension degree must be >= 2")
-        super().__init__()
-        self.p = p
         self.k = k
         self.q = p**k
         if modulus is None:
@@ -514,16 +511,6 @@ def _field(p: int, k: int):
     if k == 1:
         return PrimeField(p)
     return ExtensionField(p, k)
-
-
-def quadratic_character(field, a) -> int:
-    """0 if a = 0, +1 if a is a nonzero square, -1 otherwise.
-
-    Table-backed; agrees with the defining power a^((q-1)/2), see
-    euler_character."""
-    if not isinstance(field, _FiniteField):
-        raise UnsupportedFieldError("quadratic character needs a finite field")
-    return field.chi(a)
 
 
 def embedding(small, big):

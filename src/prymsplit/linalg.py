@@ -1,8 +1,9 @@
 """Exact linear algebra: the 3x3 coefficient matrix and dense determinants.
 
 Determinants over the rationals clear denominators and run fraction-free
-Bareiss elimination on integers; finite-field determinants use plain Gaussian
-elimination.  Both are exact, which every caller here depends on.
+Bareiss elimination on integers; finite-field determinants and every rank come
+from one Gaussian elimination over the field object.  Both are exact, which
+every caller here depends on.
 """
 
 from __future__ import annotations
@@ -150,68 +151,35 @@ def det_rational(rows) -> Fraction:
     return Fraction(det_bareiss_int(int_rows), denom)
 
 
-def det_field_gauss(rows, field):
-    """Determinant over a finite field by Gaussian elimination."""
-    n = len(rows)
+def _eliminate(rows, field):
+    """(rank, det) by Gaussian elimination over a field object.
+
+    Works on any number of rows and columns; det is the determinant when the
+    matrix is square (zero once a column has no pivot).
+    """
     m = [list(r) for r in rows]
+    nrows = len(m)
+    ncols = len(m[0]) if m else 0
     sub, mul, div = field.sub, field.mul, field.div
     zero = field.zero
     det = field.one
-    for c in range(n):
-        piv_row = None
-        for r in range(c, n):
-            if m[r][c] != zero:
-                piv_row = r
-                break
-        if piv_row is None:
-            return zero
-        if piv_row != c:
-            m[c], m[piv_row] = m[piv_row], m[c]
-            det = field.neg(det)
-        pivot = m[c][c]
-        det = mul(det, pivot)
-        for r in range(c + 1, n):
-            lead = m[r][c]
-            if lead == zero:
-                continue
-            f = div(lead, pivot)
-            mr = m[r]
-            mc = m[c]
-            for j in range(c, n):
-                mr[j] = sub(mr[j], mul(f, mc[j]))
-    return det
-
-
-def det_in_field(rows, field):
-    """Exact determinant dispatching on the coefficient field."""
-    if not rows:
-        return field.one
-    if field.kind == "rationals":
-        return det_rational(rows)
-    return det_field_gauss(rows, field)
-
-
-def rank_in_field(rows, field) -> int:
-    """Exact rank by Gaussian elimination (any number of rows/columns)."""
-    m = [list(r) for r in rows]
-    if not m:
-        return 0
-    ncols = len(m[0])
-    sub, mul, div = field.sub, field.mul, field.div
-    zero = field.zero
     rank = 0
     for c in range(ncols):
         piv = None
-        for r in range(rank, len(m)):
+        for r in range(rank, nrows):
             if m[r][c] != zero:
                 piv = r
                 break
         if piv is None:
+            det = zero
             continue
-        m[rank], m[piv] = m[piv], m[rank]
+        if piv != rank:
+            m[rank], m[piv] = m[piv], m[rank]
+            det = field.neg(det)
         pivot_row = m[rank]
         pivot = pivot_row[c]
-        for r in range(rank + 1, len(m)):
+        det = mul(det, pivot)
+        for r in range(rank + 1, nrows):
             lead = m[r][c]
             if lead == zero:
                 continue
@@ -220,6 +188,20 @@ def rank_in_field(rows, field) -> int:
             for j in range(c, ncols):
                 mr[j] = sub(mr[j], mul(f, pivot_row[j]))
         rank += 1
-        if rank == len(m):
+        if rank == nrows:
             break
-    return rank
+    return rank, det
+
+
+def det_in_field(rows, field):
+    """Exact determinant: Bareiss over the rationals, elimination otherwise."""
+    if not rows:
+        return field.one
+    if field.kind == "rationals":
+        return det_rational(rows)
+    return _eliminate(rows, field)[1]
+
+
+def rank_in_field(rows, field) -> int:
+    """Exact rank by Gaussian elimination (any number of rows/columns)."""
+    return _eliminate(rows, field)[0]

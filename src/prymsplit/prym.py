@@ -11,9 +11,11 @@ quadratics a, b, c (with doubled middle coefficients), produces:
 * a pencil of quadric triples joining it to the fixed smooth triple
   (x2^2 + x3^2, x1^2, x2^2 - x3^2).
 
-Each quadric is a degree-2 TernaryForm.  The pencil determinant over their
-Gram matrices G_i = gram(q_i) ties the pieces together:
-4 * (-det(G1 + 2x G2 + x^2 G3)) equals b (b^2 - a c) identically.
+Each model is a bare polynomial, not a wrapper object: split gives the
+sextic b (b^2 - a c) and the binary quartic h^2 - 4 f g, and singular_model
+gives the tuple (q1, q2, q3) of degree-2 TernaryForms.  The pencil
+determinant over their Gram matrices G_i = gram(q_i) ties the pieces
+together: 4 * (-det(G1 + 2x G2 + x^2 G3)) equals b (b^2 - a c) identically.
 """
 
 from __future__ import annotations
@@ -147,24 +149,10 @@ def require_valid(curve: BiellipticQuartic) -> None:
 
 
 @dataclass(frozen=True)
-class GenusOneModel:
-    """Y^2 = s(x, z) in P(1,2,1), with Y = 2y - h relating it to the quotient
-    model y^2 - h y + f g = 0 (characteristic is never 2 here)."""
-
-    quartic: BinaryForm
-
-    @property
-    def field(self):
-        return self.quartic.field
-
-
-def genus_one_model(curve: BiellipticQuartic) -> GenusOneModel:
-    return GenusOneModel(curve.branch_quartic())
-
-
-@dataclass(frozen=True)
 class SplitResult:
-    """The full output of the genus-1 x genus-2 decomposition."""
+    """The full output of the genus-1 x genus-2 decomposition: the matrix A,
+    its inverse and determinant, the column quadratics a, b, c, and the two
+    factors, sextic (genus 2) and genus_one (the binary quartic s)."""
 
     curve: BiellipticQuartic
     matrix: Matrix3
@@ -174,7 +162,9 @@ class SplitResult:
     b: UniPoly
     c: UniPoly
     sextic: UniPoly  # b(b^2 - ac); the genus-2 curve is y^2 = sextic in P(1,3,1)
-    genus_one: GenusOneModel
+    # s = h^2 - 4fg; the genus-1 curve is Y^2 = s in P(1,2,1), with Y = 2y - h
+    # relating it to the quotient model y^2 - h y + f g = 0 (char is never 2)
+    genus_one: BinaryForm
 
     def __post_init__(self):
         recomputed = self.b * (self.b * self.b - self.a * self.c)
@@ -215,37 +205,22 @@ def split(curve: BiellipticQuartic, skip_validation: bool = False) -> SplitResul
         b=b,
         c=c,
         sextic=sextic,
-        genus_one=genus_one_model(curve),
+        genus_one=curve.branch_quartic(),
     )
 
 
-@dataclass(frozen=True)
-class SingularModel:
-    """Quadric triple with q2^2 = q1 q3 cutting the singular plane model."""
+def singular_model(curve: BiellipticQuartic) -> tuple:
+    """The quadric triple (q1, q2, q3)^T = A^-1 (x1 x2, x2^2 + x1 x3, x2 x3)^T.
 
-    q1: TernaryForm
-    q2: TernaryForm
-    q3: TernaryForm
-
-    @property
-    def field(self):
-        return self.q1.field
-
-    def triple(self):
-        return (self.q1, self.q2, self.q3)
-
-
-def singular_model(curve: BiellipticQuartic) -> SingularModel:
-    """(q1, q2, q3)^T = A^-1 (x1 x2, x2^2 + x1 x3, x2 x3)^T.
-
-    Row i of A^-1 gives q_i = a_i x1 x2 + b_i (x2^2 + x1 x3) + c_i x2 x3."""
+    Row i of A^-1 gives q_i = a_i x1 x2 + b_i (x2^2 + x1 x3) + c_i x2 x3, and
+    q2^2 = q1 q3 cuts out the singular plane model."""
     F = curve.field
     inverse = curve.coefficient_matrix().inverse()
     quads = []
     for i in range(3):
         ai, bi, ci = inverse.rows[i]
         quads.append(quadric(F, F.zero, bi, F.zero, ai, bi, ci))
-    return SingularModel(*quads)
+    return tuple(quads)
 
 
 def pencil_sextic(q1: TernaryForm, q2: TernaryForm, q3: TernaryForm) -> UniPoly:
@@ -321,10 +296,9 @@ def deform(curve: BiellipticQuartic, eps) -> BruinCover:
     reproduces the singular model exactly and eps = 1 lands on the triple
     whose quartic is x1^4 - x2^4 + x3^4, smooth in every odd characteristic.
     """
-    model = singular_model(curve)
     targets = _pencil_targets(curve.field)
     fibers = []
-    for q, t in zip(model.triple(), targets):
+    for q, t in zip(singular_model(curve), targets):
         fibers.append(q + (t - q).scale(eps))
     return bruin_cover(*fibers)
 

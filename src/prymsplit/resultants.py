@@ -17,7 +17,7 @@ Conventions fixed here and relied on everywhere else:
   The exact rank test for a common zero runs only when det(M') vanishes.
 * disc_ternary_quartic divides the Macaulay resultant of the partials by
   4^7 = 2^14 (the degree-4 normalizer), giving the discriminant whose value
-  on x1^4 - x2^4 + x3^4 is exactly -2^40.
+  on x1^4 - x2^4 + x3^4 is exactly GOLDEN_QUARTIC_DISC = -2^40.
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ from .poly import BinaryForm, UniPoly
 from .ternary import TernaryForm
 
 QUARTIC_DISC_NORMALIZER = 4**7
+GOLDEN_QUARTIC_DISC = -(2**40)  # disc_ternary_quartic(x1^4 - x2^4 + x3^4)
 _MACAULAY_RETRIES = 24
 
 

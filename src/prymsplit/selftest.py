@@ -29,6 +29,7 @@ from .prym import (
     validate,
 )
 from .resultants import (
+    GOLDEN_QUARTIC_DISC,
     QUARTIC_DISC_NORMALIZER,
     binary_disc_scale,
     disc_ternary_quartic,
@@ -37,9 +38,6 @@ from .resultants import (
 )
 from .ternary import TernaryForm
 from .zeta import lpoly_from_counts, predicted_counts, verify_bruin, verify_split
-
-GOLDEN_QUARTIC_DISC = -(2**40)  # value on x1^4 - x2^4 + x3^4 after calibration
-
 
 @dataclass(frozen=True)
 class SelftestConfig:
@@ -171,9 +169,9 @@ def criterion_pencil_identity(cfg: SelftestConfig) -> CriterionResult:
         for curve in _identity_pool(cfg):
             field = curve.field
             sr = split(curve, skip_validation=True)
-            model = singular_model(curve)
+            q1, q2, q3 = singular_model(curve)
             four = field.from_int(4)
-            if pencil_sextic(*model.triple()).scale(four) != sr.sextic:
+            if pencil_sextic(q1, q2, q3).scale(four) != sr.sextic:
                 return False, f"pencil identity failed over {field}"
             n += 1
         return True, f"identity holds on {n} validated instances"
@@ -278,33 +276,16 @@ def criterion_bruin(cfg: SelftestConfig) -> CriterionResult:
     return _timed(6, "double-cover Prym identity", run)
 
 
-def _branch_degenerate_curve(field):
-    """det A != 0 and f*g squarefree but h^2 - 4fg with a repeated root."""
-    f = BinaryForm.from_ints(field, 2, [0, 1, 0])
-    for h2 in range(-4, 5):
-        for h1 in range(-4, 5):
-            for h0 in range(-4, 5):
-                for gmid in range(-2, 3):
-                    g = BinaryForm.from_ints(field, 2, [1, gmid, 1])
-                    h = BinaryForm.from_ints(field, 2, [h2, h1, h0])
-                    curve = BiellipticQuartic(field, f, g, h)
-                    report = validate(curve)
-                    if (
-                        report.det_nonzero
-                        and report.fg_squarefree
-                        and not report.branch_squarefree
-                    ):
-                        return curve
-    raise RuntimeError("no branch-degenerate example found")
-
-
 def rejecting_inputs(field=QQ):
     """One curve per validation failure mode, each rejected before counting."""
     return {
         "fg not squarefree": BiellipticQuartic.from_ints(
             field, f=[1, 0, 0], g=[0, 0, 1], h=[0, 1, 0]
         ),
-        "branch quartic not squarefree": _branch_degenerate_curve(field),
+        # s = h^2 - 4fg = x (x + z)^2 (x + 4z), with det A != 0 and f*g squarefree
+        "branch quartic not squarefree": BiellipticQuartic.from_ints(
+            field, f=[0, 1, 0], g=[-2, -2, -1], h=[-1, 1, 0]
+        ),
         "singular coefficient matrix": BiellipticQuartic.from_ints(
             field, f=[0, 1, 0], g=[1, 1, 1], h=[0, 1, 0]
         ),

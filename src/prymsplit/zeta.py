@@ -173,7 +173,7 @@ def verify_split(curve: BiellipticQuartic, *,
     p = F.p
     check_axis_cap(p, 3, axis_cap)
     quartic = curve.plane_quartic()
-    genus1 = sr.genus_one.quartic.dehomogenize()
+    genus1 = sr.genus_one.dehomogenize()
     records = [count_plane_quartic(quartic, build_extension(p, m)) for m in (1, 2, 3)]
     counts_c = [rec.n for rec in records]
     rec_d = count_weighted(genus1, 1, build_extension(p, 1))

@@ -79,6 +79,15 @@ class TestParsing:
             path.write_bytes(b"\xff\xfe")
         assert cli.main(["validate", "--input", str(path)]) == 3
 
+    def test_over_long_integer_rejected(self, tmp_path, capsys):
+        # past Python's 4300-digit limit json raises a plain ValueError
+        doc = '{"f": [' + "9" * 5000 + ', 1, 0], "g": [1, 1, 1], "h": [1, 0, -1]}'
+        path = tmp_path / "big.json"
+        path.write_text(doc)
+        for source in (doc, str(path)):
+            assert cli.main(["validate", "--input", source]) == 3
+            assert "internal error" not in capsys.readouterr().err
+
     def test_extension_field_document(self, tmp_path):
         doc = {"p": 3, "k": 2, "f": [0, 1, 0], "g": [[1, 1], 1, 1], "h": [1, 0, -1]}
         code = cli.main(["validate", "--input", write(tmp_path, doc)])

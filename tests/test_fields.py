@@ -9,7 +9,6 @@ from prymsplit import (
     UniPoly,
     UnsupportedFieldError,
     build_extension,
-    quadratic_character,
 )
 from prymsplit.fields import PrimeField, embedding, is_irreducible
 from prymsplit.zeta import _PRIME_POOL
@@ -59,17 +58,12 @@ def test_irreducibility_gcd_test():
 
 def test_quadratic_character_values():
     field = build_extension(7)
-    assert quadratic_character(field, 0) == 0
-    assert quadratic_character(field, 4) == 1
+    assert field.chi(0) == 0
+    assert field.chi(4) == 1
     # squares mod 7 are {1, 2, 4} by enumeration
     squares = {(t * t) % 7 for t in range(1, 7)}
     assert squares == {1, 2, 4}
-    assert quadratic_character(field, 3) == -1
-
-
-def test_quadratic_character_rejects_rationals():
-    with pytest.raises(UnsupportedFieldError):
-        quadratic_character(QQ, 4)
+    assert field.chi(3) == -1
 
 
 @pytest.mark.parametrize("p,k", [(3, 1), (7, 1), (5, 2), (3, 3), (7, 3)])

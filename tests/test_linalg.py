@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from sympy import GF as SympyGF, QQ as SympyQQ
+from sympy.polys.matrices import DomainMatrix
 
 from prymsplit import Matrix3, QQ, SingularMatrixError, build_extension
 from prymsplit.linalg import det_bareiss_int, det_in_field, det_rational, rank_in_field
@@ -120,3 +122,48 @@ def test_rank():
     assert rank_in_field([[Fraction(v) for v in r] for r in rows], QQ) == 2
     assert rank_in_field([[v % 7 for v in r] for r in rows], F7) == 2
     assert rank_in_field([[0, 0], [0, 0]], F7) == 0
+
+
+def _random_matrices(field, rng):
+    """Seeded square, rectangular, rank-deficient and singular matrices."""
+    for nrows, ncols in ((1, 1), (2, 2), (3, 3), (5, 5), (8, 8), (12, 12),
+                         (3, 5), (5, 3), (1, 4), (6, 2), (7, 9)):
+        for kind in ("random", "repeated", "summed", "zero column"):
+            rows = [[field.from_int(rng.randint(-9, 9)) for _ in range(ncols)]
+                    for _ in range(nrows)]
+            if kind == "repeated" and nrows > 1:
+                rows[rng.randrange(1, nrows)] = list(rows[0])
+            elif kind == "summed" and nrows > 2:
+                rows[-1] = [field.add(a, b) for a, b in zip(rows[0], rows[1])]
+            elif kind == "zero column":
+                c = rng.randrange(ncols)
+                for r in rows:
+                    r[c] = field.zero
+            yield rows
+
+
+@pytest.mark.parametrize("p", [7, 23, None])
+def test_rank_and_det_match_sympy(p):
+    field = QQ if p is None else build_extension(p)
+    dom = SympyQQ if p is None else SympyGF(p)
+    rng = random.Random(5 if p is None else p)
+    ranks = set()
+    for rows in _random_matrices(field, rng):
+        nrows, ncols = len(rows), len(rows[0])
+        if p is None:
+            entries = [[dom(v.numerator, v.denominator) for v in r] for r in rows]
+        else:
+            entries = [[dom(v) for v in r] for r in rows]
+        oracle = DomainMatrix(entries, (nrows, ncols), dom)
+        rank = rank_in_field(rows, field)
+        assert rank == oracle.rank()
+        ranks.add((nrows, ncols, rank))
+        if nrows == ncols:
+            det = oracle.det()
+            det = Fraction(det.numerator, det.denominator) if p is None else int(det) % p
+            assert det_in_field(rows, field) == det
+            assert (det == 0) == (rank < nrows)
+    # the corpus reaches full rank, deficient rank and singular squares
+    assert any(r == min(n, m) for n, m, r in ranks)
+    assert any(n == m and r < n for n, m, r in ranks)
+    assert any(n != m and r < min(n, m) for n, m, r in ranks)

@@ -15,7 +15,6 @@ from prymsplit import (
     bruin_cover,
     build_extension,
     deform,
-    genus_one_model,
     pencil_sextic,
     quadric_coefficients,
     random_validated_curve,
@@ -92,6 +91,22 @@ class TestValidate:
         with pytest.raises(Exception):
             BiellipticQuartic.from_ints(build_extension(2), **DEMO)
 
+    @pytest.mark.parametrize("field", [QQ, F7], ids=["QQ", "F7"])
+    def test_rejecting_inputs_fail_their_named_check(self, field):
+        from prymsplit.selftest import rejecting_inputs
+
+        named = {
+            "fg not squarefree": "f*g has a repeated root",
+            "branch quartic not squarefree": "h^2 - 4*f*g has a repeated root",
+            "singular coefficient matrix": "coefficient matrix is singular",
+        }
+        inputs = rejecting_inputs(field)
+        assert set(inputs) == set(named)
+        for name, curve in inputs.items():
+            report = validate(curve)
+            assert not report.passed
+            assert named[name] in report.failures
+
 
 class TestSplit:
     def test_identity_matrix_formulas(self):
@@ -125,21 +140,19 @@ class TestSplit:
 class TestGenusOneModel:
     def test_h_zero_degenerates_to_minus_4fg(self):
         curve = BiellipticQuartic.from_ints(QQ, f=[0, 1, 0], g=[1, 1, 1], h=[0, 0, 0])
-        model = genus_one_model(curve)
         minus4fg = (curve.f * curve.g).scale(QQ.from_int(-4))
-        assert model.quartic == minus4fg
+        assert curve.branch_quartic() == minus4fg
 
     def test_equal_factors_flagged_downstream(self):
         curve = BiellipticQuartic.from_ints(QQ, f=[0, 1, 0], g=[0, 1, 0], h=[0, 0, 0])
-        model = genus_one_model(curve)
-        assert model.quartic == BinaryForm.from_ints(QQ, 4, [0, 0, -4, 0, 0])
+        assert curve.branch_quartic() == BinaryForm.from_ints(QQ, 4, [0, 0, -4, 0, 0])
         assert not validate(curve).branch_squarefree
 
     def test_schoolbook_expansion(self):
         rng = random.Random(1)
         for _ in range(20):
             curve = random_validated_curve(F7, rng)
-            s = genus_one_model(curve).quartic
+            s = split(curve).genus_one
             # independent schoolbook expansion of h^2 - 4fg
             expansion = {}
             for i, hi in enumerate(curve.h.coeffs):
@@ -155,10 +168,10 @@ class TestGenusOneModel:
 class TestSingularModel:
     def test_identity_matrix_model(self):
         curve = BiellipticQuartic.from_ints(QQ, f=[1, 0, 0], g=[0, 0, 1], h=[0, 1, 0])
-        model = singular_model(curve)
-        assert quadric_coefficients(model.q1) == (0, 0, 0, 1, 0, 0)  # x1 x2
-        assert quadric_coefficients(model.q2) == (0, 1, 0, 0, 1, 0)  # x2^2 + x1 x3
-        assert quadric_coefficients(model.q3) == (0, 0, 0, 0, 0, 1)  # x2 x3
+        q1, q2, q3 = singular_model(curve)
+        assert quadric_coefficients(q1) == (0, 0, 0, 1, 0, 0)  # x1 x2
+        assert quadric_coefficients(q2) == (0, 1, 0, 0, 1, 0)  # x2^2 + x1 x3
+        assert quadric_coefficients(q3) == (0, 0, 0, 0, 0, 1)  # x2 x3
 
     def test_defining_property(self):
         # A (q1, q2, q3)^T = (x1 x2, x2^2 + x1 x3, x2 x3)^T, checked by
@@ -170,7 +183,7 @@ class TestSingularModel:
             a = curve.coefficient_matrix()
             for _ in range(10):
                 x, y, z = (F7.random_element(rng) for _ in range(3))
-                qs = [q.eval(x, y, z) for q in model.triple()]
+                qs = [q.eval(x, y, z) for q in model]
                 lhs = a.vec_mul(qs)
                 rhs = (F7.mul(x, y), F7.add(F7.mul(y, y), F7.mul(x, z)), F7.mul(y, z))
                 assert lhs == rhs
@@ -187,7 +200,7 @@ class TestPencil:
         model = singular_model(curve)
         # hand expansion of -det({0, a/2, b/2; a/2, b, c/2; b/2, c/2, 0}) with
         # a = 1, b = 2x, c = x^2 gives (3/2) x^3
-        assert pencil_sextic(*model.triple()) == UniPoly(
+        assert pencil_sextic(*model) == UniPoly(
             QQ, (Fraction(0), Fraction(0), Fraction(0), Fraction(3, 2))
         )
 
@@ -208,7 +221,7 @@ class TestPencil:
                 curve = random_validated_curve(field, rng)
                 sr = split(curve, skip_validation=True)
                 model = singular_model(curve)
-                lhs = pencil_sextic(*model.triple()).scale(field.from_int(4))
+                lhs = pencil_sextic(*model).scale(field.from_int(4))
                 assert lhs == sr.sextic
 
 
@@ -217,7 +230,7 @@ class TestDeform:
         rng = random.Random(4)
         curve = random_validated_curve(F7, rng)
         cover = deform(curve, F7.zero)
-        assert cover.triple() == singular_model(curve).triple()
+        assert cover.triple() == singular_model(curve)
         assert cover.quartic_disc == F7.zero
         assert not cover.base_smooth
 
