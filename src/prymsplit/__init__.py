@@ -56,6 +56,7 @@ from .resultants import (
     disc_ternary_quartic,
     discriminant_binary,
     macaulay_resultant_cubics,
+    quartic_disc_nonzero,
     resultant,
     resultant_forms,
 )

@@ -155,12 +155,15 @@ def _eliminate(rows, field):
     """(rank, det) by Gaussian elimination over a field object.
 
     Works on any number of rows and columns; det is the determinant when the
-    matrix is square (zero once a column has no pivot).
+    matrix is square (zero once a column has no pivot).  Each pivot is
+    inverted once, and a row update touches only the columns right of the
+    pivot where the pivot row is nonzero; column c below the pivot is never
+    read again, so it is left as it is.
     """
     m = [list(r) for r in rows]
     nrows = len(m)
     ncols = len(m[0]) if m else 0
-    sub, mul, div = field.sub, field.mul, field.div
+    sub, mul = field.sub, field.mul
     zero = field.zero
     det = field.one
     rank = 0
@@ -179,13 +182,15 @@ def _eliminate(rows, field):
         pivot_row = m[rank]
         pivot = pivot_row[c]
         det = mul(det, pivot)
+        inv = field.inv(pivot)
+        cols = [j for j in range(c + 1, ncols) if pivot_row[j] != zero]
         for r in range(rank + 1, nrows):
-            lead = m[r][c]
+            mr = m[r]
+            lead = mr[c]
             if lead == zero:
                 continue
-            f = div(lead, pivot)
-            mr = m[r]
-            for j in range(c, ncols):
+            f = mul(lead, inv)
+            for j in cols:
                 mr[j] = sub(mr[j], mul(f, pivot_row[j]))
         rank += 1
         if rank == nrows:

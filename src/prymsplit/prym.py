@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from .errors import DegenerateInputError, RejectedInputError, UnsupportedFieldError
 from .linalg import Matrix3
 from .poly import BinaryForm, UniPoly
-from .resultants import disc_ternary_quartic
+from .resultants import disc_ternary_quartic, quartic_disc_nonzero
 from .ternary import TernaryForm, cover_quartic, gram, quadric
 
 log = logging.getLogger(__name__)
@@ -123,7 +123,11 @@ def validate(curve: BiellipticQuartic) -> ValidationReport:
     point with y = 0 forces a repeated root of f*g, one with y != 0 forces a
     repeated root of h^2 - 4fg, so the two squarefree checks are equivalent
     to smoothness.  Over the rationals or a prime field with p > 13 this is
-    cross-checked against the ternary-quartic discriminant.
+    cross-checked against whether the ternary-quartic discriminant vanishes,
+    as resultants.quartic_disc_nonzero decides it: by one exact rank over the
+    field, or over Q by a rank modulo 2^61 - 1 that certifies disc != 0.
+    Only a quartic that fails that certificate pays for the exact
+    discriminant, whose cost grows with the coefficient height.
     """
     F = curve.field
     det = curve.coefficient_matrix().det()
@@ -132,8 +136,7 @@ def validate(curve: BiellipticQuartic) -> ValidationReport:
     s_sf = False if s.is_zero() else s.is_squarefree()
     cross = None
     if F.kind == "rationals" or (F.kind == "finite" and F.p > CROSS_CHECK_MIN_PRIME):
-        disc = disc_ternary_quartic(curve.plane_quartic())
-        cross = (disc != F.zero) == (fg_sf and s_sf)
+        cross = quartic_disc_nonzero(curve.plane_quartic()) == (fg_sf and s_sf)
     return ValidationReport(det, det != F.zero, fg_sf, s_sf, cross)
 
 

@@ -18,6 +18,13 @@ Conventions fixed here and relied on everywhere else:
 * disc_ternary_quartic divides the Macaulay resultant of the partials by
   4^7 = 2^14 (the degree-4 normalizer), giving the discriminant whose value
   on x1^4 - x2^4 + x3^4 is exactly GOLDEN_QUARTIC_DISC = -2^40.
+* quartic_disc_nonzero(F) equals disc_ternary_quartic(F) != 0 but decides it
+  by the rank of the 45 degree-7 multiples of the partials: rank 36 exactly
+  when they share no projective zero.  Over a finite field the rank is taken
+  in that field.  Over the rationals it is taken modulo l = 2^61 - 1, and
+  rank 36 mod l is a certificate (a 36x36 minor nonzero mod l is nonzero);
+  a lower rank, or l dividing a denominator, falls back to the exact
+  discriminant.
 """
 
 from __future__ import annotations
@@ -29,6 +36,7 @@ from .errors import (
     ResultantIndeterminateError,
     UndefinedResultantError,
 )
+from .fields import PrimeField
 from .linalg import det_in_field, rank_in_field
 from .poly import BinaryForm, UniPoly
 from .ternary import TernaryForm
@@ -36,6 +44,11 @@ from .ternary import TernaryForm
 QUARTIC_DISC_NORMALIZER = 4**7
 GOLDEN_QUARTIC_DISC = -(2**40)  # disc_ternary_quartic(x1^4 - x2^4 + x3^4)
 _MACAULAY_RETRIES = 24
+# F_l, l = 2^61 - 1, where quartic_disc_nonzero takes its rank over Q.  Built
+# directly rather than through build_extension, which caches and traces every
+# field it builds; only ring operations touch it, so its log tables (2^61
+# entries) are never built.
+_CERT_FIELD = PrimeField(2**61 - 1)
 
 
 def _sylvester_rows(p_desc, q_desc, field):
@@ -262,3 +275,39 @@ def disc_ternary_quartic(F: TernaryForm):
     field = F.field
     res = macaulay_resultant_cubics(F.partial(0), F.partial(1), F.partial(2))
     return field.div(res, field.from_int(QUARTIC_DISC_NORMALIZER))
+
+
+def _reduce_mod_cert(F: TernaryForm):
+    """A rational form with its coefficients mapped into _CERT_FIELD, or None
+    when l divides a denominator."""
+    cert = _CERT_FIELD
+    coeffs = {}
+    for mono, c in F.coeffs.items():
+        den = cert.from_int(c.denominator)
+        if den == cert.zero:
+            return None
+        coeffs[mono] = cert.div(cert.from_int(c.numerator), den)
+    return TernaryForm(cert, F.degree, coeffs)
+
+
+def quartic_disc_nonzero(F: TernaryForm) -> bool:
+    """disc_ternary_quartic(F) != 0, decided by one exact rank where possible.
+
+    The discriminant vanishes exactly when the three partials share a
+    projective zero, which _shares_projective_zero decides by a rank.  Over a
+    finite field that rank is exact as it stands.  Over the rationals it is
+    taken in F_l, l = 2^61 - 1: rank 36 there lifts to rank 36 over Q, which
+    proves disc != 0.  A lower rank mod l may be an accident of l, so it, and
+    l dividing a denominator, leave the answer to the exact discriminant.
+    """
+    if F.degree != 4:
+        raise DegenerateInputError("input must be a ternary quartic")
+    if F.field.kind == "finite":
+        partials = tuple(F.partial(i) for i in range(3))
+        return not _shares_projective_zero(partials, F.field)
+    reduced = _reduce_mod_cert(F)
+    if reduced is not None:
+        partials = tuple(reduced.partial(i) for i in range(3))
+        if not _shares_projective_zero(partials, _CERT_FIELD):
+            return True
+    return disc_ternary_quartic(F) != F.field.zero

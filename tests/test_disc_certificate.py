@@ -1,0 +1,200 @@
+"""quartic_disc_nonzero against the exact discriminant, and validate's use of it.
+
+The certificate decides disc != 0 by one rank: in the field itself for a
+finite field, modulo l = 2^61 - 1 over the rationals, falling back to the
+exact discriminant when the rank mod l is short or l divides a denominator.
+"""
+
+import json
+import os
+import random
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+
+from prymsplit import (
+    QQ,
+    BiellipticQuartic,
+    BinaryForm,
+    build_extension,
+    cli,
+    disc_ternary_quartic,
+    prym,
+    quartic_disc_nonzero,
+    resultants,
+    split,
+    validate,
+)
+from prymsplit.fields import PrimeField
+from helpers import random_ternary_form
+
+ELL = 2**61 - 1
+KINDS = ("random", "f=g", "s-double-root", "fg-repeated-root")
+
+
+def _curve(field, rng, kind, height=1000, den=1000):
+    """A bielliptic quartic of the named kind; every kind but "random" is
+    singular by construction (f*g or s = h^2 - 4fg has a repeated root).
+
+    A rational entry has a numerator up to `height` and a denominator up to
+    `den`; a small denominator keeps the exact discriminant cheap enough to
+    compare against."""
+    F = field
+
+    def d():
+        if F.kind == "rationals":
+            return Fraction(rng.randint(-height, height), rng.randint(1, den))
+        return F.random_element(rng)
+
+    f, g, h = [d(), d(), d()], [d(), d(), d()], [d(), d(), d()]
+    if kind == "f=g":
+        g = list(f)
+    elif kind == "s-double-root":
+        # s(0, 1) = h2^2 - 4 f2 g2 = 0 and ds/dx(0, 1) = 2 h1 h2 - 4 (f1 g2 + f2 g1) = 0
+        t = d()
+        f[2], g[2], h[2] = t, t, F.add(t, t)
+        h[1] = F.add(f[1], g[1])
+    elif kind == "fg-repeated-root":
+        # f = (x - r z)(x - u z), g = c (x - r z)(x - v z)
+        r, u, v, c = d(), d(), d(), d()
+        f = [F.one, F.neg(F.add(r, u)), F.mul(r, u)]
+        g = [c, F.neg(F.mul(c, F.add(r, v))), F.mul(c, F.mul(r, v))]
+    forms = [BinaryForm(F, 2, coeffs) for coeffs in (f, g, h)]
+    if forms[0].is_zero() or forms[1].is_zero():
+        return _curve(field, rng, kind, height, den)
+    return BiellipticQuartic(F, *forms)
+
+
+def _exact_report(curve, disc_nonzero, monkeypatch):
+    """validate's report with the cross-check fed disc != 0 as the exact
+    discriminant decided it."""
+    with monkeypatch.context() as m:
+        m.setattr(prym, "quartic_disc_nonzero", lambda form: disc_nonzero)
+        return validate(curve)
+
+
+def _fallback_spy(monkeypatch):
+    calls = []
+    exact = resultants.disc_ternary_quartic
+
+    def spy(form):
+        calls.append(form)
+        return exact(form)
+
+    monkeypatch.setattr(resultants, "disc_ternary_quartic", spy)
+    return calls
+
+
+FIELDS = {
+    "QQ-1e3": (QQ, 10**3),
+    "QQ-1e60": (QQ, 10**60),
+    "F17": (build_extension(17), None),
+    "F23": (build_extension(23), None),
+    "F31": (build_extension(31), None),
+    "F17^2": (build_extension(17, 2), None),
+}
+
+
+@pytest.mark.parametrize("name", list(FIELDS))
+def test_agrees_with_exact_discriminant(name, monkeypatch):
+    field, height = FIELDS[name]
+    rng = random.Random(sum(map(ord, name)))
+    rounds = 1 if height == 10**60 else 3
+    seen = set()
+    for kind in KINDS:
+        for _ in range(rounds):
+            curve = _curve(field, rng, kind, height)
+            form = curve.plane_quartic()
+            nonzero = disc_ternary_quartic(form) != field.zero
+            assert quartic_disc_nonzero(form) == nonzero, (kind, curve)
+            assert validate(curve) == _exact_report(curve, nonzero, monkeypatch), (kind, curve)
+            seen.add(nonzero)
+            if kind != "random":
+                assert not nonzero, (kind, curve)
+    if field.kind == "finite":
+        for _ in range(4):
+            form = random_ternary_form(field, rng, 4)
+            assert quartic_disc_nonzero(form) == (disc_ternary_quartic(form) != field.zero)
+    assert seen == {True, False}
+
+
+def test_rational_certificate_skips_the_exact_discriminant(monkeypatch):
+    calls = _fallback_spy(monkeypatch)
+    rng = random.Random(3)
+    for _ in range(6):
+        curve = _curve(QQ, rng, "random")
+        assert quartic_disc_nonzero(curve.plane_quartic())
+    assert calls == []
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_short_rank_mod_small_prime_falls_back(p, monkeypatch):
+    monkeypatch.setattr(resultants, "_CERT_FIELD", PrimeField(p))
+    calls = _fallback_spy(monkeypatch)
+    rng = random.Random(p)
+    short_rank = 0
+    for trial in range(20):
+        kind = KINDS[trial % 2]  # smooth, then f = g
+        curve = _curve(QQ, rng, kind, den=1)
+        form = curve.plane_quartic()
+        before = len(calls)
+        got = quartic_disc_nonzero(form)
+        fell_back = len(calls) > before
+        nonzero = resultants.disc_ternary_quartic(form) != 0
+        assert got == nonzero, (kind, curve)
+        assert validate(curve) == _exact_report(curve, nonzero, monkeypatch)
+        # smooth over Q, p divides no denominator, yet singular mod p
+        short_rank += fell_back and got and resultants._reduce_mod_cert(form) is not None
+    assert short_rank >= 1
+
+
+def test_denominator_divisible_by_ell_falls_back(monkeypatch):
+    doc = {"f": [f"1/{ELL}", 1, 0], "g": [1, 1, 1], "h": [1, 0, -1]}
+    curve = BiellipticQuartic(QQ, *(BinaryForm(QQ, 2, [Fraction(v) for v in doc[k]])
+                                    for k in ("f", "g", "h")))
+    form = curve.plane_quartic()
+    assert resultants._reduce_mod_cert(form) is None
+    calls = _fallback_spy(monkeypatch)
+    nonzero = resultants.disc_ternary_quartic(form) != 0
+    assert quartic_disc_nonzero(form) == nonzero
+    assert len(calls) == 2
+    assert validate(curve) == _exact_report(curve, nonzero, monkeypatch)
+    assert cli.main(["validate", "--input", json.dumps(doc)]) == 0
+
+
+def test_certificate_field_never_builds_log_tables(monkeypatch):
+    real = PrimeField._build_log_tables
+
+    def guard(self):
+        if self.p == ELL:
+            raise AssertionError("log tables of F_(2^61 - 1) were built")
+        return real(self)
+
+    monkeypatch.setattr(PrimeField, "_build_log_tables", guard)
+    docs = (
+        {"f": [0, 1, 0], "g": [1, "1/2", 1], "h": [1, 0, -1]},
+        {"f": ["123456789012345678901234567890/7", 1, 0], "g": [1, 1, 1], "h": [1, 0, -1]},
+    )
+    for doc in docs:
+        for command in ("validate", "split", "verify"):
+            assert cli.main([command, "--input", json.dumps(doc)]) == 0, command
+    rng = random.Random(9)
+    curve = _curve(QQ, rng, "random")
+    assert validate(curve).passed
+    split(curve)
+
+
+def test_smooth_4000_digit_document_validates_in_a_subprocess(tmp_path):
+    # the exact discriminant of this document takes well over a minute
+    doc = {"f": ["9" * 4000 + "/7", 1, 0], "g": [1, 1, 1], "h": [1, 0, -1]}
+    path = tmp_path / "tall.json"
+    path.write_text(json.dumps(doc))
+    src = str(Path(cli.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-m", "prymsplit.cli", "validate", "--input", str(path)],
+        timeout=20, capture_output=True, env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0, proc.stderr
