@@ -38,7 +38,7 @@ from .errors import (
 from .fields import QQ, ExtensionField, build_extension
 from .poly import BinaryForm
 from .prym import BiellipticQuartic, deform, require_valid, split, validate
-from .resultants import GOLDEN_QUARTIC_DISC, disc_ternary_quartic
+from .resultants import GOLDEN_QUARTIC, GOLDEN_QUARTIC_DISC, disc_ternary_quartic
 from .ternary import TernaryForm
 from .zeta import (
     DEFAULT_AXIS_CAP,
@@ -396,8 +396,7 @@ def _cmd_disc_check(args) -> int:
         _emit(report, args, f"disc-check: discriminant = {report['discriminant']}")
         return EXIT_PASS
     # no input: the golden value must be exactly -2^40
-    golden = TernaryForm.from_ints(QQ, 4, {(4, 0, 0): 1, (0, 4, 0): -1, (0, 0, 4): 1})
-    value = disc_ternary_quartic(golden)
+    value = disc_ternary_quartic(GOLDEN_QUARTIC)
     expected = GOLDEN_QUARTIC_DISC
     report["input"] = {"quartic": "x1^4 - x2^4 + x3^4 (golden check)"}
     report["discriminant"] = str(value)

@@ -26,12 +26,11 @@ from dataclasses import dataclass
 from .errors import DegenerateInputError, RejectedInputError, UnsupportedFieldError
 from .linalg import Matrix3
 from .poly import BinaryForm, UniPoly
-from .resultants import disc_ternary_quartic, quartic_disc_nonzero
+from .resultants import quartic_disc_nonzero
 from .ternary import TernaryForm, cover_quartic, gram, quadric
 
 log = logging.getLogger(__name__)
 
-CROSS_CHECK_MIN_PRIME = 13  # quartic-discriminant cross-check runs over QQ or p > 13
 RANDOM_CURVE_TRIES = 2000
 
 
@@ -96,11 +95,12 @@ class ValidationReport:
     det_nonzero: bool
     fg_squarefree: bool
     branch_squarefree: bool
-    disc_cross_check: bool | None  # None when the cross-check was not run
+    disc_cross_check: bool
 
     @property
     def passed(self) -> bool:
-        return self.det_nonzero and self.fg_squarefree and self.branch_squarefree
+        return (self.det_nonzero and self.fg_squarefree and self.branch_squarefree
+                and self.disc_cross_check)
 
     @property
     def failures(self) -> list:
@@ -111,7 +111,7 @@ class ValidationReport:
             out.append("f*g has a repeated root")
         if not self.branch_squarefree:
             out.append("h^2 - 4*f*g has a repeated root")
-        if self.disc_cross_check is False:
+        if not self.disc_cross_check:
             out.append("quartic discriminant disagrees with the squarefree checks")
         return out
 
@@ -122,21 +122,19 @@ def validate(curve: BiellipticQuartic) -> ValidationReport:
     Checks det A != 0, f*g squarefree and h^2 - 4fg squarefree; a singular
     point with y = 0 forces a repeated root of f*g, one with y != 0 forces a
     repeated root of h^2 - 4fg, so the two squarefree checks are equivalent
-    to smoothness.  Over the rationals or a prime field with p > 13 this is
-    cross-checked against whether the ternary-quartic discriminant vanishes,
-    as resultants.quartic_disc_nonzero decides it: by one exact rank over the
-    field, or over Q by a rank modulo 2^61 - 1 that certifies disc != 0.
-    Only a quartic that fails that certificate pays for the exact
-    discriminant, whose cost grows with the coefficient height.
+    to smoothness.  In every field this is cross-checked against whether the
+    ternary-quartic discriminant vanishes, as resultants.quartic_disc_nonzero
+    decides it: by one exact rank over the field, or over Q by a rank modulo
+    2^61 - 1 that certifies disc != 0.  Only a quartic that fails that
+    certificate pays for the rank over Q, whose cost grows with the
+    coefficient height.  A cross-check that disagrees fails the gate.
     """
     F = curve.field
     det = curve.coefficient_matrix().det()
     fg_sf = curve.fg().is_squarefree()
     s = curve.branch_quartic()
     s_sf = False if s.is_zero() else s.is_squarefree()
-    cross = None
-    if F.kind == "rationals" or (F.kind == "finite" and F.p > CROSS_CHECK_MIN_PRIME):
-        cross = quartic_disc_nonzero(curve.plane_quartic()) == (fg_sf and s_sf)
+    cross = quartic_disc_nonzero(curve.plane_quartic()) == (fg_sf and s_sf)
     return ValidationReport(det, det != F.zero, fg_sf, s_sf, cross)
 
 
@@ -253,23 +251,22 @@ def _pencil_targets(F):
 @dataclass(frozen=True)
 class BruinCover:
     """A quadric triple, its plane quartic base q2^2 = q1 q3, the double cover
-    q1 = u^2, q2 = uv, q3 = v^2 over it, and the pencil hyperelliptic model."""
+    q1 = u^2, q2 = uv, q3 = v^2 over it, and the pencil hyperelliptic model.
+
+    base_smooth is whether the base quartic is smooth, decided by
+    resultants.quartic_disc_nonzero; the discriminant's value is not kept."""
 
     q1: TernaryForm
     q2: TernaryForm
     q3: TernaryForm
     base_quartic: TernaryForm
     sextic: UniPoly
-    quartic_disc: object
+    base_smooth: bool
     sextic_squarefree: bool
 
     @property
     def field(self):
         return self.q1.field
-
-    @property
-    def base_smooth(self) -> bool:
-        return self.quartic_disc != self.field.zero
 
     @property
     def verifiable(self) -> bool:
@@ -281,15 +278,13 @@ class BruinCover:
 
 def bruin_cover(q1: TernaryForm, q2: TernaryForm, q3: TernaryForm) -> BruinCover:
     """Assemble the cover data and report (never assume) smoothness."""
-    F = q1.field
     base = cover_quartic(q1, q2, q3)
     sextic = pencil_sextic(q1, q2, q3)
-    disc = disc_ternary_quartic(base)
     if sextic.is_zero():
         sf = False
     else:
         sf = BinaryForm.homogenize(sextic, 6).is_squarefree() and sextic.degree >= 5
-    return BruinCover(q1, q2, q3, base, sextic, disc, sf)
+    return BruinCover(q1, q2, q3, base, sextic, quartic_disc_nonzero(base), sf)
 
 
 def deform(curve: BiellipticQuartic, eps) -> BruinCover:

@@ -15,16 +15,22 @@ Conventions fixed here and relied on everywhere else:
   Res * det(M') = det(M) holds over Z[coefficients], hence in every field, so
   a nonzero minor det(M') makes the quotient the resultant, zero included.
   The exact rank test for a common zero runs only when det(M') vanishes.
+  When the minor also vanishes under every retried coordinate change, a
+  prime field takes the exact value of an integer lift of the cubics and
+  reduces it mod p, which is valid because Res lies in Z[coefficients].
 * disc_ternary_quartic divides the Macaulay resultant of the partials by
   4^7 = 2^14 (the degree-4 normalizer), giving the discriminant whose value
-  on x1^4 - x2^4 + x3^4 is exactly GOLDEN_QUARTIC_DISC = -2^40.
-* quartic_disc_nonzero(F) equals disc_ternary_quartic(F) != 0 but decides it
-  by the rank of the 45 degree-7 multiples of the partials: rank 36 exactly
-  when they share no projective zero.  Over a finite field the rank is taken
-  in that field.  Over the rationals it is taken modulo l = 2^61 - 1, and
-  rank 36 mod l is a certificate (a 36x36 minor nonzero mod l is nonzero);
-  a lower rank, or l dividing a denominator, falls back to the exact
-  discriminant.
+  on GOLDEN_QUARTIC = x1^4 - x2^4 + x3^4 is exactly GOLDEN_QUARTIC_DISC = -2^40.
+* Decisions are by rank, values by Macaulay.  Every "is this quartic
+  singular?" in the package is quartic_disc_nonzero(F), which equals
+  disc_ternary_quartic(F) != 0 but decides it by the rank of the 45 degree-7
+  multiples of the partials: rank 36 exactly when they share no projective
+  zero.  Over a finite field the rank is taken in that field.  Over the
+  rationals it is first taken modulo l = 2^61 - 1, and rank 36 mod l is a
+  certificate (a 36x36 minor nonzero mod l is nonzero); a lower rank, or l
+  dividing a denominator, leaves the answer to the exact rank over Q.  The
+  value itself is computed only where it is printed: disc-check and the
+  self-test's golden criterion.
 """
 
 from __future__ import annotations
@@ -36,13 +42,14 @@ from .errors import (
     ResultantIndeterminateError,
     UndefinedResultantError,
 )
-from .fields import PrimeField
+from .fields import QQ, PrimeField
 from .linalg import det_in_field, rank_in_field
 from .poly import BinaryForm, UniPoly
 from .ternary import TernaryForm
 
 QUARTIC_DISC_NORMALIZER = 4**7
-GOLDEN_QUARTIC_DISC = -(2**40)  # disc_ternary_quartic(x1^4 - x2^4 + x3^4)
+GOLDEN_QUARTIC = TernaryForm.from_ints(QQ, 4, {(4, 0, 0): 1, (0, 4, 0): -1, (0, 0, 4): 1})
+GOLDEN_QUARTIC_DISC = -(2**40)  # disc_ternary_quartic(GOLDEN_QUARTIC)
 _MACAULAY_RETRIES = 24
 # F_l, l = 2^61 - 1, where quartic_disc_nonzero takes its rank over Q.  Built
 # directly rather than through build_extension, which caches and traces every
@@ -172,9 +179,8 @@ def _macaulay_quotient(cubics, field):
     return field.div(det_in_field(rows, field), det_minor)
 
 
-_QUARTIC_MONOMIALS = tuple(
-    (i, j, 4 - i - j) for i in range(5) for j in range(5 - i)
-)
+_CUBIC_MONOMIALS = tuple((i, j, 3 - i - j) for i in range(4) for j in range(4 - i))
+_QUARTIC_MONOMIALS = tuple((i, j, 4 - i - j) for i in range(5) for j in range(5 - i))
 
 
 def _shares_projective_zero(cubics, field) -> bool:
@@ -212,12 +218,11 @@ def macaulay_resultant_cubics(f1: TernaryForm, f2: TernaryForm, f3: TernaryForm)
     O'Shea, Using Algebraic Geometry, Ch. 3 Sec. 4).  Only when det(M')
     vanishes does a rank test on the span of the degree-7 multiples settle
     the resultant-is-zero case; otherwise retries run under a random
-    invertible substitution T, undoing Res(f o T) = det(T)^27 Res(f).
-    Over small prime fields the retries may move to an extension field, where
-    invertible substitutions are plentiful; the value still lies in the base
-    field and is mapped back.  Every successful retry returns the resultant
-    itself, so the fixed draw sequence decides only whether a retry succeeds,
-    never the value.
+    invertible substitution T in the same field, undoing
+    Res(f o T) = det(T)^27 Res(f).  Every successful retry returns the
+    resultant itself, so the fixed draw sequence decides only whether a retry
+    succeeds, never the value.  Over a prime field whose retries all fail,
+    the value is that of an integer lift of the cubics, reduced mod p.
     """
     for f in (f1, f2, f3):
         if f.degree != 3:
@@ -230,37 +235,21 @@ def macaulay_resultant_cubics(f1: TernaryForm, f2: TernaryForm, f3: TernaryForm)
     if _shares_projective_zero(cubics, field):
         return field.zero
     rng = random.Random(0xAC)
-    for attempt in range(_MACAULAY_RETRIES):
-        work_field = field
-        if field.kind == "finite" and field.q < 32 and attempt >= _MACAULAY_RETRIES // 3:
-            lift = 2 if attempt < 2 * _MACAULAY_RETRIES // 3 else 3
-            work_field = _lifted_field(field, lift)
-            cubics = tuple(
-                TernaryForm(work_field, 3, dict(f.coeffs)) for f in (f1, f2, f3)
-            )
-        t = _random_gl3(work_field, rng)
-        moved = tuple(f.compose_linear(t.rows) for f in cubics)
-        value = _macaulay_quotient(moved, work_field)
+    for _ in range(_MACAULAY_RETRIES):
+        t = _random_gl3(field, rng)
+        value = _macaulay_quotient(tuple(f.compose_linear(t.rows) for f in cubics), field)
         if value is not None:
-            value = work_field.div(value, work_field.pow(t.det(), 27))
-            if work_field is not field and value >= field.p:
-                raise ResultantIndeterminateError(
-                    "lifted Macaulay value escaped the base field"
-                )
-            return value
+            return field.div(value, field.pow(t.det(), 27))
+    if field.kind == "finite" and field.k == 1:
+        # every integer lift reduces to the same Res mod p; a random one keeps
+        # the rational minor clear of the structural zeros of sparse cubics
+        lifted = (TernaryForm.from_ints(QQ, 3, {
+            m: f.coeffs.get(m, 0) + field.p * rng.randrange(1, 2**16) for m in _CUBIC_MONOMIALS
+        }) for f in cubics)
+        return field.from_int(macaulay_resultant_cubics(*lifted).numerator)
     raise ResultantIndeterminateError(
         "Macaulay minor vanished for every tried coordinate change"
     )
-
-
-def _lifted_field(field, factor: int):
-    from .fields import build_extension
-
-    if field.k != 1:
-        raise ResultantIndeterminateError(
-            "Macaulay retries exhausted over an extension field"
-        )
-    return build_extension(field.p, factor)
 
 
 def disc_ternary_quartic(F: TernaryForm):
@@ -290,24 +279,26 @@ def _reduce_mod_cert(F: TernaryForm):
     return TernaryForm(cert, F.degree, coeffs)
 
 
+def _has_singular_point(F: TernaryForm) -> bool:
+    """Whether the partials of F share a projective zero, by an exact rank."""
+    return _shares_projective_zero(tuple(F.partial(i) for i in range(3)), F.field)
+
+
 def quartic_disc_nonzero(F: TernaryForm) -> bool:
-    """disc_ternary_quartic(F) != 0, decided by one exact rank where possible.
+    """disc_ternary_quartic(F) != 0, decided by one exact rank.
 
     The discriminant vanishes exactly when the three partials share a
-    projective zero, which _shares_projective_zero decides by a rank.  Over a
-    finite field that rank is exact as it stands.  Over the rationals it is
-    taken in F_l, l = 2^61 - 1: rank 36 there lifts to rank 36 over Q, which
-    proves disc != 0.  A lower rank mod l may be an accident of l, so it, and
-    l dividing a denominator, leave the answer to the exact discriminant.
+    projective zero, which _shares_projective_zero decides by a rank in F's
+    own field.  Over the rationals that rank is first taken in F_l,
+    l = 2^61 - 1: rank 36 there lifts to rank 36 over Q, which proves
+    disc != 0 with no Fraction arithmetic.  A lower rank mod l may be
+    an accident of l, so it, and l dividing a denominator, leave the answer
+    to the rank over Q.
     """
     if F.degree != 4:
         raise DegenerateInputError("input must be a ternary quartic")
-    if F.field.kind == "finite":
-        partials = tuple(F.partial(i) for i in range(3))
-        return not _shares_projective_zero(partials, F.field)
-    reduced = _reduce_mod_cert(F)
-    if reduced is not None:
-        partials = tuple(reduced.partial(i) for i in range(3))
-        if not _shares_projective_zero(partials, _CERT_FIELD):
+    if F.field.kind == "rationals":
+        reduced = _reduce_mod_cert(F)
+        if reduced is not None and not _has_singular_point(reduced):
             return True
-    return disc_ternary_quartic(F) != F.field.zero
+    return not _has_singular_point(F)

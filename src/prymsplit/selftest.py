@@ -29,6 +29,7 @@ from .prym import (
     validate,
 )
 from .resultants import (
+    GOLDEN_QUARTIC,
     GOLDEN_QUARTIC_DISC,
     QUARTIC_DISC_NORMALIZER,
     binary_disc_scale,
@@ -95,8 +96,7 @@ def criterion_disc_golden(cfg: SelftestConfig) -> CriterionResult:
     """Discriminant golden value and constancy of the Macaulay normalizer."""
 
     def run():
-        golden = TernaryForm.from_ints(QQ, 4, {(4, 0, 0): 1, (0, 4, 0): -1, (0, 0, 4): 1})
-        value = disc_ternary_quartic(golden)
+        value = disc_ternary_quartic(GOLDEN_QUARTIC)
         if value != GOLDEN_QUARTIC_DISC:
             return False, f"golden quartic gave {value}, wanted {GOLDEN_QUARTIC_DISC}"
         # normalizer constancy, path one: diagonal quartics have the

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from prymsplit import cli
+from prymsplit import cli, fields, resultants
 from helpers import field_tripwire
 
 DEMO_F7 = {"p": 7, "f": [0, 1, 0], "g": [1, 1, 1], "h": [1, 0, -1]}
@@ -365,6 +365,35 @@ class TestReports:
         report = json.loads(out.read_text())
         assert report["discriminant"] == str(-(2**40))
         assert report["singular"] is False
+
+    def test_disc_check_over_f3_builds_no_other_field(self, monkeypatch, capsys):
+        # the base quartic of a seed-1 bruin-p3-full fibre; its designated
+        # Macaulay minor vanishes under the first 11 coordinate changes too
+        doc = {"p": 3, "quartic": [
+            [0, 0, 4, 1], [0, 1, 3, 1], [0, 3, 1, 2], [0, 4, 0, 1], [1, 0, 3, 2], [1, 3, 0, 2],
+            [2, 0, 2, 2], [2, 2, 0, 2], [3, 0, 1, 1], [3, 1, 0, 1], [4, 0, 0, 1]]}
+        built = []
+        real_build = fields.build_extension
+
+        def build_spy(p, k=1, *rest):
+            built.append((p, k))
+            return real_build(p, k, *rest)
+
+        monkeypatch.setattr(fields, "build_extension", build_spy)
+        monkeypatch.setattr(cli, "build_extension", build_spy)
+        minors = []
+        real_quotient = resultants._macaulay_quotient
+
+        def quotient_spy(cubics, field):
+            value = real_quotient(cubics, field)
+            minors.append((field.q, value is None))
+            return value
+
+        monkeypatch.setattr(resultants, "_macaulay_quotient", quotient_spy)
+        assert cli.main(["disc-check", "--input", json.dumps(doc), "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)["discriminant"] == 2
+        assert minors[:9] == [(3, True)] * 9
+        assert set(built) == {(3, 1)}
 
     def test_disc_check_rejects_bad_monomial(self, tmp_path):
         doc = {"quartic": [[3, 0, 0, 1]]}

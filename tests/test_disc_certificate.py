@@ -1,8 +1,10 @@
-"""quartic_disc_nonzero against the exact discriminant, and validate's use of it.
+"""quartic_disc_nonzero against the exact discriminant, and the decisions
+that use it.
 
 The certificate decides disc != 0 by one rank: in the field itself for a
 finite field, modulo l = 2^61 - 1 over the rationals, falling back to the
-exact discriminant when the rank mod l is short or l divides a denominator.
+exact rank over Q when the rank mod l is short or l divides a denominator.
+No decision path computes the discriminant's value.
 """
 
 import json
@@ -19,16 +21,21 @@ from prymsplit import (
     QQ,
     BiellipticQuartic,
     BinaryForm,
+    RejectedInputError,
+    bruin_cover,
     build_extension,
     cli,
+    deform,
     disc_ternary_quartic,
     prym,
     quartic_disc_nonzero,
+    random_validated_curve,
     resultants,
     split,
     validate,
 )
 from prymsplit.fields import PrimeField
+from prymsplit.prym import _pencil_targets
 from helpers import random_ternary_form
 
 ELL = 2**61 - 1
@@ -77,18 +84,22 @@ def _exact_report(curve, disc_nonzero, monkeypatch):
 
 
 def _fallback_spy(monkeypatch):
+    """Record the partials of every form whose rank is taken over Q."""
     calls = []
-    exact = resultants.disc_ternary_quartic
+    exact = resultants._shares_projective_zero
 
-    def spy(form):
-        calls.append(form)
-        return exact(form)
+    def spy(cubics, field):
+        if field is QQ:
+            calls.append(cubics)
+        return exact(cubics, field)
 
-    monkeypatch.setattr(resultants, "disc_ternary_quartic", spy)
+    monkeypatch.setattr(resultants, "_shares_projective_zero", spy)
     return calls
 
 
 FIELDS = {
+    "F7": (build_extension(7), None),
+    "F3^2": (build_extension(3, 2), None),
     "QQ-1e3": (QQ, 10**3),
     "QQ-1e60": (QQ, 10**60),
     "F17": (build_extension(17), None),
@@ -121,7 +132,7 @@ def test_agrees_with_exact_discriminant(name, monkeypatch):
     assert seen == {True, False}
 
 
-def test_rational_certificate_skips_the_exact_discriminant(monkeypatch):
+def test_rational_certificate_skips_the_exact_rank(monkeypatch):
     calls = _fallback_spy(monkeypatch)
     rng = random.Random(3)
     for _ in range(6):
@@ -157,10 +168,10 @@ def test_denominator_divisible_by_ell_falls_back(monkeypatch):
                                     for k in ("f", "g", "h")))
     form = curve.plane_quartic()
     assert resultants._reduce_mod_cert(form) is None
-    calls = _fallback_spy(monkeypatch)
     nonzero = resultants.disc_ternary_quartic(form) != 0
+    calls = _fallback_spy(monkeypatch)
     assert quartic_disc_nonzero(form) == nonzero
-    assert len(calls) == 2
+    assert len(calls) == 1
     assert validate(curve) == _exact_report(curve, nonzero, monkeypatch)
     assert cli.main(["validate", "--input", json.dumps(doc)]) == 0
 
@@ -187,14 +198,64 @@ def test_certificate_field_never_builds_log_tables(monkeypatch):
     split(curve)
 
 
-def test_smooth_4000_digit_document_validates_in_a_subprocess(tmp_path):
-    # the exact discriminant of this document takes well over a minute
-    doc = {"f": ["9" * 4000 + "/7", 1, 0], "g": [1, 1, 1], "h": [1, 0, -1]}
+def _validate_in_subprocess(doc, tmp_path):
     path = tmp_path / "tall.json"
     path.write_text(json.dumps(doc))
     src = str(Path(cli.__file__).resolve().parents[1])
-    proc = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-m", "prymsplit.cli", "validate", "--input", str(path)],
         timeout=20, capture_output=True, env={**os.environ, "PYTHONPATH": src},
     )
+
+
+def test_smooth_4000_digit_document_validates_in_a_subprocess(tmp_path):
+    # the exact discriminant of this document takes well over a minute
+    doc = {"f": ["9" * 4000 + "/7", 1, 0], "g": [1, 1, 1], "h": [1, 0, -1]}
+    proc = _validate_in_subprocess(doc, tmp_path)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_singular_4000_digit_document_is_rejected_in_a_subprocess(tmp_path):
+    # f = g: the rank mod l is short, so the exact rank over Q decides; the
+    # exact discriminant of this document takes well over a minute
+    tall = ["9" * 4000 + "/7", 1, 0]
+    proc = _validate_in_subprocess({"f": tall, "g": tall, "h": [1, 0, -1]}, tmp_path)
+    assert proc.returncode == 3, proc.stderr
+
+
+def test_decisions_never_compute_the_discriminant_value(monkeypatch):
+    def tripwire(cubics, field):
+        raise AssertionError("a decision path computed a Macaulay value")
+
+    monkeypatch.setattr(resultants, "_macaulay_quotient", tripwire)
+    rng = random.Random(12)
+    for field in (QQ, build_extension(3), build_extension(7), build_extension(23),
+                  build_extension(3, 2)):
+        for kind in KINDS:
+            validate(_curve(field, rng, kind))
+        if field.kind == "finite":
+            curve = random_validated_curve(field, rng)
+            for eps in (0, 1, 2):
+                deform(curve, field.from_int(eps))
+    ell_den = {"f": [f"1/{ELL}", 1, 0], "g": [1, 1, 1], "h": [1, 0, -1]}
+    assert cli.main(["validate", "--input", json.dumps(ell_den)]) == 0
+    assert bruin_cover(*_pencil_targets(QQ)).base_smooth
+
+
+@pytest.mark.parametrize("p", [None, 5, 7], ids=["QQ", "F5", "F7"])
+def test_failed_cross_check_fails_the_gate(p, monkeypatch, capsys):
+    demo = {"f": [0, 1, 0], "g": [1, 1, 1], "h": [1, 0, -1]}
+    field = QQ if p is None else build_extension(p)
+    doc = demo if p is None else {"p": p, **demo}
+    curve = BiellipticQuartic.from_ints(field, **demo)
+    assert validate(curve).passed
+    right = prym.quartic_disc_nonzero
+    monkeypatch.setattr(prym, "quartic_disc_nonzero", lambda form: not right(form))
+    report = validate(curve)
+    assert report.disc_cross_check is False
+    assert not report.passed
+    with pytest.raises(RejectedInputError, match="disagrees with the squarefree checks"):
+        prym.require_valid(curve)
+    assert cli.main(["validate", "--input", json.dumps(doc)]) == 3
+    assert "validate: fail" in capsys.readouterr().out
+

@@ -15,6 +15,7 @@ from prymsplit import (
     bruin_cover,
     build_extension,
     deform,
+    disc_ternary_quartic,
     pencil_sextic,
     quadric_coefficients,
     random_validated_curve,
@@ -51,9 +52,23 @@ class TestValidate:
         assert not report.det_nonzero
         assert "singular" in " ".join(report.failures)
 
-    def test_cross_check_skipped_on_small_primes(self):
-        curve = BiellipticQuartic.from_ints(F7, **DEMO)
-        assert validate(curve).disc_cross_check is None
+    @pytest.mark.parametrize("p, k", [(3, 1), (5, 1), (7, 1), (3, 2)],
+                             ids=["F3", "F5", "F7", "F9"])
+    def test_cross_check_runs_and_agrees_on_small_fields(self, p, k):
+        field = build_extension(p, k)
+        assert validate(BiellipticQuartic.from_ints(field, **DEMO)).disc_cross_check is True
+        rng = random.Random(p * k)
+        verdicts = set()
+        for _ in range(30):
+            f, g, h = ([field.random_element(rng) for _ in range(3)] for _ in range(3))
+            try:
+                curve = BiellipticQuartic.from_ints(field, f=f, g=g, h=h)
+            except DegenerateInputError:
+                continue
+            report = validate(curve)
+            assert report.disc_cross_check is True, curve
+            verdicts.add(report.passed)
+        assert verdicts == {True, False}
 
     def test_cross_check_runs_above_13(self):
         field = build_extension(17)
@@ -231,8 +246,8 @@ class TestDeform:
         curve = random_validated_curve(F7, rng)
         cover = deform(curve, F7.zero)
         assert cover.triple() == singular_model(curve)
-        assert cover.quartic_disc == F7.zero
         assert not cover.base_smooth
+        assert disc_ternary_quartic(cover.base_quartic) == F7.zero
 
     def test_eps_one_from_zero_base_is_the_golden_quartic(self):
         cover = bruin_cover(*_pencil_targets(QQ))
@@ -241,7 +256,8 @@ class TestDeform:
             (0, 4, 0): Fraction(-1),
             (0, 0, 4): Fraction(1),
         }
-        assert cover.quartic_disc == -(2**40)
+        assert cover.base_smooth
+        assert disc_ternary_quartic(cover.base_quartic) == -(2**40)
 
     def test_eps_one_forgets_the_curve(self):
         rng = random.Random(5)
@@ -254,6 +270,21 @@ class TestDeform:
         curve = random_validated_curve(F7, rng)
         smooth = sum(1 for eps in range(1, 7) if deform(curve, eps).base_smooth)
         assert smooth >= 4  # singular fibers form a degree-bounded exceptional set
+
+    @pytest.mark.parametrize("p, k", [(3, 1), (5, 1), (7, 1), (3, 2), (5, 2)],
+                             ids=["F3", "F5", "F7", "F9", "F25"])
+    def test_base_smooth_is_the_discriminant_test(self, p, k):
+        field = build_extension(p, k)
+        rng = random.Random(100 * p + k)
+        seen = set()
+        for _ in range(4):
+            curve = random_validated_curve(field, rng)
+            for eps in [field.zero] + [field.random_element(rng) for _ in range(3)]:
+                cover = deform(curve, eps)
+                smooth = disc_ternary_quartic(cover.base_quartic) != field.zero
+                assert cover.base_smooth == smooth, (curve, eps)
+                seen.add(smooth)
+        assert seen == {True, False}
 
 
 class TestRandomCurves:

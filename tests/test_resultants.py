@@ -276,6 +276,33 @@ class TestMacaulayOrder:
             assert calls == [45]
 
 
+    @pytest.mark.parametrize("p", [3, 5, 7, 11, 2**61 - 1])
+    def test_integer_lift_gives_the_retried_value(self, p, monkeypatch):
+        # sparse quartics leave the designated minor singular; with no
+        # retries every such value comes from the integer lift over Q
+        field = build_extension(p)
+        rng = random.Random(p % 1000)
+        forms = []
+        while len(forms) < 24:
+            form = TernaryForm(field, 4, {m: field.random_element(rng)
+                                          for m in resultants._QUARTIC_MONOMIALS
+                                          if rng.random() < 0.4})
+            if not form.is_zero():
+                forms.append(form)
+        expected = [disc_ternary_quartic(form) for form in forms]
+        lifts = []
+        quotient = resultants._macaulay_quotient
+
+        def spy(cubics, field):
+            lifts.append(field is QQ)
+            return quotient(cubics, field)
+
+        monkeypatch.setattr(resultants, "_macaulay_quotient", spy)
+        monkeypatch.setattr(resultants, "_MACAULAY_RETRIES", 0)
+        assert [disc_ternary_quartic(form) for form in forms] == expected
+        assert any(lifts)
+
+
 class TestQuarticDiscriminant:
     def test_golden_value(self):
         form = TernaryForm.from_ints(QQ, 4, {(4, 0, 0): 1, (0, 4, 0): -1, (0, 0, 4): 1})
