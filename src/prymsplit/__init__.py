@@ -16,6 +16,7 @@ from .counting import (
 from .errors import (
     DegenerateInputError,
     InconsistentCountsError,
+    InputError,
     InvalidFieldError,
     InvalidParameterError,
     ModelError,

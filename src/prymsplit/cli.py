@@ -7,8 +7,8 @@ entries may be "num/den" strings.  An integer is a JSON integer (not a
 boolean) and a rational string is [+-]digits[/digits], nothing else.
 Unknown keys are rejected by name.
 
-Exit codes: 0 success/pass, 2 verification failed, 3 rejected input
-(usage errors included), 4 resource cap exceeded, 1 internal error.
+Exit codes: 0 success/pass, 2 verification failed, 3 rejected input (an
+InputError or a usage error), 4 resource cap exceeded, 1 internal error.
 """
 
 from __future__ import annotations
@@ -26,14 +26,11 @@ from fractions import Fraction
 from . import __version__
 from .errors import (
     DegenerateInputError,
+    InputError,
     InvalidFieldError,
-    InvalidParameterError,
     PrymError,
     RejectedInputError,
     ResourceLimitError,
-    SingularMatrixError,
-    UndefinedResultantError,
-    UnsupportedFieldError,
 )
 from .fields import QQ, ExtensionField, build_extension
 from .poly import BinaryForm
@@ -201,7 +198,7 @@ def _matrix_obj(field, matrix):
 
 
 def _lpoly_obj(lp):
-    return None if lp is None else {"q": lp.q, "genus": lp.genus, "coeffs": list(lp.coeffs)}
+    return {"q": lp.q, "genus": lp.genus, "coeffs": list(lp.coeffs)}
 
 
 def _count_obj(rec):
@@ -520,9 +517,7 @@ def main(argv=None) -> int:
     except ResourceLimitError as exc:
         print(f"resource cap: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
-    except (DocumentError, RejectedInputError, DegenerateInputError,
-            InvalidFieldError, InvalidParameterError, SingularMatrixError,
-            UnsupportedFieldError, UndefinedResultantError) as exc:
+    except InputError as exc:
         print(f"rejected input: {exc}", file=sys.stderr)
         return EXIT_REJECTED
     except PrymError as exc:

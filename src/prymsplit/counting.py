@@ -46,6 +46,7 @@ from .fields import embedding
 from .poly import (
     UniPoly,
     divmod_list,
+    eval_list,
     gcd_list,
     mul_list,
     powmod_list,
@@ -222,14 +223,6 @@ def count_plane_quartic(form: TernaryForm, field) -> CountRecord:
         rows[j][i] = c
     even = not any(c != zero for c in rows[1]) and not any(c != zero for c in rows[3])
 
-    add, mul = field.add, field.mul
-
-    def eval_row(cs, x):
-        acc = zero
-        for c in reversed(cs):
-            acc = add(mul(acc, x), c)
-        return acc
-
     if even:
         # a4 w^2 + b2 w + c0 with w = y^2; a4 is the constant y^4 coefficient
         _, log, zech = field.log_tables
@@ -268,15 +261,15 @@ def count_plane_quartic(form: TernaryForm, field) -> CountRecord:
 
     else:
         def row_points(x):
-            return _distinct_roots_gcd([eval_row(cs, x) for cs in rows], field)
+            return _distinct_roots_gcd([eval_list(cs, x, field) for cs in rows], field)
 
     orbits = _frobenius_orbits(form.field, field)
     n = sum(size * row_points(x) for x, size in orbits)
-    # line z = 0 with y = 1: polynomial in x
+    # line z = 0 with y = 1: polynomial in x, one monomial x^i y^(4-i) per i
     line = [zero] * 5
     for (i, j, k), c in monomials.items():
         if k == 0:
-            line[i] = add(line[i], c)
+            line[i] = c
     n += _distinct_roots_gcd(line, field)
     # the point (1:0:0)
     if monomials.get((4, 0, 0), zero) == zero:

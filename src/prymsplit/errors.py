@@ -1,7 +1,9 @@
 """Exception hierarchy shared by all modules.
 
-Every error the CLI maps to an exit code derives from PrymError; anything
-else escaping is an internal error.
+Every error the CLI maps to an exit code derives from PrymError: an
+InputError is rejected input (exit 3), a ResourceLimitError a cap (exit 4),
+and any other PrymError, like anything else escaping, an internal error
+(exit 1).
 """
 
 
@@ -9,15 +11,19 @@ class PrymError(Exception):
     pass
 
 
-class InvalidFieldError(PrymError):
+class InputError(PrymError):
+    """The input was rejected: the base of the seven exit-3 errors below."""
+
+
+class InvalidFieldError(InputError):
     """Field construction rejected (p composite, p = 2, bad modulus)."""
 
 
-class UnsupportedFieldError(PrymError):
+class UnsupportedFieldError(InputError):
     """Operation needs a finite field (or a specific kind) and got another."""
 
 
-class SingularMatrixError(PrymError):
+class SingularMatrixError(InputError):
     """3x3 inversion failed; carries the (zero) determinant."""
 
     def __init__(self, message, det=None):
@@ -25,11 +31,11 @@ class SingularMatrixError(PrymError):
         self.det = det
 
 
-class DegenerateInputError(PrymError):
+class DegenerateInputError(InputError):
     """Zero forms or otherwise meaningless input."""
 
 
-class UndefinedResultantError(PrymError):
+class UndefinedResultantError(InputError):
     """Resultant of two zero polynomials."""
 
 
@@ -37,11 +43,11 @@ class ResultantIndeterminateError(PrymError):
     """Macaulay quotient stayed 0/0 after all coordinate-change retries."""
 
 
-class InvalidParameterError(PrymError, ValueError):
+class InvalidParameterError(InputError, ValueError):
     """A parameter lies outside its documented range or set of choices."""
 
 
-class RejectedInputError(PrymError):
+class RejectedInputError(InputError):
     """Validation failed; carries the list of failed checks."""
 
     def __init__(self, message, failures=()):

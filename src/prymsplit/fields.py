@@ -22,15 +22,18 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import InvalidFieldError, UnsupportedFieldError
-from .poly import gcd_list, powmod_list, trim
+from .poly import eval_list, gcd_list, powmod_list, trim
 
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# psi_13, the least strong pseudoprime to every base above
+_PRIME_BOUND = 3317044064679887385961981
 RANDOM_RATIONAL_SPAN = 10  # random rationals are the integers in [-10, 10]
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin; exact for every n below 3.3e24."""
-    if n < 2:
+    """Whether n is a prime below _PRIME_BOUND (about 3.3e24), by Miller-Rabin
+    to the bases _MR_BASES, which is exact below that bound."""
+    if n < 2 or n >= _PRIME_BOUND:
         return False
     for b in _MR_BASES:
         if n % b == 0:
@@ -131,6 +134,8 @@ class _FiniteField:
     def __init__(self, p: int):
         if p == 2:
             raise InvalidFieldError("characteristic 2 is excluded")
+        if p >= _PRIME_BOUND:
+            raise InvalidFieldError(f"p must be below {_PRIME_BOUND}, where primality is exact")
         if not is_prime(p):
             raise InvalidFieldError(f"{p} is not prime")
         self.p = p
@@ -163,6 +168,9 @@ class _FiniteField:
     @property
     def char(self):
         return self.p
+
+    def from_int(self, n):
+        return n % self.p
 
     def elements(self):
         return range(self.q)
@@ -222,8 +230,12 @@ class PrimeField(_FiniteField):
         self.q = p
         self.modulus = None
 
-    def from_int(self, n):
-        return n % self.p
+    def from_fraction(self, r):
+        """The rational r (a Fraction or an int) mod p; ZeroDivisionError when
+        p divides its denominator."""
+        if r.denominator % self.p == 0:
+            raise ZeroDivisionError("p divides the denominator")
+        return r.numerator * pow(r.denominator, -1, self.p) % self.p
 
     def add(self, a, b):
         return (a + b) % self.p
@@ -240,14 +252,14 @@ class PrimeField(_FiniteField):
     def inv(self, a):
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
-        return pow(a, self.p - 2, self.p)
+        return pow(a, -1, self.p)
 
     def div(self, a, b):
         return a * self.inv(b) % self.p
 
     def pow(self, a, e):
-        if e < 0:
-            return pow(self.inv(a), -e, self.p)
+        if e < 0 and a == 0:
+            raise ZeroDivisionError("inverse of zero")
         return pow(a, e, self.p)
 
     def coeffs(self, a):
@@ -398,9 +410,6 @@ class ExtensionField(_FiniteField):
                 return cand
         raise InvalidFieldError("no generator found (modulus reducible?)")
 
-    def from_int(self, n):
-        return n % self.p
-
     def coeffs(self, a):
         return tuple(_packed_digits(a, self.p, self.k))
 
@@ -528,15 +537,8 @@ def embedding(small, big):
         raise UnsupportedFieldError(f"F_{small.q} does not embed in F_{big.q}")
     if small.k == 1:
         return list(range(small.p))
-    root = None
-    mod = small.modulus
-    for e in range(big.q):
-        acc = 0
-        for c in reversed(mod):
-            acc = big.add(big.mul(acc, e), c % big.p)
-        if acc == 0:
-            root = e
-            break
+    # the modulus has digits in [0, p), which F_{p^K} packs as themselves
+    root = next((e for e in range(big.q) if eval_list(small.modulus, e, big) == 0), None)
     if root is None:
         raise UnsupportedFieldError("no root of the subfield modulus found")
     powers = [1]

@@ -6,12 +6,12 @@ formally.  BinaryForm stores a degree-n form as c_0..c_n meaning
 sum c_i x^(n-i) z^i (leading x-coefficient first); leading zeros are kept,
 they encode roots at infinity.
 
-The product, division, modular product, modular power, x^q modulo a
-polynomial and gcd of dense polynomials live once, in the list kernel below.
+Evaluation, product, division, modular product, modular power, x^q modulo
+a polynomial and gcd of dense polynomials live once, in the list kernel below.
 It works on bare constant-first coefficient lists without trailing zeros ([]
 is the zero polynomial) over any field object, so UniPoly, the per-row root
-counts of the counting kernels and the modulus and generator search of the
-extension fields share it.
+counts of the counting kernels and the modulus, generator and subfield-root
+searches of the extension fields share it.
 """
 
 from __future__ import annotations
@@ -28,6 +28,14 @@ def trim(cs: list, zero) -> list:
     while cs and cs[-1] == zero:
         cs.pop()
     return cs
+
+
+def eval_list(cs, x, F):
+    """The polynomial cs at x, by Horner's rule; F.zero for []."""
+    add, mul, acc = F.add, F.mul, F.zero
+    for c in reversed(cs):
+        acc = add(mul(acc, x), c)
+    return acc
 
 
 def divmod_list(a, b, F):
@@ -208,11 +216,7 @@ class UniPoly:
         return UniPoly(F, cs)
 
     def eval(self, x):
-        F = self.field
-        acc = F.zero
-        for c in reversed(self.coeffs):
-            acc = F.add(F.mul(acc, x), c)
-        return acc
+        return eval_list(self.coeffs, x, self.field)
 
     def derivative(self):
         F = self.field

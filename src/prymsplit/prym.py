@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import DegenerateInputError, RejectedInputError, UnsupportedFieldError
 from .linalg import Matrix3
@@ -153,7 +154,8 @@ def require_valid(curve: BiellipticQuartic) -> None:
 class SplitResult:
     """The full output of the genus-1 x genus-2 decomposition: the matrix A,
     its inverse and determinant, the column quadratics a, b, c, and the two
-    factors, sextic (genus 2) and genus_one (the binary quartic s)."""
+    factors, sextic (genus 2, derived from a, b, c) and genus_one (the
+    binary quartic s)."""
 
     curve: BiellipticQuartic
     matrix: Matrix3
@@ -162,14 +164,14 @@ class SplitResult:
     a: UniPoly
     b: UniPoly
     c: UniPoly
-    sextic: UniPoly  # b(b^2 - ac); the genus-2 curve is y^2 = sextic in P(1,3,1)
     # s = h^2 - 4fg; the genus-1 curve is Y^2 = s in P(1,2,1), with Y = 2y - h
     # relating it to the quotient model y^2 - h y + f g = 0 (char is never 2)
     genus_one: BinaryForm
 
-    def __post_init__(self):
-        recomputed = self.b * (self.b * self.b - self.a * self.c)
-        assert recomputed == self.sextic
+    @cached_property
+    def sextic(self) -> UniPoly:
+        """b(b^2 - ac); the genus-2 curve is y^2 = sextic in P(1,3,1)."""
+        return self.b * (self.b * self.b - self.a * self.c)
 
 
 def _inverse_column_quadratic(inverse: Matrix3, j: int) -> UniPoly:
@@ -187,27 +189,17 @@ def split(curve: BiellipticQuartic, skip_validation: bool = False) -> SplitResul
         require_valid(curve)
     matrix = curve.coefficient_matrix()
     inverse = matrix.inverse()
-    a = _inverse_column_quadratic(inverse, 0)
-    b = _inverse_column_quadratic(inverse, 1)
-    c = _inverse_column_quadratic(inverse, 2)
-    sextic = b * (b * b - a * c)
-    if not skip_validation and sextic.degree not in (5, 6):
+    sr = SplitResult(curve, matrix, inverse, matrix.det(),
+                     *(_inverse_column_quadratic(inverse, j) for j in range(3)),
+                     genus_one=curve.branch_quartic())
+    degree = sr.sextic.degree
+    if not skip_validation and degree not in (5, 6):
         raise DegenerateInputError(
-            f"validated curve produced a degree-{sextic.degree} genus-2 polynomial"
+            f"validated curve produced a degree-{degree} genus-2 polynomial"
         )
-    if sextic.degree == 5:
+    if degree == 5:
         log.info("genus-2 polynomial dropped to degree 5 (b quadratic term vanished)")
-    return SplitResult(
-        curve=curve,
-        matrix=matrix,
-        inverse=inverse,
-        det=matrix.det(),
-        a=a,
-        b=b,
-        c=c,
-        sextic=sextic,
-        genus_one=curve.branch_quartic(),
-    )
+    return sr
 
 
 def singular_model(curve: BiellipticQuartic) -> tuple:

@@ -269,14 +269,11 @@ def disc_ternary_quartic(F: TernaryForm):
 def _reduce_mod_cert(F: TernaryForm):
     """A rational form with its coefficients mapped into _CERT_FIELD, or None
     when l divides a denominator."""
-    cert = _CERT_FIELD
-    coeffs = {}
-    for mono, c in F.coeffs.items():
-        den = cert.from_int(c.denominator)
-        if den == cert.zero:
-            return None
-        coeffs[mono] = cert.div(cert.from_int(c.numerator), den)
-    return TernaryForm(cert, F.degree, coeffs)
+    try:
+        coeffs = {m: _CERT_FIELD.from_fraction(c) for m, c in F.coeffs.items()}
+    except ZeroDivisionError:
+        return None
+    return TernaryForm(_CERT_FIELD, F.degree, coeffs)
 
 
 def _has_singular_point(F: TernaryForm) -> bool:

@@ -22,7 +22,6 @@ The counting kernels take only the curve and the field.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .counting import count_bruin_cover, count_plane_quartic, count_weighted
 from .errors import (
@@ -143,12 +142,12 @@ def _require_prime_base(curve_field):
 class SplitVerification:
     passed: bool
     p: int
-    l_curve: WeilPolynomial | None
-    l_genus1: WeilPolynomial | None
-    l_genus2: WeilPolynomial | None
-    l_product: WeilPolynomial | None
+    l_curve: WeilPolynomial
+    l_genus1: WeilPolynomial
+    l_genus2: WeilPolynomial
+    l_product: WeilPolynomial
     counts: tuple
-    split_result: SplitResult | None
+    split_result: SplitResult
     failure: str | None = None
 
     @property
@@ -204,8 +203,8 @@ class BruinVerification:
     depth: int
     achieved_depth: int
     full_certificate: bool
-    l_base: WeilPolynomial | None
-    l_hyper: WeilPolynomial | None
+    l_base: WeilPolynomial
+    l_hyper: WeilPolynomial
     predicted: tuple
     actual: tuple
     counts: tuple
@@ -292,15 +291,11 @@ def reduce_curve(curve: BiellipticQuartic, p: int) -> BiellipticQuartic:
     if curve.field.kind != "rationals":
         raise UnsupportedFieldError("reduction applies to rational curves")
     field = build_extension(p)
-
-    def red(fr: Fraction) -> int:
-        if fr.denominator % p == 0:
-            raise RejectedInputError(f"prime {p} divides a denominator")
-        return fr.numerator * pow(fr.denominator, -1, p) % p
-
-    forms = []
-    for form in (curve.f, curve.g, curve.h):
-        forms.append(BinaryForm(field, 2, [red(c) for c in form.coeffs]))
+    try:
+        forms = [BinaryForm(field, 2, [field.from_fraction(c) for c in form.coeffs])
+                 for form in (curve.f, curve.g, curve.h)]
+    except ZeroDivisionError:
+        raise RejectedInputError(f"prime {p} divides a denominator") from None
     return BiellipticQuartic(field, *forms)
 
 

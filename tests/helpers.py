@@ -11,6 +11,10 @@ from prymsplit import BinaryForm, TernaryForm, UniPoly, quadric, quadric_coeffic
 from prymsplit.fields import ExtensionField, embedding
 from prymsplit.zeta import DEFAULT_AXIS_CAP
 
+# the least strong pseudoprimes to the first 12 and the first 13 prime bases
+PSI12 = 318665857834031151167461  # = 399165290221 * 798330580441
+PSI13 = 3317044064679887385961981
+
 
 def field_tripwire(monkeypatch, limit=DEFAULT_AXIS_CAP):
     """Record the size q of every extension field whose tables get built, and

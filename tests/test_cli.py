@@ -7,8 +7,8 @@ from pathlib import Path
 
 import pytest
 
-from prymsplit import cli, fields, resultants
-from helpers import field_tripwire
+from prymsplit import cli, errors, fields, resultants
+from helpers import PSI12, PSI13, field_tripwire
 
 DEMO_F7 = {"p": 7, "f": [0, 1, 0], "g": [1, 1, 1], "h": [1, 0, -1]}
 DEMO_QQ = {"f": [0, 1, 0], "g": [1, "1/2", 1], "h": [1, 0, -1]}
@@ -250,6 +250,45 @@ class TestExitCodes:
             cli.main(argv)
         assert exc.value.code == 0
         assert capsys.readouterr().out
+
+
+def _subclasses(cls):
+    return {cls} | {s for sub in cls.__subclasses__() for s in _subclasses(sub)}
+
+
+INPUT_ERRORS = [errors.InvalidFieldError, errors.UnsupportedFieldError,
+                errors.SingularMatrixError, errors.DegenerateInputError,
+                errors.UndefinedResultantError, errors.InvalidParameterError,
+                errors.RejectedInputError, cli.DocumentError]
+INTERNAL_ERRORS = [errors.ModelError, errors.InconsistentCountsError,
+                   errors.ResultantIndeterminateError]
+
+
+def test_input_errors_are_exactly_the_input_error_classes():
+    assert _subclasses(errors.InputError) - {errors.InputError} == set(INPUT_ERRORS)
+    assert not any(issubclass(e, errors.InputError) for e in INTERNAL_ERRORS)
+
+
+@pytest.mark.parametrize("exc, expected", [(e, 3) for e in INPUT_ERRORS]
+                         + [(e, 1) for e in INTERNAL_ERRORS],
+                         ids=lambda v: v.__name__ if isinstance(v, type) else str(v))
+@pytest.mark.parametrize("command", ["validate", "verify"])
+def test_error_raised_inside_a_command_sets_the_exit_code(command, exc, expected,
+                                                          monkeypatch, capsys):
+    def raiser(*args, **kwargs):
+        raise exc("raised inside the command")
+
+    monkeypatch.setattr(cli, {"validate": "validate", "verify": "verify_split"}[command], raiser)
+    assert cli.main([command, "--input", json.dumps(DEMO_F7)]) == expected
+    err = capsys.readouterr().err
+    assert err.startswith("rejected input: " if expected == 3 else "internal error: ")
+
+
+@pytest.mark.parametrize("p", [PSI12, PSI13], ids=["psi12", "psi13"])
+@pytest.mark.parametrize("command", ["validate", "split"])
+def test_strong_pseudoprime_field_exits_3(command, p, capsys):
+    assert cli.main([command, "--input", json.dumps(dict(DEMO_F7, p=p))]) == 3
+    assert "invalid field" in capsys.readouterr().err
 
 
 class TestParserReuse:

@@ -10,8 +10,9 @@ from prymsplit import (
     UnsupportedFieldError,
     build_extension,
 )
-from prymsplit.fields import PrimeField, embedding, is_irreducible
+from prymsplit.fields import PrimeField, embedding, is_irreducible, is_prime
 from prymsplit.zeta import _PRIME_POOL
+from helpers import PSI12, PSI13
 
 
 def test_prime_field_descriptor():
@@ -37,6 +38,49 @@ def test_characteristic_two_rejected():
 def test_composite_rejected():
     with pytest.raises(InvalidFieldError):
         build_extension(15)
+
+
+def test_is_prime_agrees_with_sympy():
+    import sympy
+
+    assert [n for n in range(10**5) if is_prime(n)] == list(sympy.primerange(10**5))
+    for n in (PSI12, PSI13, 2**61 - 1, sympy.prevprime(PSI13)):
+        assert is_prime(n) == sympy.isprime(n), n
+
+
+def test_strong_pseudoprimes_and_the_bound_rejected():
+    import sympy
+
+    for p in (PSI12, PSI13, sympy.nextprime(PSI13)):
+        with pytest.raises(InvalidFieldError):
+            PrimeField(p)
+    assert build_extension(sympy.prevprime(PSI13)).p == sympy.prevprime(PSI13)
+
+
+@pytest.mark.parametrize("p", [7, 2**61 - 1])
+def test_from_fraction_matches_the_modular_inverse(p):
+    field = PrimeField(p)
+    rng = random.Random(p % 1000)
+    for _ in range(300):
+        num, den = rng.randrange(-10**30, 10**30), rng.randrange(1, 10**30)
+        if den % p:
+            assert field.from_fraction(Fraction(num, den)) == num * pow(den, -1, p) % p
+    assert field.from_fraction(-9) == -9 % p
+    for bad in (Fraction(1, p), Fraction(-3, 5 * p), Fraction(p + 1, p**2)):
+        with pytest.raises(ZeroDivisionError):
+            field.from_fraction(bad)
+
+
+@pytest.mark.parametrize("p", [7, 2**61 - 1])
+def test_prime_field_inverse_and_negative_powers(p):
+    field = PrimeField(p)
+    for a in (1, 2, 3, p - 1, 10**12 % p):
+        assert field.mul(a, field.inv(a)) == 1
+        assert field.pow(a, -3) == field.inv(field.pow(a, 3))
+        assert field.div(1, a) == field.inv(a)
+    for call in (lambda: field.inv(0), lambda: field.pow(0, -1)):
+        with pytest.raises(ZeroDivisionError):
+            call()
 
 
 def test_supplied_modulus_checked():

@@ -190,6 +190,20 @@ class TestListKernel:
         expected = sum(1 for y in range(field.q) if poly.eval(y) == field.zero)
         assert _distinct_roots_gcd(coeffs, field) == expected
 
+    @pytest.mark.parametrize("field", [F7, build_extension(5, 2), QQ], ids=["F7", "F25", "QQ"])
+    def test_eval_list_matches_term_by_term_sum(self, field):
+        from prymsplit.poly import eval_list
+
+        rng = random.Random(3)
+        for n in range(7):  # n = 0 is the empty list, the zero polynomial
+            cs = [field.random_element(rng) for _ in range(n)]
+            for x in [field.zero, field.one] + [field.random_element(rng) for _ in range(5)]:
+                expected = field.zero
+                for i, c in enumerate(cs):
+                    expected = field.add(expected, field.mul(c, field.pow(x, i)))
+                assert eval_list(cs, x, field) == expected
+                assert UniPoly(field, cs).eval(x) == expected
+
     @pytest.mark.parametrize("p, k", [(7, 1), (3, 2), (5, 2), (3, 3), (3, 5), (7, 2)],
                              ids=["F7", "F9", "F25", "F27", "F243", "F49"])
     def test_frobenius_x_power_matches_square_and_multiply(self, p, k):

@@ -264,6 +264,13 @@ class TestRationalCurves:
         )
         assert 5 not in good_primes(half)
 
+    def test_reduce_curve_rejects_a_prime_dividing_a_denominator(self):
+        curve = BiellipticQuartic.from_ints(QQ, **DEMO)
+        fifth = BiellipticQuartic(QQ, curve.f, curve.g, curve.h.scale(QQ.inv(QQ.from_int(5))))
+        assert reduce_curve(fifth, 7).h.coeffs == tuple(c * 3 % 7 for c in (1, 0, 6))
+        with pytest.raises(RejectedInputError, match="prime 5 divides a denominator"):
+            reduce_curve(fifth, 5)
+
     def test_verify_at_three_good_primes(self):
         curve = BiellipticQuartic.from_ints(QQ, **DEMO)
         results = verify_split_rational(curve)
