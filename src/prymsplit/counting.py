@@ -5,14 +5,16 @@ Three counters, all exact:
 * plane quartics in P^2: the affine chart z = 1 row by row (a quartic in y per
   x), then the line z = 0, then (1:0:0).  The form picks the row path: with
   no odd power of y (the bielliptic quartic y^4 - h y^2 + fg always qualifies)
-  a row is a polynomial in w = y^2 of degree at most 2, evaluated and solved
-  in discrete-log form (below); otherwise a row's points are the degree of
-  gcd(y^q - y, row), computed by the list kernel of the poly module.  Both
-  paths are cross-checked against brute enumeration in the test suite.  The
-  line z = 0 is a polynomial of degree at most 4 in x, counted by that gcd.
+  a row is a4 w^2 + b(x) w + c(x) in w = y^2.  One loop then takes each row
+  from log x to b(x) and c(x) by Horner's rule in discrete-log form (below)
+  and solves the quadratic in w inline, with no function call per row.
+  Otherwise a row's points are the degree of gcd(y^q - y, row), computed by
+  the list kernel of the poly module.  Both paths are cross-checked against
+  brute enumeration in the test suite.  The line z = 0 is a polynomial of
+  degree at most 4 in x, counted by that gcd.
 * hyperelliptic-type models y^2 = F(x) in P(1, g+1, 1): character sums over
-  the x-line, F evaluated in log form, plus the points above x = infinity
-  read off the degree-(2g+2) homogenization.
+  the x-line, F evaluated by Horner's rule in log form, plus the points above
+  x = infinity read off the degree-(2g+2) homogenization.
 * the double cover q1 = u^2, q2 = uv, q3 = v^2 of the plane quartic
   q2^2 = q1 q3: on a row the three forms are quadratics v_i(y), and the base
   points are the roots of R(y) = v2^2 - v1 v3 in the field, found as
@@ -26,7 +28,10 @@ coefficients live in a subfield F_r of the counting field, so x -> x^r fixes
 the curve: it maps the points over x one-to-one onto the points over x^r and
 preserves the quadratic character.  One representative row per orbit is
 evaluated and weighted by the orbit size, about q/m rows for a curve over F_p
-counted over F_{p^m}.
+counted over F_{p^m}.  The orbits are walked on exponents: x = g^j has
+x^r = g^(j r mod q - 1), so each orbit is handed to a kernel as the log of its
+representative, and zero as -1.  The log-form kernels start from that log;
+the others take x = g^j from the exp table.
 
 A kernel takes the curve and the counting field and nothing else: the
 verifiers in zeta pick each field and check the axis cap before they build
@@ -95,25 +100,29 @@ def _coerce_scalars(values, data_field, count_field):
 
 
 def _frobenius_orbits(data_field, field):
-    """(representative, size) of each orbit of x -> x^r on the counting field.
+    """(log of representative, size) of each orbit of x -> x^r on the counting field.
 
-    r is the size of data_field, where the curve's coefficients live.  Built on
-    first use and cached on the counting field per r; for r = q every orbit is
-    a single element.  The first orbit is always (0, 1).
+    r is the size of data_field, where the curve's coefficients live.  The walk
+    runs on exponents: x = g^j has x^r = g^(j r mod q - 1), so the orbits of
+    F_q^* are the cosets j -> j r of Z/(q - 1), and no field power is taken.
+    Zero is its own orbit and comes first as (-1, 1), -1 being the log of zero.
+    Built on first use and cached on the counting field per r; for r = q every
+    orbit is a single element.
     """
     r = data_field.q
     orbits = field._orbits.get(r)
     if orbits is None:
-        seen = bytearray(field.q)
-        orbits = []
-        for x in range(field.q):
-            size, y = 0, x
-            while not seen[y]:
-                seen[y] = 1
-                size += 1
-                y = field.pow(y, r)
-            if size:
-                orbits.append((x, size))
+        qm1 = field.q - 1
+        seen = bytearray(qm1)
+        orbits = [(-1, 1)]
+        for j in range(qm1):
+            if not seen[j]:  # j is the least log in its orbit; mark the rest
+                size, i = 1, j * r % qm1
+                while i != j:
+                    seen[i] = 1
+                    size += 1
+                    i = i * r % qm1
+                orbits.append((j, size))
         orbits = field._orbits[r] = tuple(orbits)
     return orbits
 
@@ -142,16 +151,22 @@ def _distinct_roots_gcd(coeffs, field) -> int:
 # one Zech lookup, -v adds (q - 1)/2, chi(v) = (-1)^j, and for even j g^(j/2)
 # is a square root of v.
 
-def _log_poly(terms, lx, qm1, zech):
-    """log of sum c_i x^i from the pairs (log c_i, i) of its nonzero terms; x != 0."""
+def _log_horner(lcs, lx, qm1, zech):
+    """log of c(x) by Horner's rule, from lcs = the logs of c's coefficients,
+    top first, and lx = log x; x != 0.
+
+    Each step is acc x + c_i: times x adds lx, and plus c_i is one Zech
+    lookup.  count_plane_quartic runs the same step inline.
+    """
     acc = -1
-    for lc, i in terms:
-        t = (lc + i * lx) % qm1
+    for t in lcs:
         if acc < 0:
             acc = t
+        elif t < 0:
+            acc = (acc + lx) % qm1
         else:
-            z = zech[t - acc]  # a negative index wraps mod q - 1
-            acc = -1 if z < 0 else (acc + z) % qm1
+            z = zech[(t - acc - lx) % qm1]
+            acc = -1 if z < 0 else (acc + lx + z) % qm1
     return acc
 
 
@@ -223,48 +238,71 @@ def count_plane_quartic(form: TernaryForm, field) -> CountRecord:
         rows[j][i] = c
     even = not any(c != zero for c in rows[1]) and not any(c != zero for c in rows[3])
 
+    orbits = _frobenius_orbits(form.field, field)
+    exp, log, zech = field.log_tables
+    n = 0
     if even:
-        # a4 w^2 + b2 w + c0 with w = y^2; a4 is the constant y^4 coefficient
-        _, log, zech = field.log_tables
+        # a4 w^2 + b(x) w + c(x) with w = y^2; a4 is the constant y^4 coefficient
         qm1, half, la = q - 1, (q - 1) // 2, log[rows[4][0]]
         l2a = (log[field.from_int(2)] + la) % qm1
-        b_terms, c_terms = ([(log[c], i) for i, c in enumerate(cs) if c]
-                            for cs in (rows[2], rows[0]))
-
-        def row_points(x):
-            if x == zero:
-                lb, lc = log[rows[2][0]], log[rows[0][0]]
+        # logs of the coefficients of b(x) and c(x), top first; deg b <= 2
+        lbs, lcs = [log[c] for c in reversed(rows[2][:3])], [log[c] for c in reversed(rows[0])]
+        for lx, size in orbits:
+            if lx < 0:  # x = 0
+                lb, lc = lbs[-1], lcs[-1]
             else:
-                lx = log[x]
-                lb, lc = _log_poly(b_terms, lx, qm1, zech), _log_poly(c_terms, lx, qm1, zech)
-            # each root w of a4 w^2 + b w + c gives 1 + chi(w) points y
+                # Horner's rule on logs, the step of _log_horner inlined: two
+                # calls per row cost about a tenth of a count over F_{23^3}
+                lb = -1
+                for t in lbs:
+                    if lb < 0:
+                        lb = t
+                    elif t < 0:
+                        lb = (lb + lx) % qm1
+                    else:
+                        z = zech[(t - lb - lx) % qm1]
+                        lb = -1 if z < 0 else (lb + lx + z) % qm1
+                lc = -1
+                for t in lcs:
+                    if lc < 0:
+                        lc = t
+                    elif t < 0:
+                        lc = (lc + lx) % qm1
+                    else:
+                        z = zech[(t - lc - lx) % qm1]
+                        lc = -1 if z < 0 else (lc + lx + z) % qm1
+            # each root w of a4 w^2 + b w + c gives 1 + chi(w) points y, chi(g^j) = (-1)^j
             if la < 0:
                 if lb < 0:
-                    return q if lc < 0 else 0
-                return _one_plus_chi((lc - lb + half) % qm1 if lc >= 0 else -1)
-            if lc < 0:  # w (a4 w + b)
-                return 1 + (_one_plus_chi((lb - la + half) % qm1) if lb >= 0 else 0)
-            lk = (lc - la + half) % qm1  # -c/a4
-            if lb < 0:  # w = +-s with s^2 = -c/a4
-                return 0 if lk & 1 else _one_plus_chi(lk // 2) + _one_plus_chi(lk // 2 + half)
-            # w = -h +- s with h = b/(2 a4) and s^2 = h^2 - c/a4 = h^2 (1 + (-c/a4)/h^2)
-            lnh = (lb - l2a + half) % qm1
-            z = zech[lk - 2 * lnh % qm1]
-            if z < 0:
-                return 2 - 2 * (lnh & 1)
-            ld = (2 * lnh + z) % qm1
-            if ld & 1:
-                return 0
-            z1, z2 = zech[ld // 2 - lnh], zech[ld // 2 + half - lnh]
-            return ((1 if z1 < 0 else 2 - 2 * ((lnh + z1) & 1))
-                    + (1 if z2 < 0 else 2 - 2 * ((lnh + z2) & 1)))
-
+                    pts = q if lc < 0 else 0
+                else:
+                    pts = 1 if lc < 0 else 2 - 2 * ((lc - lb + half) & 1)
+            elif lc < 0:  # w (a4 w + b)
+                pts = 1 if lb < 0 else 3 - 2 * ((lb - la + half) & 1)
+            else:
+                lk = (lc - la + half) % qm1  # -c/a4
+                if lb < 0:  # w = +-s with s^2 = -c/a4, log s = ls and log(-s) = ls + half
+                    ls = lk >> 1
+                    pts = 0 if lk & 1 else 4 - 2 * (ls & 1) - 2 * ((ls + half) & 1)
+                else:
+                    # w = -h +- s with h = b/(2 a4) and s^2 = h^2 - c/a4 = h^2 (1 + (-c/a4)/h^2)
+                    lnh = (lb - l2a + half) % qm1
+                    z = zech[lk - 2 * lnh % qm1]
+                    if z < 0:
+                        pts = 2 - 2 * (lnh & 1)
+                    else:
+                        ld = (2 * lnh + z) % qm1
+                        if ld & 1:
+                            pts = 0
+                        else:
+                            z1, z2 = zech[ld // 2 - lnh], zech[ld // 2 + half - lnh]
+                            pts = ((1 if z1 < 0 else 2 - 2 * ((lnh + z1) & 1))
+                                   + (1 if z2 < 0 else 2 - 2 * ((lnh + z2) & 1)))
+            n += size * pts
     else:
-        def row_points(x):
-            return _distinct_roots_gcd([eval_list(cs, x, field) for cs in rows], field)
-
-    orbits = _frobenius_orbits(form.field, field)
-    n = sum(size * row_points(x) for x, size in orbits)
+        for lx, size in orbits:
+            x = exp[lx] if lx >= 0 else zero
+            n += size * _distinct_roots_gcd([eval_list(cs, x, field) for cs in rows], field)
     # line z = 0 with y = 1: polynomial in x, one monomial x^i y^(4-i) per i
     line = [zero] * 5
     for (i, j, k), c in monomials.items():
@@ -293,11 +331,11 @@ def count_weighted(poly: UniPoly, genus: int, field) -> CountRecord:
     zero = field.zero
     coeffs = _coerce_scalars(poly.coeffs, poly.field, field)
     _, log, zech = field.log_tables
-    terms = [(log[c], i) for i, c in enumerate(coeffs) if c]
+    lcs = [log[c] for c in reversed(coeffs)]
     orbits = _frobenius_orbits(poly.field, field)
-    n = _one_plus_chi(log[coeffs[0]] if coeffs else -1)  # x = 0, the first orbit
-    for x, size in orbits[1:]:
-        n += size * _one_plus_chi(_log_poly(terms, log[x], q - 1, zech))
+    n = _one_plus_chi(lcs[-1] if lcs else -1)  # x = 0, the first orbit
+    for lx, size in orbits[1:]:
+        n += size * _one_plus_chi(_log_horner(lcs, lx, q - 1, zech))
     top = coeffs[2 * genus + 2] if len(coeffs) > 2 * genus + 2 else zero
     n += _one_plus_chi(log[top])
     return CountRecord("weighted-hyperelliptic", poly.field.q, field.k // poly.field.k, n,
@@ -324,7 +362,7 @@ def count_bruin_cover(q1: TernaryForm, q2: TernaryForm, q3: TernaryForm, field):
     start = time.perf_counter()
     zero = field.zero
     add, mul, sub = field.add, field.mul, field.sub
-    log = field.log_tables[1]
+    exp, log, _ = field.log_tables
     packs = []
     for quad in (q1, q2, q3):
         cs = _coerce_scalars(quadric_coefficients(quad), quad.field, field)
@@ -342,7 +380,8 @@ def count_bruin_cover(q1: TernaryForm, q2: TernaryForm, q3: TernaryForm, field):
 
     nz = 0
     ny = 0
-    for x, size in orbits:
+    for lx, size in orbits:
+        x = exp[lx] if lx >= 0 else zero
         x2 = mul(x, x)
         # v_i(y) = b y^2 + (d x + f) y + (a x^2 + e x + c), constant first
         v1, v2, v3 = ([add(add(mul(a, x2), mul(e, x)), c), add(mul(d, x), f), b]

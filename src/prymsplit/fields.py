@@ -124,7 +124,9 @@ class _FiniteField:
     quadratic-character tables, built lazily from mul, are read by no code in
     this package, only by perfbench's warm-up and tracer.  All are cached
     on the field object (fields themselves are cached, see build_extension),
-    as are the Frobenius orbits the counting kernels walk.
+    as are the Frobenius orbits the counting kernels walk: x -> x^r acts on
+    the log j of x = g^j as j -> j r mod q - 1, so an orbit is kept as the
+    log of its representative and its size.
     """
 
     kind = "finite"
@@ -142,7 +144,7 @@ class _FiniteField:
         self._sqrt_table = None
         self._chi_table = None
         self._exp = None
-        self._orbits = {}  # r -> orbits of x -> x^r, see counting._frobenius_orbits
+        self._orbits = {}  # r -> (log, size) orbits of j -> j r, see counting._frobenius_orbits
 
     def _set_log_tables(self, exp):
         """log and Zech tables from exp[i] = g^i, g a generator of F_q^*.

@@ -61,6 +61,12 @@ def random_quadratic(field, rng):
     return quadric(field, *(field.random_element(rng) for _ in range(6)))
 
 
+def lift(form, small, big):
+    """The same form with its coefficients embedded in the larger field."""
+    table = embedding(small, big)
+    return TernaryForm(big, form.degree, {m: table[c] for m, c in form.coeffs.items()})
+
+
 def brute_plane_points(form, field):
     """All P^2 points of a plane curve, chart by chart."""
     n = 0

@@ -24,6 +24,7 @@ from helpers import (
     brute_cover_points,
     brute_plane_points,
     brute_weighted_points,
+    lift,
     random_even_quartic,
     random_quadratic,
     random_ternary_form,
@@ -281,12 +282,6 @@ class TestBruinCover:
         assert rec_y.weil_ok(5)
 
 
-def lift(form, small, big):
-    """The same form with its coefficients embedded in the larger field."""
-    table = embedding(small, big)
-    return TernaryForm(big, form.degree, {m: table[c] for m, c in form.coeffs.items()})
-
-
 class TestFrobeniusOrbits:
     """Curves over a subfield, counted one row per orbit of x -> x^r."""
 
@@ -295,23 +290,32 @@ class TestFrobeniusOrbits:
     @pytest.mark.parametrize("p, k, big_k", PAIRS, ids=lambda v: str(v))
     def test_orbits_partition_the_field(self, p, k, big_k):
         small, big = build_extension(p, k), build_extension(p, big_k)
+        exp, r, qm1 = big.log_tables[0], small.q, big.q - 1
         orbits = _frobenius_orbits(small, big)
+        assert orbits[0] == (-1, 1)  # zero is its own orbit, first
         assert sum(size for _, size in orbits) == big.q
-        covered = set()
-        for x, size in orbits:
-            orbit = {x}
-            y = big.pow(x, small.q)
+        # the element orbits, rebuilt through field powers x -> x^r
+        expected = set()
+        for x in range(big.q):
+            orbit, y = {x}, big.pow(x, r)
             while y != x:
                 orbit.add(y)
-                y = big.pow(y, small.q)
-            assert len(orbit) == size
-            assert not orbit & covered  # no two representatives are conjugate
-            covered |= orbit
-        assert covered == set(range(big.q))
+                y = big.pow(y, r)
+            expected.add(frozenset(orbit))
+        # each log orbit {exp[j r^i]} is a whole element orbit of its stated size
+        walked = [frozenset(exp[j * r**i % qm1] for i in range(big.k // small.k))
+                  if j >= 0 else frozenset({0}) for j, _ in orbits]
+        assert [len(orbit) for orbit in walked] == [size for _, size in orbits]
+        assert len(set(walked)) == len(walked)  # no two representatives are conjugate
+        assert set(walked) == expected
         assert _frobenius_orbits(small, big) is orbits  # cached per (field, r)
 
     def test_identity_walk_over_own_field(self):
-        assert _frobenius_orbits(F7, F7) == tuple((x, 1) for x in range(7))
+        orbits = _frobenius_orbits(F7, F7)
+        assert orbits == ((-1, 1),) + tuple((j, 1) for j in range(6))
+        exp = F7.log_tables[0]
+        assert {exp[j] if j >= 0 else 0 for j, _ in orbits} == set(range(7))
+        assert _frobenius_orbits(F7, F7) is orbits
 
     @pytest.mark.parametrize("p, k, big_k", PAIRS, ids=lambda v: str(v))
     def test_plane_algorithms_agree_with_brute_force(self, p, k, big_k):

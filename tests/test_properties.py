@@ -13,8 +13,16 @@ import json
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from prymsplit import TernaryForm, build_extension, cli, count_plane_quartic
-from helpers import brute_plane_points
+from prymsplit import (
+    TernaryForm,
+    UniPoly,
+    build_extension,
+    cli,
+    count_plane_quartic,
+    count_weighted,
+)
+from prymsplit.fields import embedding
+from helpers import brute_plane_points, brute_weighted_points, lift
 
 # every odd field up to F_27: (p, k)
 ODD_FIELDS = [(3, 1), (5, 1), (7, 1), (3, 2), (11, 1), (13, 1), (17, 1), (19, 1),
@@ -37,6 +45,79 @@ def even_quartics(draw):
 def test_even_quartic_count_matches_brute_force(case):
     field, form = case
     assert count_plane_quartic(form, field).n == brute_plane_points(form, field)
+
+
+# --- curves over a subfield F_r of the counting field, r < q ------------------
+# Here x -> x^r has orbits of more than one element, so each kernel evaluates
+# one row per orbit and weights it by the orbit size.
+
+EVEN = (0, 2, 4)  # the y-degrees of a quartic with no odd power of y
+
+
+@st.composite
+def subfield_quartics(draw, pairs, y_degrees):
+    """(subfield, counting field, nonzero quartic over the subfield) from a
+    drawn pair, using the monomials x^i y^j z^(4-i-j) with j in y_degrees;
+    when odd j are allowed, at least one odd power of y is present."""
+    small, big = (build_extension(*f) for f in draw(st.sampled_from(pairs)))
+    coeffs = {(i, j, 4 - i - j): draw(st.integers(0, small.q - 1))
+              for j in y_degrees for i in range(5 - j)}
+    odd = [m for m in coeffs if m[1] % 2]
+    if odd and not any(coeffs[m] for m in odd):
+        coeffs[draw(st.sampled_from(odd))] = 1
+    if not any(coeffs.values()):
+        coeffs[(0, 4, 0)] = 1
+    return small, big, TernaryForm(small, 4, coeffs)
+
+
+def assert_subfield_count(case):
+    small, big, form = case
+    assert count_plane_quartic(form, big).n == brute_plane_points(lift(form, small, big), big)
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(subfield_quartics([((3, 1), (3, 3)), ((5, 1), (5, 2)), ((3, 2), (3, 4))], EVEN))
+def test_even_quartic_over_a_subfield_matches_brute_force(case):
+    assert_subfield_count(case)
+
+
+# brute force over F_243 takes about 0.6 s per quartic
+@settings(derandomize=True, database=None, max_examples=5, deadline=None)
+@given(subfield_quartics([((3, 1), (3, 5))], EVEN))
+def test_even_quartic_over_f3_counted_over_f243(case):
+    assert_subfield_count(case)
+
+
+@settings(derandomize=True, database=None, max_examples=30, deadline=None)
+@given(subfield_quartics([((3, 1), (3, 2)), ((3, 1), (3, 3)), ((5, 1), (5, 2))], range(5)))
+def test_odd_quartic_over_a_subfield_matches_brute_force(case):
+    assert_subfield_count(case)
+
+
+# (field of F's coefficients, counting field): prime fields, extension fields,
+# and subfields of the counting field
+WEIGHTED_PAIRS = [((3, 1), (3, 1)), ((7, 1), (7, 1)), ((11, 1), (11, 1)), ((3, 2), (3, 2)),
+                  ((5, 2), (5, 2)), ((3, 1), (3, 2)), ((3, 1), (3, 3)), ((5, 1), (5, 2))]
+
+
+@st.composite
+def weighted_curves(draw):
+    """(genus, counting field, F over the subfield, F lifted) with deg F
+    anywhere in -inf..2g+2, and a zero constant term half the time."""
+    small, big = (build_extension(*f) for f in draw(st.sampled_from(WEIGHTED_PAIRS)))
+    genus = draw(st.integers(1, 2))
+    coeffs = draw(st.lists(st.integers(0, small.q - 1), max_size=2 * genus + 3))
+    if coeffs and draw(st.booleans()):
+        coeffs[0] = 0
+    table = embedding(small, big)
+    return genus, big, UniPoly(small, coeffs), UniPoly(big, [table[c] for c in coeffs])
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(weighted_curves())
+def test_weighted_count_matches_brute_force(case):
+    genus, big, poly, lifted = case
+    assert count_weighted(poly, genus, big).n == brute_weighted_points(lifted, genus, big)
 
 
 # --- fuzzing the document parser and the CLI ---------------------------------
