@@ -58,7 +58,6 @@ from .resultants import (
     discriminant_binary,
     macaulay_resultant_cubics,
     quartic_disc_nonzero,
-    resultant,
     resultant_forms,
 )
 from .ternary import TernaryForm, cover_quartic, quadric, quadric_coefficients

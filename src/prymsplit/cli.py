@@ -36,6 +36,7 @@ from .fields import QQ, ExtensionField, build_extension
 from .poly import BinaryForm
 from .prym import BiellipticQuartic, deform, require_valid, split, validate
 from .resultants import GOLDEN_QUARTIC, GOLDEN_QUARTIC_DISC, disc_ternary_quartic
+from .selftest import SelftestConfig, run_all
 from .ternary import TernaryForm
 from .zeta import (
     DEFAULT_AXIS_CAP,
@@ -405,8 +406,6 @@ def _cmd_disc_check(args) -> int:
 
 
 def _cmd_selftest(args) -> int:
-    from .selftest import SelftestConfig, run_all
-
     cfg = SelftestConfig(seed=args.seed) if args.full else SelftestConfig.quick(args.seed)
     t0 = time.perf_counter()
     printer = print if args.format == "text" else functools.partial(print, file=sys.stderr)
@@ -445,7 +444,7 @@ def build_parser() -> argparse.ArgumentParser:
     def report_options(p):
         p.add_argument("--seed", type=int, default=0,
                        help="seed for bruin's default epsilon and selftest's "
-                            "draws (default 0); no other result depends on it")
+                            "draws (default %(default)s); no other result depends on it")
         p.add_argument("--format", choices=("json", "text"), default="text")
         p.add_argument("--out", help="write the JSON report to this path (atomic)")
 
@@ -499,7 +498,8 @@ def build_parser() -> argparse.ArgumentParser:
     report_options(p_self)
     p_self.add_argument("--full", action="store_true",
                         help="full-scale run (the pytest acceptance scale)")
-    p_self.set_defaults(fn=_cmd_selftest)
+    # the acceptance suite's seed, so that --full runs its exact checks
+    p_self.set_defaults(fn=_cmd_selftest, seed=SelftestConfig.seed)
     return parser
 
 

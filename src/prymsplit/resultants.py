@@ -2,9 +2,9 @@
 
 Conventions fixed here and relied on everywhere else:
 
-* resultant(p, q) is the determinant of the Sylvester matrix with the p-rows
-  above the q-rows and coefficients leading-first, sized deg p + deg q.  With
-  that layout Res(x - 1, x - 2) = -1.
+* resultant_forms(p, q) is the determinant of the Sylvester matrix with the
+  p-rows above the q-rows and coefficients leading-first, sized by the formal
+  degrees of the binary forms.  With that layout Res(x - z, x - 2z) = -1.
 * discriminant_binary(F) for a degree-n binary form is the resultant of the
   two partial derivatives taken at formal degree n - 1 (leading zeros kept).
   It differs from the classical discriminant of the dehomogenization by the
@@ -44,7 +44,7 @@ from .errors import (
 )
 from .fields import QQ, PrimeField
 from .linalg import det_in_field, rank_in_field
-from .poly import BinaryForm, UniPoly
+from .poly import BinaryForm
 from .ternary import TernaryForm
 
 QUARTIC_DISC_NORMALIZER = 4**7
@@ -70,24 +70,6 @@ def _sylvester_rows(p_desc, q_desc, field):
     for i in range(m):
         rows.append([zero] * i + list(q_desc) + [zero] * (size - n - 1 - i))
     return rows
-
-
-def resultant(p: UniPoly, q: UniPoly):
-    """Sylvester resultant at the actual degrees of p and q."""
-    F = p.field
-    if p.is_zero() and q.is_zero():
-        raise UndefinedResultantError("resultant of two zero polynomials")
-    if p.is_zero() or q.is_zero():
-        return F.zero
-    p_desc = list(reversed(p.coeffs))
-    q_desc = list(reversed(q.coeffs))
-    if len(p_desc) == 1 and len(q_desc) == 1:
-        return F.one
-    if len(p_desc) == 1:
-        return F.pow(p_desc[0], len(q_desc) - 1)
-    if len(q_desc) == 1:
-        return F.pow(q_desc[0], len(p_desc) - 1)
-    return det_in_field(_sylvester_rows(p_desc, q_desc, F), F)
 
 
 def resultant_forms(p: BinaryForm, q: BinaryForm):

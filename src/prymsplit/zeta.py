@@ -13,10 +13,14 @@ cover q1 = u^2, q2 = uv, q3 = v^2: counts of the genus-5 cover against the
 prediction of L_Z * L_H up to a configurable depth (depth 5 pins the full
 degree-10 polynomial).
 
-The verifiers are the one place that picks the fields a count runs over and
-enforces the axis cap: check_axis_cap refuses F_{p^m} before
-build_extension(p, m) is called, so they never build a field above the cap.
-The counting kernels take only the curve and the field.
+Both run over any odd finite field F_q, q = p^k, with F_p the case k = 1: a
+curve over F_q is counted over F_{q^m} = build_extension(p, k m), and every
+L-polynomial is taken over q.  A curve over the rationals is refused; reduce
+it at good primes first (verify_split_rational).  The verifiers are the one
+place that picks the fields a count runs over and enforces the axis cap:
+check_axis_cap refuses F_{p^(k m)} before build_extension(p, k m) is called,
+so they never build a field above the cap.  The counting kernels take only
+the curve and the field.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ from .errors import (
     ResourceLimitError,
     UnsupportedFieldError,
 )
-from .fields import PrimeField, build_extension
+from .fields import build_extension
 from .poly import BinaryForm
 from .prym import BiellipticQuartic, BruinCover, SplitResult, split, validate
 
@@ -120,26 +124,47 @@ def predicted_counts(lpoly: WeilPolynomial, m: int) -> int:
 
 
 def check_axis_cap(p: int, k: int, axis_cap: int = DEFAULT_AXIS_CAP) -> None:
-    """Raise ResourceLimitError when F_{p^k} has more than axis_cap elements.
+    """Raise ResourceLimitError when F_{p^k} has more than axis_cap elements,
+    and InvalidParameterError for a cap below 1, which no field fits.
 
     Runs before the field is built.  p >= 2, so p^k > axis_cap once k
     exceeds the bit length of axis_cap; clipping k there keeps the power
     small whatever k a document asks for.
     """
+    if axis_cap < 1:
+        raise InvalidParameterError(f"axis cap must be at least 1, got {axis_cap}")
     if p ** min(k, axis_cap.bit_length() + 1) > axis_cap:
         raise ResourceLimitError(f"field size {p}^{k} exceeds the axis cap {axis_cap}")
 
 
-def _require_prime_base(curve_field):
-    if not isinstance(curve_field, PrimeField):
+def _finite_base(field):
+    """(p, k) of the curve's field F_{p^k}; a curve over Q is refused."""
+    if field.kind != "finite":
         raise UnsupportedFieldError(
-            "zeta verification runs over a prime base field "
+            "zeta verification needs a finite field "
             "(reduce rational curves at a good prime first)"
         )
+    return field.p, field.k
+
+
+def _lpoly(records, genus: int) -> WeilPolynomial:
+    """L-polynomial over the curve's own F_q from the records of its counts
+    over F_q..F_{q^genus}.  Each count must lie within its Weil bound, and
+    the reconstruction must give every count back."""
+    if not all(rec.weil_ok(genus) for rec in records):
+        raise InconsistentCountsError("a count violates its Weil bound")
+    counts = [rec.n for rec in records]
+    lp = lpoly_from_counts(records[0].q, counts, genus)
+    if [predicted_counts(lp, m) for m in range(1, genus + 1)] != counts:
+        raise InconsistentCountsError("round trip through Newton failed")
+    return lp
 
 
 @dataclass(frozen=True)
 class SplitVerification:
+    """p is the characteristic; each L-polynomial carries the size q = p^k of
+    the curve's field."""
+
     passed: bool
     p: int
     l_curve: WeilPolynomial
@@ -159,45 +184,34 @@ def verify_split(curve: BiellipticQuartic, *,
                  axis_cap: int = DEFAULT_AXIS_CAP) -> SplitVerification:
     """End-to-end check that the curve's L-polynomial splits as L_D * L_X.
 
-    Counts the plane quartic over F_p..F_{p^3}, the genus-1 model over F_p
-    and the genus-2 model over F_p..F_{p^2}, reconstructs the three
-    L-polynomials and compares exactly.  A validation failure raises
-    RejectedInputError before any counting happens, and an F_{p^3} above
-    axis_cap raises ResourceLimitError before any field is built; a mismatch
-    is reported, not raised.
+    For a curve over F_q, q = p^k, counts the plane quartic over
+    F_q..F_{q^3}, the genus-1 model over F_q and the genus-2 model over
+    F_q..F_{q^2}, reconstructs the three L-polynomials over q and compares
+    exactly.  A curve over Q raises UnsupportedFieldError and a validation
+    failure RejectedInputError, both before any counting happens; an
+    F_{q^3} above axis_cap raises ResourceLimitError before any field is
+    built.  A mismatch is reported, not raised.
     """
-    F = curve.field
-    _require_prime_base(F)
+    p, k = _finite_base(curve.field)
     sr = split(curve)
-    p = F.p
-    check_axis_cap(p, 3, axis_cap)
+    check_axis_cap(p, 3 * k, axis_cap)
     quartic = curve.plane_quartic()
-    genus1 = sr.genus_one.dehomogenize()
-    records = [count_plane_quartic(quartic, build_extension(p, m)) for m in (1, 2, 3)]
-    counts_c = [rec.n for rec in records]
-    rec_d = count_weighted(genus1, 1, build_extension(p, 1))
-    records.append(rec_d)
-    recs_x = [count_weighted(sr.sextic, 2, build_extension(p, m)) for m in (1, 2)]
-    records.extend(recs_x)
-    counts_x = [rec.n for rec in recs_x]
-    if not all(r.weil_ok(g) for r, g in zip(records, (3, 3, 3, 1, 2, 2))):
-        raise InconsistentCountsError("a count violates its Weil bound")
-    l_c = lpoly_from_counts(p, counts_c, 3)
-    l_d = lpoly_from_counts(p, [rec_d.n], 1)
-    l_x = lpoly_from_counts(p, counts_x, 2)
-    for lp, ns in ((l_c, counts_c), (l_d, [rec_d.n]), (l_x, counts_x)):
-        for m, n in enumerate(ns, start=1):
-            if predicted_counts(lp, m) != n:
-                raise InconsistentCountsError("round trip through Newton failed")
+    recs_c = [count_plane_quartic(quartic, build_extension(p, k * m)) for m in (1, 2, 3)]
+    recs_d = [count_weighted(sr.genus_one.dehomogenize(), 1, build_extension(p, k))]
+    recs_x = [count_weighted(sr.sextic, 2, build_extension(p, k * m)) for m in (1, 2)]
+    l_c, l_d, l_x = _lpoly(recs_c, 3), _lpoly(recs_d, 1), _lpoly(recs_x, 2)
     product = l_d * l_x
     passed = product.coeffs == l_c.coeffs
     failure = None if passed else "L_C differs from L_D * L_X"
     return SplitVerification(passed, p, l_c, l_d, l_x, product,
-                             tuple(records), sr, failure=failure)
+                             tuple(recs_c + recs_d + recs_x), sr, failure=failure)
 
 
 @dataclass(frozen=True)
 class BruinVerification:
+    """p is the characteristic; each L-polynomial carries the size q = p^k of
+    the cover's field."""
+
     passed: bool
     p: int
     depth: int
@@ -225,19 +239,18 @@ def verify_bruin(cover: BruinCover, depth: int = 3, *,
                  axis_cap: int = DEFAULT_AXIS_CAP) -> BruinVerification:
     """Check the Prym identity for a smooth double cover of a plane quartic.
 
-    Counts the base Z over F_p..F_{p^3} (giving L_Z), the hyperelliptic model
-    y^2 = -det(pencil) over F_p..F_{p^2} (giving L_H), then compares the
-    cover counts N_m(Y) with the prediction of L_Z * L_H for m = 1..depth.
-    depth = 5 makes the comparison a full degree-10 certificate; smaller
-    depths are partial and labeled as such.  An F_{p^3} above axis_cap
-    raises ResourceLimitError before any field is built.  Only depths 4 and
-    5 can stop early: the loop stops at the first m with p^m above axis_cap,
-    before F_{p^m} is built, and yields a partial result at the achieved
-    depth rather than an error.
+    For a cover over F_q, q = p^k, counts the base Z over F_q..F_{q^3}
+    (giving L_Z), the hyperelliptic model y^2 = -det(pencil) over
+    F_q..F_{q^2} (giving L_H), then compares the cover counts N_m(Y) with
+    the prediction of L_Z * L_H for m = 1..depth.  depth = 5 makes the
+    comparison a full degree-10 certificate; smaller depths are partial and
+    labeled as such.  An F_{q^3} above axis_cap raises ResourceLimitError
+    before any field is built.  Only depths 4 and 5 can stop early: the loop
+    stops at the first m with q^m above axis_cap, before F_{q^m} is built,
+    and yields a partial result at the achieved depth rather than an error.
     """
     check_bruin_depth(depth)
-    F = cover.field
-    _require_prime_base(F)
+    p, k = _finite_base(cover.field)
     if not cover.base_smooth:
         raise RejectedInputError(
             "cover base quartic is singular (discriminant 0)",
@@ -248,28 +261,23 @@ def verify_bruin(cover: BruinCover, depth: int = 3, *,
             "pencil polynomial has a repeated root",
             failures=["pencil sextic not squarefree"],
         )
-    p = F.p
-    check_axis_cap(p, 3, axis_cap)
+    check_axis_cap(p, 3 * k, axis_cap)
     records = []
-    counts_z = []
     counts_y = []
     achieved = 0
     for m in range(1, max(3, depth) + 1):
         try:
-            check_axis_cap(p, m, axis_cap)
+            check_axis_cap(p, k * m, axis_cap)
         except ResourceLimitError:
             break
-        rec_z, rec_y = count_bruin_cover(*cover.triple(), build_extension(p, m))
-        records.extend([rec_z, rec_y])
-        if m <= 3:
-            counts_z.append(rec_z.n)
+        records.extend(count_bruin_cover(*cover.triple(), build_extension(p, k * m)))
         if m <= depth:
-            counts_y.append(rec_y.n)
+            counts_y.append(records[-1].n)
             achieved = m
-    recs_h = [count_weighted(cover.sextic, 2, build_extension(p, m)) for m in (1, 2)]
+    recs_h = [count_weighted(cover.sextic, 2, build_extension(p, k * m)) for m in (1, 2)]
     records.extend(recs_h)
-    l_z = lpoly_from_counts(p, counts_z, 3)
-    l_h = lpoly_from_counts(p, [rec.n for rec in recs_h], 2)
+    l_z = _lpoly(records[0:6:2], 3)  # the base's counts over F_q..F_{q^3}
+    l_h = _lpoly(recs_h, 2)
     product = l_z * l_h
     predicted = tuple(predicted_counts(product, m) for m in range(1, achieved + 1))
     actual = tuple(counts_y)

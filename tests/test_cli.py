@@ -14,6 +14,20 @@ DEMO_F7 = {"p": 7, "f": [0, 1, 0], "g": [1, 1, 1], "h": [1, 0, -1]}
 DEMO_QQ = {"f": [0, 1, 0], "g": [1, "1/2", 1], "h": [1, 0, -1]}
 BAD_FG = {"p": 7, "f": [1, 0, 0], "g": [0, 0, 1], "h": [0, 1, 0]}
 BAD_DET = {"p": 7, "f": [0, 1, 0], "g": [1, 1, 1], "h": [0, 2, 0]}
+# validated curves over F_9 (under the default modulus x^2 + 1 and under
+# x^2 + x + 2), F_25 and F_27; an entry [c0, c1, ...] is c0 + c1 t + ...
+F9_FGH = {"f": [[2, 0], [1, 0], [1, 1]], "g": [[1, 0], [1, 2], [1, 2]],
+          "h": [[1, 2], [0, 2], [0, 1]]}
+EXTENSION_DOCS = {
+    "F9": {"p": 3, "k": 2, **F9_FGH},
+    "F9-modulus": {"p": 3, "k": 2, "modulus": [2, 1, 1], **F9_FGH},
+    "F25": {"p": 5, "k": 2, "f": [[4, 0], [3, 3], [4, 4]], "g": [[2, 0], [3, 1], [3, 0]],
+            "h": [[0, 3], [4, 4], [4, 2]]},
+    "F27": {"p": 3, "k": 3, "f": [[1, 1, 0], [0, 0, 2], [1, 2, 2]],
+            "g": [[0, 2, 2], [2, 0, 0], [2, 2, 0]], "h": [[0, 1, 0], [0, 2, 1], [0, 2, 2]]},
+}
+F49 = {"p": 7, "k": 2, "f": [[1, 1], [1, 5], [6, 6]], "g": [[4, 0], [2, 2], [0, 1]],
+       "h": [[3, 4], [6, 6], [0, 4]]}
 
 
 def write(tmp_path, doc, name="curve.json"):
@@ -122,12 +136,14 @@ FERMAT = [[4, 0, 0, 1], [0, 4, 0, -1], [0, 0, 4, 1]]
     ("validate", {"p": 9, "k": 2, **CURVE_FGH}, 3),
     ("validate", {"p": 10**6, "k": 3, **CURVE_FGH}, 3),
     ("verify", {"p": 10007, **{key: DEMO_F7[key] for key in "fgh"}}, 4),
+    ("verify", F49, 4),
+    ("bruin", F49, 4),
     ("disc-check", {"p": 3, "k": 40, "quartic": FERMAT}, 4),
     ("disc-check", {"p": 3, "k": 2, "modulus": [0, 1, 1], "quartic": FERMAT}, 3),
     ("disc-check", {"p": 7, "quartic": 5}, 3),
 ], ids=["modulus-ok", "modulus-str", "modulus-int", "modulus-nested", "modulus-float",
         "modulus-short", "k-40", "p-1009-k-2", "p-181-modulus", "composite-p",
-        "composite-p-above-cap", "verify-p-10007", "quartic-k-40", "quartic-reducible-modulus",
+        "composite-p-above-cap", "verify-p-10007", "verify-f49", "bruin-f49", "quartic-k-40", "quartic-reducible-modulus",
         "quartic-not-a-list"])
 def test_field_documents_exit_3_or_4_before_tables(command, doc, expected, monkeypatch):
     # a table above the cap raises inside the command, which then exits 1
@@ -189,6 +205,28 @@ class TestExitCodes:
         code = cli.main(["verify", "--input", write(tmp_path, DEMO_F7),
                          "--cap-axis", "10"])
         assert code == 4
+
+    @pytest.mark.parametrize("argv", [["verify", "--cap-axis", "-5"],
+                                      ["verify", "--cap-axis", "0"],
+                                      ["bruin", "--cap-axis", "-1"]])
+    def test_cap_below_one_is_rejected_input(self, argv, capsys):
+        assert cli.main([*argv, "--input", json.dumps(DEMO_F7)]) == 3
+        assert "axis cap must be at least 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", EXTENSION_DOCS)
+    @pytest.mark.parametrize("command", ["verify", "bruin"])
+    def test_extension_field_passes(self, command, name, capsys):
+        argv = [command, "--input", json.dumps(EXTENSION_DOCS[name]), "--format", "json"]
+        assert cli.main(argv) == 0
+        assert json.loads(capsys.readouterr().out)["verdict"] == "pass"
+
+    @pytest.mark.parametrize("name", ["F9", "F9-modulus"])
+    def test_bruin_reaches_depth_4_over_f9(self, name, capsys):
+        argv = ["bruin", "--input", json.dumps(EXTENSION_DOCS[name]), "--depth", "4",
+                "--format", "json"]
+        assert cli.main(argv) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["achieved_depth"] == 4 and report["L_Z"]["q"] == 9
 
     def test_bruin_singular_eps_rejected(self, tmp_path):
         code = cli.main(["bruin", "--input", write(tmp_path, DEMO_F7), "--epsilon", "0"])
@@ -371,6 +409,18 @@ class TestReports:
         report2 = json.loads(out2.read_text())
         assert canonical(report1) == canonical(report2)
 
+    @pytest.mark.parametrize("doc", [EXTENSION_DOCS["F9"], dict(DEMO_F7, p=23)],
+                             ids=["F9", "F23"])
+    @pytest.mark.parametrize("command", ["verify", "bruin"])
+    def test_rerun_with_the_same_seed_is_byte_identical(self, command, doc, capsys):
+        texts = []
+        for _ in range(2):
+            assert cli.main([command, "--input", json.dumps(doc), "--seed", "5",
+                             "--format", "json"]) == 0
+            report = canonical(json.loads(capsys.readouterr().out))
+            texts.append(json.dumps(report, indent=2, sort_keys=True))
+        assert texts[0] == texts[1]
+
     def test_rational_verify_reports_three_primes(self, tmp_path):
         out = tmp_path / "r.json"
         assert cli.main(["verify", "--input", write(tmp_path, DEMO_QQ),
@@ -443,6 +493,15 @@ def test_selftest_quick_passes(capsys):
     assert cli.main(["selftest", "--seed", "3"]) == 0
     out = capsys.readouterr().out
     assert out.count("[PASS]") == 8
+
+
+def test_selftest_full_default_seed_is_the_acceptance_config(monkeypatch, capsys):
+    from test_acceptance import CFG
+
+    handed = []
+    monkeypatch.setattr(cli, "run_all", lambda cfg, printer: handed.append(cfg) or [])
+    assert cli.main(["selftest", "--full"]) == 0
+    assert handed == [CFG]
 
 
 def test_selftest_json_stdout_is_the_report(capsys):

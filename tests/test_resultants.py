@@ -12,80 +12,89 @@ from prymsplit import (
     QUARTIC_DISC_NORMALIZER,
     TernaryForm,
     UndefinedResultantError,
-    UniPoly,
     binary_disc_scale,
     build_extension,
     disc_ternary_quartic,
     discriminant_binary,
     macaulay_resultant_cubics,
-    resultant,
     resultant_forms,
 )
-from helpers import random_binary_form, random_ternary_form, random_unipoly
+from helpers import random_binary_form, random_ternary_form
 
 F5 = build_extension(5)
 F7 = build_extension(7)
 
 
+def _sympy_resultant(a, b, x):
+    """sympy's resultant of the dehomogenizations of two binary forms whose
+    leading coefficients are nonzero, in the orientation of resultant_forms.
+
+    sympy normalizes to the higher-degree argument first, which costs the
+    (-1)^(mn) orientation when the first argument has the smaller degree.
+    """
+    sa = sum(sympy.Rational(c) * x ** (a.n - i) for i, c in enumerate(a.coeffs))
+    sb = sum(sympy.Rational(c) * x ** (b.n - i) for i, c in enumerate(b.coeffs))
+    value = Fraction(str(sympy.resultant(sa, sb, x)))
+    return -value if a.n < b.n and (a.n * b.n) % 2 else value
+
+
 class TestSylvester:
+    """resultant_forms at full degrees: the Sylvester conventions."""
+
     def test_linear_linear(self):
-        p = UniPoly.from_ints(QQ, [-1, 1])
-        q = UniPoly.from_ints(QQ, [-2, 1])
-        assert resultant(p, q) == -1
+        p = BinaryForm.from_ints(QQ, 1, [1, -1])  # x - z
+        q = BinaryForm.from_ints(QQ, 1, [1, -2])  # x - 2z
+        assert resultant_forms(p, q) == -1
 
     def test_against_value_at_root(self):
-        p = UniPoly.from_ints(QQ, [1, 0, 1])
-        assert resultant(p, UniPoly.x(QQ)) == 1
+        p = BinaryForm.from_ints(QQ, 2, [1, 0, 1])  # x^2 + z^2 at (0:1)
+        assert resultant_forms(p, BinaryForm.from_ints(QQ, 1, [1, 0])) == 1
 
     def test_shared_roots(self):
-        f = UniPoly.from_ints(QQ, [2, 3, 1])
-        assert resultant(f, f) == 0
+        f = BinaryForm.from_ints(QQ, 2, [1, 3, 2])
+        assert resultant_forms(f, f) == 0
 
     def test_both_zero_rejected(self):
+        zero = BinaryForm.from_ints(QQ, 1, [0, 0])
         with pytest.raises(UndefinedResultantError):
-            resultant(UniPoly.zero(QQ), UniPoly.zero(QQ))
+            resultant_forms(zero, zero)
 
     def test_one_zero(self):
-        assert resultant(UniPoly.zero(QQ), UniPoly.from_ints(QQ, [1, 1])) == 0
+        zero = BinaryForm.from_ints(QQ, 1, [0, 0])
+        assert resultant_forms(zero, BinaryForm.from_ints(QQ, 1, [1, 1])) == 0
 
     def test_swap_sign(self):
         rng = random.Random(0)
         for _ in range(50):
-            p = random_unipoly(F7, rng, rng.randint(1, 4))
-            q = random_unipoly(F7, rng, rng.randint(1, 4))
+            p = random_binary_form(F7, rng, rng.randint(1, 4))
+            q = random_binary_form(F7, rng, rng.randint(1, 4))
             if p.is_zero() or q.is_zero():
                 continue
-            sign = (-1) ** (p.degree * q.degree)
-            lhs = resultant(p, q)
-            rhs = F7.mul(F7.from_int(sign), resultant(q, p))
+            sign = (-1) ** (p.n * q.n)
+            lhs = resultant_forms(p, q)
+            rhs = F7.mul(F7.from_int(sign), resultant_forms(q, p))
             assert lhs == rhs
 
     def test_multiplicative(self):
         rng = random.Random(1)
         for _ in range(50):
-            p = random_unipoly(F7, rng, 3)
-            q = random_unipoly(F7, rng, 2)
-            r = random_unipoly(F7, rng, 2)
+            p = random_binary_form(F7, rng, 3)
+            q = random_binary_form(F7, rng, 2)
+            r = random_binary_form(F7, rng, 2)
             if p.is_zero() or q.is_zero() or r.is_zero():
                 continue
-            assert resultant(p, q * r) == F7.mul(resultant(p, q), resultant(p, r))
+            assert resultant_forms(p, q * r) == F7.mul(resultant_forms(p, q),
+                                                       resultant_forms(p, r))
 
     def test_matches_sympy(self):
-        # sympy normalizes to the higher-degree argument first, which costs
-        # the (-1)^(mn) orientation; adjust when our first argument is smaller
         rng = random.Random(2)
         x = sympy.symbols("x")
         for _ in range(40):
-            p = random_unipoly(QQ, rng, rng.randint(1, 4))
-            q = random_unipoly(QQ, rng, rng.randint(1, 4))
-            if p.is_zero() or q.is_zero():
+            p = random_binary_form(QQ, rng, rng.randint(1, 4))
+            q = random_binary_form(QQ, rng, rng.randint(1, 4))
+            if p.coeffs[0] == 0 or q.coeffs[0] == 0:
                 continue
-            sp = sum(sympy.Rational(c) * x**i for i, c in enumerate(p.coeffs))
-            sq = sum(sympy.Rational(c) * x**i for i, c in enumerate(q.coeffs))
-            expected = Fraction(str(sympy.resultant(sp, sq, x)))
-            if p.degree < q.degree and (p.degree * q.degree) % 2:
-                expected = -expected
-            assert resultant(p, q) == expected
+            assert resultant_forms(p, q) == _sympy_resultant(p, q, x)
 
 
 class TestResultantForms:
@@ -102,15 +111,16 @@ class TestResultantForms:
         assert resultant_forms(a, b) == 1
 
     def test_matches_dehomogenized_resultant_when_degrees_full(self):
+        # the resultant lies in Z[coefficients], so over F_7 it is the
+        # integer resultant of the representatives reduced mod 7
         rng = random.Random(6)
+        x = sympy.symbols("x")
         for _ in range(20):
             a = random_binary_form(F7, rng, 3)
             b = random_binary_form(F7, rng, 2)
             if a.coeffs[0] == 0 or b.coeffs[0] == 0:
                 continue
-            lhs = resultant_forms(a, b)
-            rhs = resultant(a.dehomogenize(), b.dehomogenize())
-            assert lhs == rhs
+            assert resultant_forms(a, b) == _sympy_resultant(a, b, x) % 7
 
 
 class TestBinaryDiscriminant:

@@ -4,6 +4,7 @@ import pytest
 
 from prymsplit import (
     BiellipticQuartic,
+    BinaryForm,
     InconsistentCountsError,
     InvalidParameterError,
     PrymError,
@@ -13,6 +14,7 @@ from prymsplit import (
     UniPoly,
     UnsupportedFieldError,
     WeilPolynomial,
+    bruin_cover,
     build_extension,
     count_weighted,
     deform,
@@ -25,7 +27,7 @@ from prymsplit import (
     verify_split,
     verify_split_rational,
 )
-from helpers import field_tripwire
+from helpers import field_tripwire, lift
 
 F5 = build_extension(5)
 F7 = build_extension(7)
@@ -111,6 +113,27 @@ class TestPredictedCounts:
                 assert rebuilt.coeffs == lp.coeffs
 
 
+def _smooth_cover(field, rng):
+    while True:
+        curve = random_validated_curve(field, rng)
+        cover = deform(curve, field.random_nonzero(rng))
+        if cover.verifiable:
+            return cover
+
+
+def _forbid_field_builds(monkeypatch):
+    """field_tripwire, plus a zeta.build_extension that fails on any call, even
+    for a field that is already cached."""
+    import prymsplit.zeta as zeta_module
+
+    def must_not_build(*args):
+        raise AssertionError("a field was requested")
+
+    built = field_tripwire(monkeypatch)
+    monkeypatch.setattr(zeta_module, "build_extension", must_not_build)
+    return built
+
+
 class TestVerifySplit:
     def test_demo_curve_passes(self):
         curve = BiellipticQuartic.from_ints(F7, **DEMO)
@@ -171,6 +194,31 @@ class TestVerifySplit:
         with pytest.raises(UnsupportedFieldError):
             verify_split(curve)
 
+    @pytest.mark.parametrize("p", [3, 5])
+    def test_corrupted_sextic_fails_over_an_extension_field(self, monkeypatch, p):
+        field = build_extension(p, 2)
+        curve = random_validated_curve(field, random.Random(p))
+        self._count_genus2_as(monkeypatch, lambda f: f.add_constant(field.one))
+        result = verify_split(curve)
+        assert not result.passed
+        assert result.failure == "L_C differs from L_D * L_X"
+
+    def test_cap_below_one_is_a_bad_parameter(self, monkeypatch):
+        curve = random_validated_curve(build_extension(17), random.Random(17))
+        built = _forbid_field_builds(monkeypatch)
+        for cap in (0, -5):
+            with pytest.raises(InvalidParameterError, match="axis cap"):
+                verify_split(curve, axis_cap=cap)
+        assert built == []
+
+    def test_f49_refused_before_any_field_is_built(self, monkeypatch):
+        # 49^3 = 117649 is above the default cap; 49^2 = 2401 is not
+        curve = random_validated_curve(build_extension(7, 2), random.Random(49))
+        built = field_tripwire(monkeypatch)
+        with pytest.raises(ResourceLimitError, match="7\\^6"):
+            verify_split(curve)
+        assert built == []
+
     def test_cap_refuses_before_any_field_is_built(self, monkeypatch):
         # 181^3 is above the default cap; so is 181^2 = 32761
         curve = random_validated_curve(build_extension(181), random.Random(181))
@@ -187,16 +235,9 @@ class TestVerifySplit:
 
 
 class TestVerifyBruin:
-    def _smooth_cover(self, field, rng):
-        while True:
-            curve = random_validated_curve(field, rng)
-            cover = deform(curve, field.random_nonzero(rng))
-            if cover.verifiable:
-                return cover
-
     def test_depth3_over_f5(self):
         rng = random.Random(4)
-        cover = self._smooth_cover(F5, rng)
+        cover = _smooth_cover(F5, rng)
         result = verify_bruin(cover, depth=3)
         assert result.passed and result.achieved_depth == 3
         assert result.predicted == result.actual
@@ -204,7 +245,7 @@ class TestVerifyBruin:
 
     def test_depth5_full_certificate_over_f3(self):
         rng = random.Random(5)
-        cover = self._smooth_cover(build_extension(3), rng)
+        cover = _smooth_cover(build_extension(3), rng)
         result = verify_bruin(cover, depth=5)
         assert result.passed and result.full_certificate
 
@@ -217,14 +258,14 @@ class TestVerifyBruin:
 
     def test_depth_bounds(self):
         rng = random.Random(7)
-        cover = self._smooth_cover(F5, rng)
+        cover = _smooth_cover(F5, rng)
         for depth in (6, 0, -1):
             with pytest.raises(InvalidParameterError):
                 verify_bruin(cover, depth=depth)
 
     def test_resource_cap_gives_partial(self):
         rng = random.Random(8)
-        cover = self._smooth_cover(F5, rng)
+        cover = _smooth_cover(F5, rng)
         result = verify_bruin(cover, depth=5, axis_cap=130)
         # F_5^4 = 625 > 130, so depth stops at 3
         assert result.achieved_depth == 3
@@ -234,15 +275,36 @@ class TestVerifyBruin:
 
     def test_cubic_field_above_cap_refused_before_any_field_is_built(self, monkeypatch):
         # 37^3 = 50653 is above the default cap, 37^2 = 1369 is not
-        cover = self._smooth_cover(build_extension(37), random.Random(37))
+        cover = _smooth_cover(build_extension(37), random.Random(37))
         built = field_tripwire(monkeypatch)
         with pytest.raises(ResourceLimitError):
             verify_bruin(cover, depth=3)
         assert built == []
 
+    def test_cap_below_one_is_a_bad_parameter(self, monkeypatch):
+        cover = _smooth_cover(build_extension(13), random.Random(13))
+        built = _forbid_field_builds(monkeypatch)
+        with pytest.raises(InvalidParameterError, match="axis cap"):
+            verify_bruin(cover, axis_cap=-1)
+        assert built == []
+
+    def test_rational_base_rejected(self, monkeypatch):
+        cover = deform(BiellipticQuartic.from_ints(QQ, **DEMO), QQ.from_int(3))
+        built = field_tripwire(monkeypatch)
+        with pytest.raises(UnsupportedFieldError):
+            verify_bruin(cover)
+        assert built == []
+
+    def test_depth4_over_f9(self):
+        cover = _smooth_cover(build_extension(3, 2), random.Random(9))
+        result = verify_bruin(cover, depth=5)
+        # 9^4 fits the default cap, 9^5 = 59049 does not
+        assert result.passed and result.achieved_depth == 4
+        assert result.l_base.q == result.l_hyper.q == 9 and result.p == 3
+
     def test_depth_stops_before_the_refused_field_is_built(self, monkeypatch):
         # 11^4 = 14641 fits the default cap, 11^5 = 161051 does not
-        cover = self._smooth_cover(build_extension(11), random.Random(11))
+        cover = _smooth_cover(build_extension(11), random.Random(11))
         built = field_tripwire(monkeypatch)
         result = verify_bruin(cover, depth=5)
         assert result.achieved_depth == 4 and result.passed
@@ -276,3 +338,45 @@ class TestRationalCurves:
         results = verify_split_rational(curve)
         assert len(results) == 3
         assert all(r.passed for r in results)
+
+
+def _base_changed(lp):
+    """Coefficients of L over q^2 from L over q: L_{q^2}(T^2) = L_q(T) L_q(-T),
+    as the Frobenius roots of the base change are the squares."""
+    a = lp.coeffs
+    prod = [0] * (2 * len(a) - 1)
+    for i, ai in enumerate(a):
+        for j, aj in enumerate(a):
+            prod[i + j] += ai * aj * (-1) ** j
+    assert not any(prod[1::2])
+    return prod[::2]
+
+
+class TestBaseChange:
+    """A curve over F_p read over F_{p^2} has the squared Frobenius roots."""
+
+    @pytest.mark.parametrize("p", [3, 5])
+    def test_split_lpolys(self, p):
+        small, big = build_extension(p), build_extension(p, 2)
+        rng = random.Random(100 + p)
+        for _ in range(3):
+            curve = random_validated_curve(small, rng)
+            # packed F_p values are their own images in F_{p^2}
+            forms = (BinaryForm(big, 2, form.coeffs) for form in (curve.f, curve.g, curve.h))
+            over_p, over_p2 = verify_split(curve), verify_split(BiellipticQuartic(big, *forms))
+            assert over_p.passed and over_p2.passed and over_p2.p == p
+            for name in ("l_curve", "l_genus1", "l_genus2"):
+                lp, lp2 = getattr(over_p, name), getattr(over_p2, name)
+                assert lp2.q == p * p
+                assert list(lp2.coeffs) == _base_changed(lp)
+
+    def test_bruin_lpolys(self):
+        small, big = build_extension(3), build_extension(3, 2)
+        cover = _smooth_cover(small, random.Random(103))
+        cover2 = bruin_cover(*(lift(quad, small, big) for quad in cover.triple()))
+        over_p, over_p2 = verify_bruin(cover, depth=3), verify_bruin(cover2, depth=3)
+        assert over_p.passed and over_p2.passed
+        for name in ("l_base", "l_hyper"):
+            lp, lp2 = getattr(over_p, name), getattr(over_p2, name)
+            assert lp2.q == 9
+            assert list(lp2.coeffs) == _base_changed(lp)
