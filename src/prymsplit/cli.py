@@ -342,8 +342,8 @@ def _cmd_verify(args) -> int:
     passed = all(r.passed for r in results)
     report["verifications"] = subreports
     report["verdict"] = "pass" if passed else "fail"
-    primes = ", ".join(str(r.p) for r in results)
-    _emit(report, args, f"verify: {report['verdict']} (p = {primes})")
+    sizes = ", ".join(str(r.l_curve.q) for r in results)
+    _emit(report, args, f"verify: {report['verdict']} (q = {sizes})")
     return EXIT_PASS if passed else EXIT_VERIFICATION_FAILED
 
 

@@ -2,16 +2,12 @@
 
 Three counters, all exact:
 
-* plane quartics in P^2: the affine chart z = 1 row by row (a quartic in y per
-  x), then the line z = 0, then (1:0:0).  The form picks the row path: with
-  no odd power of y (the bielliptic quartic y^4 - h y^2 + fg always qualifies)
-  a row is a4 w^2 + b(x) w + c(x) in w = y^2.  One loop then takes each row
-  from log x to b(x) and c(x) by Horner's rule in discrete-log form (below)
-  and solves the quadratic in w inline, with no function call per row.
-  Otherwise a row's points are the degree of gcd(y^q - y, row), computed by
-  the list kernel of the poly module.  Both paths are cross-checked against
-  brute enumeration in the test suite.  The line z = 0 is a polynomial of
-  degree at most 4 in x, counted by that gcd.
+* the bielliptic quartic y^4 - h y^2 + fg in P^2: (0:1:0) is never on it, so
+  its points lie over the points [x:z] of P^1, and each such row is the
+  quadratic w^2 - h w + fg in w = y^2.  One loop takes each affine row from
+  log x to h(x) and fg(x) by Horner's rule in discrete-log form (below),
+  reads the row x = infinity off the top coefficients, and solves the
+  quadratic in w inline, with no function call per row.
 * hyperelliptic-type models y^2 = F(x) in P(1, g+1, 1): character sums over
   the x-line, F evaluated by Horner's rule in log form, plus the points above
   x = infinity read off the degree-(2g+2) homogenization.
@@ -45,13 +41,13 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field as dc_field
+from itertools import chain
 
 from .errors import DegenerateInputError, ModelError, UnsupportedFieldError
 from .fields import embedding
 from .poly import (
     UniPoly,
     divmod_list,
-    eval_list,
     gcd_list,
     mul_list,
     powmod_list,
@@ -138,14 +134,6 @@ def _rational_part(f, field):
     return gcd_list(f, trim(g, zero), field)
 
 
-def _distinct_roots_gcd(coeffs, field) -> int:
-    """Number of distinct roots in the field: deg gcd(x^q - x, f)."""
-    f = trim(list(coeffs), field.zero)
-    if len(f) <= 2:
-        return field.q if not f else len(f) - 1
-    return len(_rational_part(f, field)) - 1
-
-
 # --- discrete-log form: v = g^j is kept as j in [0, q - 1) and zero as -1 ---
 # (fields._FiniteField.log_tables).  A product adds logs mod q - 1, a sum is
 # one Zech lookup, -v adds (q - 1)/2, chi(v) = (-1)^j, and for even j g^(j/2)
@@ -214,105 +202,76 @@ def _split_roots(h, field):
     raise ArithmeticError("no splitting shift: h is not a product of distinct linear factors")
 
 
-def count_plane_quartic(form: TernaryForm, field) -> CountRecord:
-    """Exact number of projective points of a quartic plane curve.
+def count_plane_quartic(curve, field) -> CountRecord:
+    """Exact number of projective points of the bielliptic quartic
+    C: y^4 - h(x, z) y^2 + f(x, z) g(x, z) = 0.
 
-    Charts: {z = 1} as rows over x, then {z = 0, y = 1}, then (1:0:0).  A
-    row is resolved by the quadratic character when the form has no odd
-    power of y, and by deg gcd(y^q - y, row) otherwise.
+    (0:1:0) is never on C, so C's points lie over the points [x:z] of P^1,
+    one row each: the y with w^2 - h w + fg = 0, w = y^2.  The affine rows
+    z = 1 come one per Frobenius orbit, x = infinity after them; x = 0 reads
+    the constant coefficients of h and fg and x = infinity the top ones.
     """
     _require_odd_finite(field)
-    if form.degree != 4:
-        raise ModelError("plane-quartic counting needs a degree-4 form")
-    if form.is_zero():
-        raise DegenerateInputError("zero quartic")
     q = field.q
     start = time.perf_counter()
-    zero = field.zero
-    items = list(form.coeffs.items())
-    coerced = _coerce_scalars([c for _, c in items], form.field, field)
-    monomials = {m: v for (m, _), v in zip(items, coerced)}
-    # chart z = 1: coefficient polynomials in x for each power of y
-    rows = [[zero] * 5 for _ in range(5)]
-    for (i, j, k), c in monomials.items():
-        rows[j][i] = c
-    even = not any(c != zero for c in rows[1]) and not any(c != zero for c in rows[3])
-
-    orbits = _frobenius_orbits(form.field, field)
-    exp, log, zech = field.log_tables
+    _, log, zech = field.log_tables
+    qm1, half, l2 = q - 1, (q - 1) // 2, log[field.from_int(2)]
+    # logs of the coefficients of h(x, 1) and fg(x, 1), top first
+    lhs = [log[c] for c in _coerce_scalars(curve.h.coeffs, curve.field, field)]
+    lcs = [log[c] for c in _coerce_scalars(curve.fg().coeffs, curve.field, field)]
+    # x = 0 (log -1) reads the constant terms, and x = infinity, the sentinel
+    # orbit (-2, 1) after the last one, reads the top terms
+    ends = {-1: (lhs[-1], lcs[-1]), -2: (lhs[0], lcs[0])}
+    orbits = _frobenius_orbits(curve.field, field)
     n = 0
-    if even:
-        # a4 w^2 + b(x) w + c(x) with w = y^2; a4 is the constant y^4 coefficient
-        qm1, half, la = q - 1, (q - 1) // 2, log[rows[4][0]]
-        l2a = (log[field.from_int(2)] + la) % qm1
-        # logs of the coefficients of b(x) and c(x), top first; deg b <= 2
-        lbs, lcs = [log[c] for c in reversed(rows[2][:3])], [log[c] for c in reversed(rows[0])]
-        for lx, size in orbits:
-            if lx < 0:  # x = 0
-                lb, lc = lbs[-1], lcs[-1]
-            else:
-                # Horner's rule on logs, the step of _log_horner inlined: two
-                # calls per row cost about a tenth of a count over F_{23^3}
-                lb = -1
-                for t in lbs:
-                    if lb < 0:
-                        lb = t
-                    elif t < 0:
-                        lb = (lb + lx) % qm1
-                    else:
-                        z = zech[(t - lb - lx) % qm1]
-                        lb = -1 if z < 0 else (lb + lx + z) % qm1
-                lc = -1
-                for t in lcs:
-                    if lc < 0:
-                        lc = t
-                    elif t < 0:
-                        lc = (lc + lx) % qm1
-                    else:
-                        z = zech[(t - lc - lx) % qm1]
-                        lc = -1 if z < 0 else (lc + lx + z) % qm1
-            # each root w of a4 w^2 + b w + c gives 1 + chi(w) points y, chi(g^j) = (-1)^j
-            if la < 0:
-                if lb < 0:
-                    pts = q if lc < 0 else 0
+    for lx, size in chain(orbits, ((-2, 1),)):
+        if lx < 0:
+            lh, lc = ends[lx]
+        else:
+            # Horner's rule on logs, the step of _log_horner inlined: two
+            # calls per row cost about a tenth of a count over F_{23^3}
+            lh = -1
+            for t in lhs:
+                if lh < 0:
+                    lh = t
+                elif t < 0:
+                    lh = (lh + lx) % qm1
                 else:
-                    pts = 1 if lc < 0 else 2 - 2 * ((lc - lb + half) & 1)
-            elif lc < 0:  # w (a4 w + b)
-                pts = 1 if lb < 0 else 3 - 2 * ((lb - la + half) & 1)
-            else:
-                lk = (lc - la + half) % qm1  # -c/a4
-                if lb < 0:  # w = +-s with s^2 = -c/a4, log s = ls and log(-s) = ls + half
-                    ls = lk >> 1
-                    pts = 0 if lk & 1 else 4 - 2 * (ls & 1) - 2 * ((ls + half) & 1)
+                    z = zech[(t - lh - lx) % qm1]
+                    lh = -1 if z < 0 else (lh + lx + z) % qm1
+            lc = -1
+            for t in lcs:
+                if lc < 0:
+                    lc = t
+                elif t < 0:
+                    lc = (lc + lx) % qm1
                 else:
-                    # w = -h +- s with h = b/(2 a4) and s^2 = h^2 - c/a4 = h^2 (1 + (-c/a4)/h^2)
-                    lnh = (lb - l2a + half) % qm1
-                    z = zech[lk - 2 * lnh % qm1]
-                    if z < 0:
-                        pts = 2 - 2 * (lnh & 1)
+                    z = zech[(t - lc - lx) % qm1]
+                    lc = -1 if z < 0 else (lc + lx + z) % qm1
+        # each root w of w^2 - h w + c gives 1 + chi(w) points y, chi(g^j) = (-1)^j
+        if lc < 0:  # w (w - h)
+            pts = 1 if lh < 0 else 3 - 2 * (lh & 1)
+        else:
+            lk = (lc + half) % qm1  # -c
+            if lh < 0:  # w = +-s with s^2 = -c, log s = ls and log(-s) = ls + half
+                ls = lk >> 1
+                pts = 0 if lk & 1 else 4 - 2 * (ls & 1) - 2 * ((ls + half) & 1)
+            else:
+                # w = t +- s with t = h/2 and s^2 = t^2 - c = t^2 (1 + (-c)/t^2)
+                lt = (lh - l2) % qm1
+                z = zech[lk - 2 * lt % qm1]
+                if z < 0:
+                    pts = 2 - 2 * (lt & 1)
+                else:
+                    ld = (2 * lt + z) % qm1
+                    if ld & 1:
+                        pts = 0
                     else:
-                        ld = (2 * lnh + z) % qm1
-                        if ld & 1:
-                            pts = 0
-                        else:
-                            z1, z2 = zech[ld // 2 - lnh], zech[ld // 2 + half - lnh]
-                            pts = ((1 if z1 < 0 else 2 - 2 * ((lnh + z1) & 1))
-                                   + (1 if z2 < 0 else 2 - 2 * ((lnh + z2) & 1)))
-            n += size * pts
-    else:
-        for lx, size in orbits:
-            x = exp[lx] if lx >= 0 else zero
-            n += size * _distinct_roots_gcd([eval_list(cs, x, field) for cs in rows], field)
-    # line z = 0 with y = 1: polynomial in x, one monomial x^i y^(4-i) per i
-    line = [zero] * 5
-    for (i, j, k), c in monomials.items():
-        if k == 0:
-            line[i] = c
-    n += _distinct_roots_gcd(line, field)
-    # the point (1:0:0)
-    if monomials.get((4, 0, 0), zero) == zero:
-        n += 1
-    return CountRecord("plane-quartic", form.field.q, field.k // form.field.k, n,
+                        z1, z2 = zech[ld // 2 - lt], zech[ld // 2 + half - lt]
+                        pts = ((1 if z1 < 0 else 2 - 2 * ((lt + z1) & 1))
+                               + (1 if z2 < 0 else 2 - 2 * ((lt + z2) & 1)))
+        n += size * pts
+    return CountRecord("plane-quartic", curve.field.q, field.k // curve.field.k, n,
                        time.perf_counter() - start, len(orbits))
 
 

@@ -195,8 +195,7 @@ def verify_split(curve: BiellipticQuartic, *,
     p, k = _finite_base(curve.field)
     sr = split(curve)
     check_axis_cap(p, 3 * k, axis_cap)
-    quartic = curve.plane_quartic()
-    recs_c = [count_plane_quartic(quartic, build_extension(p, k * m)) for m in (1, 2, 3)]
+    recs_c = [count_plane_quartic(curve, build_extension(p, k * m)) for m in (1, 2, 3)]
     recs_d = [count_weighted(sr.genus_one.dehomogenize(), 1, build_extension(p, k))]
     recs_x = [count_weighted(sr.sextic, 2, build_extension(p, k * m)) for m in (1, 2)]
     l_c, l_d, l_x = _lpoly(recs_c, 3), _lpoly(recs_d, 1), _lpoly(recs_x, 2)

@@ -7,7 +7,14 @@ code with the implementations they check.
 
 from collections import Counter
 
-from prymsplit import BinaryForm, TernaryForm, UniPoly, quadric, quadric_coefficients
+from prymsplit import (
+    BiellipticQuartic,
+    BinaryForm,
+    TernaryForm,
+    UniPoly,
+    quadric,
+    quadric_coefficients,
+)
 from prymsplit.fields import ExtensionField, embedding
 from prymsplit.zeta import DEFAULT_AXIS_CAP
 
@@ -48,17 +55,41 @@ def random_ternary_form(field, rng, degree):
     return TernaryForm(field, degree, coeffs)
 
 
-def random_even_quartic(field, rng):
-    """A random quartic with no odd powers of the second variable."""
-    coeffs = {}
-    for j in (0, 2, 4):
-        for i in range(5 - j):
-            coeffs[(i, j, 4 - i - j)] = field.random_element(rng)
-    return TernaryForm(field, 4, coeffs)
+def bielliptic(field, f, g, h):
+    """y^4 - h y^2 + f g from coefficient triples ordered (x^2, xz, z^2)."""
+    return BiellipticQuartic(field, *(BinaryForm(field, 2, c) for c in (f, g, h)))
 
 
 def random_quadratic(field, rng):
     return quadric(field, *(field.random_element(rng) for _ in range(6)))
+
+
+def random_linear(field, rng):
+    return tuple(field.random_element(rng) for _ in range(3))
+
+
+def quadratic(field, *terms):
+    """sum of s * L * M over (s, L, M), L and M linear forms (x, y, z)-coefficients."""
+    cs = [field.zero] * 6  # (x^2, y^2, z^2, xy, xz, yz)
+    add, mul = field.add, field.mul
+    for s, lin, mon in terms:
+        (l0, l1, l2), (m0, m1, m2) = lin, mon
+        for i, v in enumerate((mul(l0, m0), mul(l1, m1), mul(l2, m2),
+                               add(mul(l0, m1), mul(l1, m0)), add(mul(l0, m2), mul(l2, m0)),
+                               add(mul(l1, m2), mul(l2, m1)))):
+            cs[i] = add(cs[i], mul(s, v))
+    return quadric(field, *cs)
+
+
+def line_inside_the_base(field, rng, c, s):
+    """A quadric triple whose base quartic contains the line x = c z, so that
+    R_c = v2^2 - v1 v3 vanishes identically on the row x = c: on that line the
+    triple is s (A^2, AB, B^2) for two linear forms A, B in (y, z)."""
+    one, zero = field.one, field.zero
+    line = (one, zero, field.neg(c))  # x - c z
+    a, b = (zero, one, field.random_element(rng)), (zero, one, field.random_element(rng))
+    return [quadratic(field, (s, u, v), (one, line, random_linear(field, rng)))
+            for u, v in ((a, a), (a, b), (b, b))]
 
 
 def lift(form, small, big):
@@ -80,6 +111,15 @@ def brute_plane_points(form, field):
     if form.eval(field.one, field.zero, field.zero) == field.zero:
         n += 1
     return n
+
+
+def brute_curve_points(curve, field):
+    """All P^2 points of a bielliptic quartic over field, a field its own
+    field embeds in, by brute_plane_points on its plane quartic."""
+    form = curve.plane_quartic()
+    if curve.field != field:
+        form = lift(form, curve.field, field)
+    return brute_plane_points(form, field)
 
 
 def brute_weighted_points(poly, genus, field):

@@ -113,7 +113,7 @@ class TestParsing:
     def test_p_flag_reduces_rational_document(self, tmp_path, capsys):
         path = write(tmp_path, {k: DEMO_F7[k] for k in ("f", "g", "h")})
         assert cli.main(["verify", "--input", path, "--p", "11"]) == 0
-        assert "p = 11" in capsys.readouterr().out
+        assert "(q = 11)" in capsys.readouterr().out
 
     def test_p_flag_conflict_rejected(self, tmp_path):
         assert cli.main(["verify", "--input", write(tmp_path, DEMO_F7), "--p", "5"]) == 3
@@ -219,6 +219,17 @@ class TestExitCodes:
         argv = [command, "--input", json.dumps(EXTENSION_DOCS[name]), "--format", "json"]
         assert cli.main(argv) == 0
         assert json.loads(capsys.readouterr().out)["verdict"] == "pass"
+
+    @pytest.mark.parametrize("name, summary", [("F9", "verify: pass (q = 9)"),
+                                               ("F27", "verify: pass (q = 27)")])
+    def test_verify_summary_names_the_field(self, name, summary, capsys):
+        assert cli.main(["verify", "--input", json.dumps(EXTENSION_DOCS[name])]) == 0
+        assert capsys.readouterr().out.splitlines() == [summary]
+
+    def test_verify_summary_names_each_rational_reduction(self, capsys):
+        doc = {k: DEMO_F7[k] for k in ("f", "g", "h")}
+        assert cli.main(["verify", "--input", json.dumps(doc)]) == 0
+        assert capsys.readouterr().out.splitlines() == ["verify: pass (q = 5, 7, 11)"]
 
     @pytest.mark.parametrize("name", ["F9", "F9-modulus"])
     def test_bruin_reaches_depth_4_over_f9(self, name, capsys):

@@ -21,13 +21,15 @@ from prymsplit import (
 from prymsplit.counting import CountRecord, _frobenius_orbits, _low_degree_roots
 from prymsplit.fields import embedding
 from helpers import (
+    bielliptic,
     brute_cover_points,
+    brute_curve_points,
     brute_plane_points,
     brute_weighted_points,
-    lift,
-    random_even_quartic,
+    line_inside_the_base,
+    quadratic,
+    random_linear,
     random_quadratic,
-    random_ternary_form,
     scan_cover_counts,
 )
 
@@ -38,40 +40,96 @@ F9 = build_extension(3, 2)
 
 
 def fermat(field):
-    return TernaryForm.from_ints(field, 4, {(4, 0, 0): 1, (0, 4, 0): 1, (0, 0, 4): 1})
+    """x^4 + y^4 + z^4 as y^4 - 0 y^2 + fg, with fg = x^4 + z^4 split over F_5 and F_7."""
+    f, g = {5: ([1, 0, 2], [1, 0, 3]), 7: ([1, 3, 1], [1, 4, 1])}[field.q]
+    return bielliptic(field, f, g, [0, 0, 0])
 
 
-def quartic(field, coeffs):
-    """The quartic sum c x^i y^j z^k over {(i, j): c}, k = 4 - i - j."""
-    return TernaryForm.from_ints(field, 4, {(i, j, 4 - i - j): c for (i, j), c in coeffs.items()})
+def _triple(field, rng):
+    return [field.random_element(rng) for _ in range(3)]
 
 
-# Quartics whose rows in y degenerate, keyed by what the degeneracy is.  The
-# rows of the chart z = 1 are the coefficients of y^0..y^4 as polynomials in x.
-DEGENERATE_SHAPES = {
-    # odd powers of y present (the gcd path)
-    "no-y4": lambda F: quartic(F, {(0, 3): 1, (1, 2): 2, (2, 1): 1, (3, 0): 1, (0, 0): 3}),
-    "no-y3-row": lambda F: quartic(F, {(0, 4): 2, (2, 1): 1, (1, 1): 1, (4, 0): 1, (0, 0): 1}),
-    # x (y^3 + x y z + y z^2 + z^3): every row vanishes at x = 0
-    "row-vanishes": lambda F: quartic(F, {(1, 3): 1, (2, 1): 1, (1, 1): 1, (1, 0): 1}),
-    # even in y (the character path): a w^2 + b w + c with w = y^2
-    "even-quadratic-in-w": lambda F: quartic(F, {(0, 4): 3, (2, 2): 1, (0, 2): 1,
-                                                 (4, 0): 1, (0, 0): 2}),
-    "even-linear-in-w": lambda F: quartic(F, {(2, 2): 1, (1, 2): 1, (4, 0): 1, (0, 0): 1}),
-    # (x^2 - 1) y^2 + (x^4 - 1): b and c share the roots x = 1 and x = -1
-    "even-linear-in-w-vanishing-row": lambda F: quartic(F, {(2, 2): 1, (0, 2): -1,
-                                                            (4, 0): 1, (0, 0): -1}),
+def _value(t, u, field):
+    """The binary quadratic with coefficients t = (x^2, xz, z^2) at (u : 1)."""
+    return field.add(field.mul(field.add(field.mul(t[0], u), t[1]), u), t[2])
+
+
+def _square_discriminant(field, rng):
+    """f = s r, g = r / s, h = 2 r: every row is (w - r(x))^2, a double root."""
+    r, s = _triple(field, rng), field.random_nonzero(rng)
+    two = field.from_int(2)
+    return ([field.mul(s, c) for c in r], [field.div(c, s) for c in r],
+            [field.mul(two, c) for c in r])
+
+
+def _discriminant_vanishing_on_two_rows(field, rng):
+    """h^2 = 4 f g at x = u1 and x = u2: g interpolates h^2 / 4f there."""
+    u1, u2 = rng.sample(range(field.q), 2)
+    f = _triple(field, rng)
+    while field.zero in (_value(f, u1, field), _value(f, u2, field)):
+        f = _triple(field, rng)
+    h, t, four = _triple(field, rng), field.random_element(rng), field.from_int(4)
+    a1, a2 = (field.div(field.mul(_value(h, u, field), _value(h, u, field)),
+                        field.mul(four, _value(f, u, field))) for u in (u1, u2))
+    # g = a1 (x - u2)/(u1 - u2) + a2 (x - u1)/(u2 - u1) + t (x - u1)(x - u2)
+    slope = field.div(field.sub(a1, a2), field.sub(u1, u2))
+    g = [t, field.sub(slope, field.mul(t, field.add(u1, u2))),
+         field.add(field.sub(a1, field.mul(slope, u1)), field.mul(t, field.mul(u1, u2)))]
+    return f, g, h
+
+
+def _discriminant_vanishing_at_both_ends(field, rng):
+    """h^2 = 4 f g at x = 0 (the constant terms) and x = infinity (the top ones)."""
+    f = _triple(field, rng)
+    while field.zero in (f[0], f[2]):
+        f = _triple(field, rng)
+    h, g, four = _triple(field, rng), _triple(field, rng), field.from_int(4)
+    g[0], g[2] = (field.div(field.mul(h[i], h[i]), field.mul(four, f[i])) for i in (0, 2))
+    return f, g, h
+
+
+# Bielliptic quartics y^4 - h y^2 + fg, keyed by how their rows degenerate.  A
+# row over [x:z] is w^2 - h w + fg in w = y^2: x = 0 reads the constant terms
+# of h and fg, and x = infinity their top terms, w^2 - h0 w + f0 g0.
+SHAPES = {
+    "random": lambda F, rng: (_triple(F, rng), _triple(F, rng), _triple(F, rng)),
+    "h-zero": lambda F, rng: (_triple(F, rng), _triple(F, rng), [0, 0, 0]),
+    "h0-zero": lambda F, rng: (_triple(F, rng), _triple(F, rng), [0] + _triple(F, rng)[1:]),
+    # f0 g0 = 0: the row at infinity has the root w = 0
+    "f0-zero": lambda F, rng: ([0] + _triple(F, rng)[1:], _triple(F, rng), _triple(F, rng)),
+    # fg(0) = 0: the row x = 0 has the root w = 0
+    "fg-zero-at-origin": lambda F, rng: (_triple(F, rng)[:2] + [0], _triple(F, rng),
+                                         _triple(F, rng)),
+    "f-is-xz": lambda F, rng: ([0, 1, 0], _triple(F, rng), _triple(F, rng)),
+    "disc-zero-everywhere": _square_discriminant,
+    "disc-zero-on-two-rows": _discriminant_vanishing_on_two_rows,
+    "disc-zero-at-both-ends": _discriminant_vanishing_at_both_ends,
 }
+DEGENERATE_SHAPES = sorted(set(SHAPES) - {"random"})
+
+
+def shaped_curve(shape, field, rng):
+    """A bielliptic quartic of the given shape; draws again while f or g is zero."""
+    while True:
+        try:
+            return bielliptic(field, *SHAPES[shape](field, rng))
+        except DegenerateInputError:
+            continue
 
 
 class TestPlaneQuartic:
+    def test_fermat_is_the_fermat_quartic(self):
+        for field in (F5, F7):
+            assert fermat(field).plane_quartic() == TernaryForm.from_ints(
+                field, 4, {(4, 0, 0): 1, (0, 4, 0): 1, (0, 0, 4): 1})
+
     def test_fermat_f5_empty(self):
         # fourth powers mod 5 lie in {0, 1}; no nonzero triple sums to 0
         assert count_plane_quartic(fermat(F5), F5).n == 0
 
     def test_fermat_f7_brute_force(self):
         rec = count_plane_quartic(fermat(F7), F7)
-        assert rec.n == brute_plane_points(fermat(F7), F7)
+        assert rec.n == brute_curve_points(fermat(F7), F7)
 
     def test_even_characteristic_rejected(self):
         with pytest.raises(UnsupportedFieldError):
@@ -87,50 +145,46 @@ class TestPlaneQuartic:
         assert [r.field_size for r in result.counts[:3]] == [29, 29**2, 29**3]
 
     @pytest.mark.parametrize("trial", range(12))
-    def test_algorithms_agree_with_brute_force(self, trial):
+    def test_random_shapes_agree_with_brute_force(self, trial):
         rng = random.Random(trial)
         field = rng.choice([F3, F5, F7, F9])
-        form = random_ternary_form(field, rng, 4)
-        if form.is_zero():
-            return
-        assert count_plane_quartic(form, field).n == brute_plane_points(form, field)
+        curve = shaped_curve(rng.choice(sorted(SHAPES)), field, rng)
+        assert count_plane_quartic(curve, field).n == brute_curve_points(curve, field)
 
     @pytest.mark.parametrize("trial", range(12))
     def test_even_kernel_agrees(self, trial):
         rng = random.Random(100 + trial)
         field = rng.choice([F5, F7, F9])
-        form = random_even_quartic(field, rng)
-        if form.is_zero():
-            return
-        assert count_plane_quartic(form, field).n == brute_plane_points(form, field)
+        curve = shaped_curve("random", field, rng)
+        assert count_plane_quartic(curve, field).n == brute_curve_points(curve, field)
 
     @pytest.mark.parametrize("field", [F5, F7, F9], ids=["F5", "F7", "F9"])
-    @pytest.mark.parametrize("shape", sorted(DEGENERATE_SHAPES))
+    @pytest.mark.parametrize("shape", DEGENERATE_SHAPES)
     def test_degenerate_rows_agree_with_brute_force(self, field, shape):
-        form = DEGENERATE_SHAPES[shape](field)
-        assert count_plane_quartic(form, field).n == brute_plane_points(form, field)
+        curve = shaped_curve(shape, field, random.Random(f"{shape}-{field.q}"))
+        assert count_plane_quartic(curve, field).n == brute_curve_points(curve, field)
 
-    def test_chart_consistency_under_permutation(self):
+    @pytest.mark.parametrize("p, k, big_k", [(7, 1, 1), (3, 2, 2), (3, 1, 3)],
+                             ids=["F7", "F9", "F3-over-F27"])
+    def test_swapping_x_and_z_keeps_the_count(self, p, k, big_k):
+        # (x:y:z) -> (z:y:x) maps C onto the curve with f, g and h reversed, so
+        # the row at infinity of the one is the row x = 0 of the other
+        small, big = build_extension(p, k), build_extension(p, big_k)
         rng = random.Random(9)
-        for _ in range(8):
-            form = random_ternary_form(F7, rng, 4)
-            if form.is_zero():
-                continue
-            rotated = TernaryForm(F7, 4, {(j, k, i): c for (i, j, k), c in form.coeffs.items()})
-            swapped = TernaryForm(F7, 4, {(k, j, i): c for (i, j, k), c in form.coeffs.items()})
-            n = count_plane_quartic(form, F7).n
-            assert count_plane_quartic(rotated, F7).n == n
-            assert count_plane_quartic(swapped, F7).n == n
+        for shape in sorted(SHAPES):
+            curve = shaped_curve(shape, small, rng)
+            swapped = bielliptic(small, *(form.coeffs[::-1]
+                                          for form in (curve.f, curve.g, curve.h)))
+            assert count_plane_quartic(swapped, big).n == count_plane_quartic(curve, big).n
 
     def test_extension_count_of_prime_field_curve(self):
         rng = random.Random(10)
         curve = random_validated_curve(F5, rng)
-        form = curve.plane_quartic()
         f25 = build_extension(5, 2)
-        rec = count_plane_quartic(form, f25)
+        rec = count_plane_quartic(curve, f25)
         assert rec.q == 5 and rec.m == 2
         assert rec.n == brute_plane_points(
-            TernaryForm(f25, 4, dict(form.coeffs)), f25
+            TernaryForm(f25, 4, dict(curve.plane_quartic().coeffs)), f25
         )
 
     def test_determinism(self):
@@ -221,7 +275,7 @@ class TestBruinCover:
             if quartic.is_zero():
                 continue
             rec_z, _ = count_bruin_cover(*quads, F5)
-            assert rec_z.n == count_plane_quartic(quartic, F5).n
+            assert rec_z.n == brute_plane_points(quartic, F5)
 
     def test_singular_model_bookkeeping(self):
         # cover points = plane-model points minus rational roots of f*g plus
@@ -232,7 +286,7 @@ class TestBruinCover:
                 curve = random_validated_curve(field, rng)
                 model = singular_model(curve)
                 _, rec_y = count_bruin_cover(*model, field)
-                n_plane = count_plane_quartic(curve.plane_quartic(), field).n
+                n_plane = count_plane_quartic(curve, field).n
                 fg = curve.fg()
                 roots = sum(1 for x in field.elements() if fg.eval(x, field.one) == 0)
                 roots += 1 if fg.coeffs[0] == field.zero else 0  # the point (1:0)
@@ -318,17 +372,14 @@ class TestFrobeniusOrbits:
         assert _frobenius_orbits(F7, F7) is orbits
 
     @pytest.mark.parametrize("p, k, big_k", PAIRS, ids=lambda v: str(v))
-    def test_plane_algorithms_agree_with_brute_force(self, p, k, big_k):
+    def test_plane_quartic_agrees_with_brute_force(self, p, k, big_k):
         small, big = build_extension(p, k), build_extension(p, big_k)
         rng = random.Random(p * 100 + big_k)
-        form = random_ternary_form(small, rng, 4)
-        even = random_even_quartic(small, rng)
-        expected = brute_plane_points(lift(form, small, big), big)
-        expected_even = brute_plane_points(lift(even, small, big), big)
-        assert count_plane_quartic(form, big).n == expected
-        rec = count_plane_quartic(even, big)
-        assert rec.n == expected_even
-        assert rec.rows == len(_frobenius_orbits(small, big)) < big.q
+        for shape in ("random", "disc-zero-on-two-rows"):
+            curve = shaped_curve(shape, small, rng)
+            rec = count_plane_quartic(curve, big)
+            assert rec.n == brute_curve_points(curve, big)
+            assert rec.rows == len(_frobenius_orbits(small, big)) < big.q
 
     @pytest.mark.parametrize("p, k, big_k", [(3, 1, 2), (5, 1, 2), (3, 1, 3), (3, 2, 4)],
                              ids=lambda v: str(v))
@@ -356,84 +407,38 @@ class TestFrobeniusOrbits:
             assert rec_y.rows == len(_frobenius_orbits(small, big))
 
 
-def even_quartic(field, a4, b_row, c_row):
-    """a4 y^4 + b(x, z) y^2 + c(x, z): in the chart z = 1 every row is
-    a4 w^2 + b(x) w + c(x) with w = y^2, b = sum b_i x^i, c = sum c_i x^i."""
-    coeffs = {(0, 4, 0): a4}
-    coeffs.update({(i, 2, 2 - i): v for i, v in enumerate(b_row)})
-    coeffs.update({(i, 0, 4 - i): v for i, v in enumerate(c_row)})
-    return TernaryForm(field, 4, coeffs)
-
-
 def _random_row(field, rng, length):
     return [field.random_element(rng) for _ in range(length)]
 
 
-def _discriminant_vanishing_at(field, rng, roots):
-    """Rows with b^2 - 4 a4 c = s * prod (x - u) over u in roots."""
-    a4, s = field.random_nonzero(rng), field.random_nonzero(rng)
-    b = _random_row(field, rng, 3)
-    d = [s]
-    for u in roots:  # d <- d * (x - u)
-        d = [field.sub(lo, field.mul(u, hi)) for lo, hi in zip(d + [0], [0] + d)]
-    b_sq = [field.zero] * 5
-    for i, bi in enumerate(b):
-        for j, bj in enumerate(b):
-            b_sq[i + j] = field.add(b_sq[i + j], field.mul(bi, bj))
-    four_a = field.mul(field.from_int(4), a4)
-    c = [field.div(field.sub(v, d[i] if i < len(d) else 0), four_a) for i, v in enumerate(b_sq)]
-    return even_quartic(field, a4, b, c)
-
-
-# Even quartics whose rows hit every branch of the log-domain row solver.
-EVEN_SHAPES = {
-    "random": lambda F, rng: even_quartic(F, F.random_element(rng), _random_row(F, rng, 3),
-                                          _random_row(F, rng, 5)),
-    "a4-zero": lambda F, rng: even_quartic(F, 0, _random_row(F, rng, 3), _random_row(F, rng, 5)),
-    "b2-zero": lambda F, rng: even_quartic(F, F.random_nonzero(rng), [0, 0, 0],
-                                           _random_row(F, rng, 5)),
-    # a4 (w - r(x))^2: a double root w = r(x) on every row
-    "disc-zero-everywhere": lambda F, rng: _discriminant_vanishing_at(F, rng, []),
-    "disc-zero-on-two-rows": lambda F, rng: _discriminant_vanishing_at(
-        F, rng, [F.random_nonzero(rng), F.random_element(rng)]),
-    "c0-zero-at-origin": lambda F, rng: even_quartic(F, F.random_nonzero(rng),
-                                                     _random_row(F, rng, 3),
-                                                     [0] + _random_row(F, rng, 4)),
-    "a4-nonsquare": lambda F, rng: even_quartic(
-        F, next(a for a in range(1, F.q) if F.chi(F.mul(2 % F.p, a)) < 0),
-        _random_row(F, rng, 3), _random_row(F, rng, 5)),
-}
-
-
 class TestLogDomainKernels:
-    """The even plane rows and count_weighted, computed on discrete logs,
+    """The plane-quartic rows and count_weighted, computed on discrete logs,
     against brute-force enumeration over prime and extension fields."""
 
     FIELDS = [(23, 1), (5, 2), (3, 3), (7, 2)]
 
     @pytest.mark.parametrize("p, k", FIELDS, ids=lambda v: str(v))
-    @pytest.mark.parametrize("shape", sorted(EVEN_SHAPES))
+    @pytest.mark.parametrize("shape", sorted(SHAPES))
     def test_even_rows_agree_with_brute_force(self, p, k, shape):
         field = build_extension(p, k)
         rng = random.Random(f"{shape}-{p}-{k}")
         for _ in range(2):
-            form = EVEN_SHAPES[shape](field, rng)
-            assert count_plane_quartic(form, field).n == brute_plane_points(form, field)
+            curve = shaped_curve(shape, field, rng)
+            assert count_plane_quartic(curve, field).n == brute_curve_points(curve, field)
 
     @pytest.mark.parametrize("shape", ["random", "disc-zero-on-two-rows"])
     def test_even_rows_over_f243(self, shape):
         field = build_extension(3, 5)
-        form = EVEN_SHAPES[shape](field, random.Random(shape))
-        assert count_plane_quartic(form, field).n == brute_plane_points(form, field)
+        curve = shaped_curve(shape, field, random.Random(shape))
+        assert count_plane_quartic(curve, field).n == brute_curve_points(curve, field)
 
-    @pytest.mark.parametrize("shape", sorted(EVEN_SHAPES))
+    @pytest.mark.parametrize("shape", sorted(SHAPES))
     def test_prime_field_curve_over_cubic_extension(self, shape):
         small, big = F3, build_extension(3, 3)
         rng = random.Random(shape)
         for _ in range(3):
-            form = EVEN_SHAPES[shape](small, rng)
-            expected = brute_plane_points(lift(form, small, big), big)
-            assert count_plane_quartic(form, big).n == expected
+            curve = shaped_curve(shape, small, rng)
+            assert count_plane_quartic(curve, big).n == brute_curve_points(curve, big)
 
     @pytest.mark.parametrize("p, k", FIELDS + [(3, 5)], ids=lambda v: str(v))
     def test_weighted_agrees_with_brute_force(self, p, k):
@@ -470,23 +475,6 @@ class TestLogDomainKernels:
                                 if field.add(field.mul(field.add(field.mul(a, w), b), w), c) == 0}
                     roots = _low_degree_roots(f, field)
                     assert len(roots) == len(expected) and set(roots) == expected
-
-
-def quadratic(field, *terms):
-    """sum of s * L * M over (s, L, M), L and M linear forms (x, y, z)-coefficients."""
-    cs = [field.zero] * 6  # (x^2, y^2, z^2, xy, xz, yz)
-    add, mul = field.add, field.mul
-    for s, lin, mon in terms:
-        (l0, l1, l2), (m0, m1, m2) = lin, mon
-        for i, v in enumerate((mul(l0, m0), mul(l1, m1), mul(l2, m2),
-                               add(mul(l0, m1), mul(l1, m0)), add(mul(l0, m2), mul(l2, m0)),
-                               add(mul(l1, m2), mul(l2, m1)))):
-            cs[i] = add(cs[i], mul(s, v))
-    return quadric(field, *cs)
-
-
-def random_linear(field, rng):
-    return tuple(field.random_element(rng) for _ in range(3))
 
 
 def nonsquare(field):
@@ -527,15 +515,8 @@ class TestCoverRootFinding:
         # on x = c z the triple is s (A^2, AB, B^2), so R_c vanishes identically
         field = build_extension(p, k)
         rng = random.Random(300 + field.q)
-        one, zero = field.one, field.zero
-        for s in (one, nonsquare(field)):
-            c = field.random_element(rng)
-            line = (one, zero, field.neg(c))  # x - c z
-            a, b = (zero, one, field.random_element(rng)), (zero, one, field.random_element(rng))
-            quads = [quadratic(field, (s, a, a), (one, line, random_linear(field, rng))),
-                     quadratic(field, (s, a, b), (one, line, random_linear(field, rng))),
-                     quadratic(field, (s, b, b), (one, line, random_linear(field, rng)))]
-            self.check(quads, field)
+        for s in (field.one, nonsquare(field)):
+            self.check(line_inside_the_base(field, rng, field.random_element(rng), s), field)
 
     @pytest.mark.parametrize("p, k", [(7, 1), (5, 2), (3, 3)], ids=["F7", "F25", "F27"])
     def test_rows_below_degree_four(self, p, k):

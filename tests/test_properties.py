@@ -14,84 +14,105 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from prymsplit import (
-    TernaryForm,
     UniPoly,
     build_extension,
     cli,
+    count_bruin_cover,
     count_plane_quartic,
     count_weighted,
+    quadric,
 )
 from prymsplit.fields import embedding
-from helpers import brute_plane_points, brute_weighted_points, lift
+from helpers import (
+    bielliptic,
+    brute_curve_points,
+    brute_weighted_points,
+    line_inside_the_base,
+    scan_cover_counts,
+)
 
 # every odd field up to F_27: (p, k)
 ODD_FIELDS = [(3, 1), (5, 1), (7, 1), (3, 2), (11, 1), (13, 1), (17, 1), (19, 1),
               (23, 1), (5, 2), (3, 3)]
 
+# coefficients that empty the row at x = infinity (f0 g0, h0), the row x = 0
+# (fg(0)) or every row's linear term (h)
+ZEROS = {"f0": ((0, 0),), "g2": ((1, 2),), "h0": ((2, 0),), "h": ((2, 0), (2, 1), (2, 2))}
+
 
 @st.composite
-def even_quartics(draw):
-    """A nonzero quartic with no odd power of y over a drawn odd field."""
-    field = build_extension(*draw(st.sampled_from(ODD_FIELDS)))
-    coeffs = {(i, j, 4 - i - j): draw(st.integers(0, field.q - 1))
-              for j in (0, 2, 4) for i in range(5 - j)}
-    if not any(coeffs.values()):
-        coeffs[(0, 4, 0)] = 1
-    return field, TernaryForm(field, 4, coeffs)
+def bielliptic_curves(draw, pairs):
+    """(subfield, counting field, y^4 - h y^2 + fg over the subfield) from a
+    drawn pair; some examples have f0 g0 = 0, fg(0) = 0, h0 = 0 or h = 0."""
+    small, big = (build_extension(*f) for f in draw(st.sampled_from(pairs)))
+    fgh = [[draw(st.integers(0, small.q - 1)) for _ in range(3)] for _ in range(3)]
+    for name in sorted(ZEROS):
+        if draw(st.integers(0, 3)) == 0:  # about one example in four
+            for i, j in ZEROS[name]:
+                fgh[i][j] = 0
+    for form in fgh[:2]:  # f and g are nonzero
+        if not any(form):
+            form[1] = 1
+    return small, big, bielliptic(small, *fgh)
+
+
+def assert_count(case):
+    small, big, curve = case
+    assert count_plane_quartic(curve, big).n == brute_curve_points(curve, big)
 
 
 @settings(derandomize=True, database=None, max_examples=100, deadline=None)
-@given(even_quartics())
-def test_even_quartic_count_matches_brute_force(case):
-    field, form = case
-    assert count_plane_quartic(form, field).n == brute_plane_points(form, field)
+@given(bielliptic_curves([(f, f) for f in ODD_FIELDS]))
+def test_bielliptic_count_matches_brute_force(case):
+    assert_count(case)
 
 
 # --- curves over a subfield F_r of the counting field, r < q ------------------
 # Here x -> x^r has orbits of more than one element, so each kernel evaluates
 # one row per orbit and weights it by the orbit size.
 
-EVEN = (0, 2, 4)  # the y-degrees of a quartic with no odd power of y
-
-
-@st.composite
-def subfield_quartics(draw, pairs, y_degrees):
-    """(subfield, counting field, nonzero quartic over the subfield) from a
-    drawn pair, using the monomials x^i y^j z^(4-i-j) with j in y_degrees;
-    when odd j are allowed, at least one odd power of y is present."""
-    small, big = (build_extension(*f) for f in draw(st.sampled_from(pairs)))
-    coeffs = {(i, j, 4 - i - j): draw(st.integers(0, small.q - 1))
-              for j in y_degrees for i in range(5 - j)}
-    odd = [m for m in coeffs if m[1] % 2]
-    if odd and not any(coeffs[m] for m in odd):
-        coeffs[draw(st.sampled_from(odd))] = 1
-    if not any(coeffs.values()):
-        coeffs[(0, 4, 0)] = 1
-    return small, big, TernaryForm(small, 4, coeffs)
-
-
-def assert_subfield_count(case):
-    small, big, form = case
-    assert count_plane_quartic(form, big).n == brute_plane_points(lift(form, small, big), big)
-
-
 @settings(derandomize=True, database=None, max_examples=60, deadline=None)
-@given(subfield_quartics([((3, 1), (3, 3)), ((5, 1), (5, 2)), ((3, 2), (3, 4))], EVEN))
-def test_even_quartic_over_a_subfield_matches_brute_force(case):
-    assert_subfield_count(case)
+@given(bielliptic_curves([((3, 1), (3, 3)), ((5, 1), (5, 2)), ((3, 2), (3, 4))]))
+def test_bielliptic_over_a_subfield_matches_brute_force(case):
+    assert_count(case)
 
 
 # brute force over F_243 takes about 0.6 s per quartic
 @settings(derandomize=True, database=None, max_examples=5, deadline=None)
-@given(subfield_quartics([((3, 1), (3, 5))], EVEN))
-def test_even_quartic_over_f3_counted_over_f243(case):
-    assert_subfield_count(case)
+@given(bielliptic_curves([((3, 1), (3, 5))]))
+def test_bielliptic_over_f3_counted_over_f243(case):
+    assert_count(case)
 
 
-@settings(derandomize=True, database=None, max_examples=30, deadline=None)
-@given(subfield_quartics([((3, 1), (3, 2)), ((3, 1), (3, 3)), ((5, 1), (5, 2))], range(5)))
-def test_odd_quartic_over_a_subfield_matches_brute_force(case):
-    assert_subfield_count(case)
+# (field of the quadrics' coefficients, counting field): prime fields,
+# extension fields, and subfields of the counting field
+COVER_PAIRS = [((3, 1), (3, 1)), ((5, 1), (5, 1)), ((7, 1), (7, 1)), ((11, 1), (11, 1)),
+               ((3, 2), (3, 2)), ((5, 2), (5, 2)), ((3, 1), (3, 2)), ((3, 1), (3, 3)),
+               ((5, 1), (5, 2)), ((3, 2), (3, 4))]
+
+
+@st.composite
+def quadric_triples(draw):
+    """(counting field, three quadrics over a subfield of it); in some
+    examples the base quartic contains a line x = c z, whose row R_c vanishes."""
+    small, big = (build_extension(*f) for f in draw(st.sampled_from(COVER_PAIRS)))
+    element = st.integers(0, small.q - 1)
+    if draw(st.booleans()):
+        c, s = draw(element), draw(st.integers(1, small.q - 1))
+        rng = draw(st.randoms(use_true_random=False))
+        return big, line_inside_the_base(small, rng, c, s)
+    quads = [quadric(small, *(draw(element) for _ in range(6))) for _ in range(3)]
+    if all(quad.is_zero() for quad in quads):
+        quads[1] = quadric(small, 0, 1, 0, 0, 0, 0)
+    return big, quads
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(quadric_triples())
+def test_cover_count_matches_plane_scan(case):
+    big, quads = case
+    rec_z, rec_y = count_bruin_cover(*quads, big)
+    assert (rec_z.n, rec_y.n) == scan_cover_counts(*quads, big)
 
 
 # (field of F's coefficients, counting field): prime fields, extension fields,
