@@ -13,11 +13,13 @@ Three counters, all exact:
   x = infinity read off the degree-(2g+2) homogenization.
 * the double cover q1 = u^2, q2 = uv, q3 = v^2 of the plane quartic
   q2^2 = q1 q3: on a row the three forms are quadratics v_i(y), and the base
-  points are the roots of R(y) = v2^2 - v1 v3 in the field, found as
-  gcd(R, y^q - y) and split by Cantor-Zassenhaus.  The fiber over a base
-  point has 1 + chi(q1) points (or 1 + chi(q3) when q1 vanishes), and 1
-  exactly where all three quadrics vanish, so the genus-5 curve is never
-  enumerated in P^4.
+  points are the roots of R(y) = v2^2 - v1 v3 in the field.  The row takes
+  R's coefficients by Horner's rule on logs, solves it by the quadratic
+  formula up to degree 2, and above it splits gcd(R, y^q - y) by
+  Cantor-Zassenhaus, all on logs (_LogPolys).  The fiber over a base point
+  has 1 + chi(q1) points (or 1 + chi(q3) when q1 vanishes), and 1 exactly
+  where all three quadrics vanish, so the genus-5 curve is never enumerated
+  in P^4.
 
 Every kernel walks the x-axis one Frobenius orbit at a time.  The curve's
 coefficients live in a subfield F_r of the counting field, so x -> x^r fixes
@@ -32,8 +34,8 @@ the others take x = g^j from the exp table.
 A kernel takes the curve and the counting field and nothing else: the
 verifiers in zeta pick each field and check the axis cap before they build
 it.  The record's base is the curve's field F_r, and its degree is the
-counting field's degree over F_r.  Each kernel does O(log q) field
-operations per row; only a cover row whose R vanishes identically (a line
+counting field's degree over F_r.  Each kernel does O(log q) log-table
+lookups per row; only a cover row whose R vanishes identically (a line
 x = c inside the base quartic) is scanned over its q values of y.
 """
 
@@ -45,15 +47,7 @@ from itertools import chain
 
 from .errors import DegenerateInputError, ModelError, UnsupportedFieldError
 from .fields import embedding
-from .poly import (
-    UniPoly,
-    divmod_list,
-    gcd_list,
-    mul_list,
-    powmod_list,
-    trim,
-    xq_mod_list,
-)
+from .poly import UniPoly
 from .ternary import TernaryForm, quadric_coefficients
 
 @dataclass(frozen=True)
@@ -123,17 +117,6 @@ def _frobenius_orbits(data_field, field):
     return orbits
 
 
-# --- per-row root counting over y ----------------------------------------
-
-def _rational_part(f, field):
-    """Monic gcd(f, x^q - x), the product of f's distinct linear factors; deg f >= 2."""
-    zero, one = field.zero, field.one
-    g = xq_mod_list(f, field)
-    g += [zero] * (2 - len(g))
-    g[1] = field.sub(g[1], one)
-    return gcd_list(f, trim(g, zero), field)
-
-
 # --- discrete-log form: v = g^j is kept as j in [0, q - 1) and zero as -1 ---
 # (fields._FiniteField.log_tables).  A product adds logs mod q - 1, a sum is
 # one Zech lookup, -v adds (q - 1)/2, chi(v) = (-1)^j, and for even j g^(j/2)
@@ -158,48 +141,187 @@ def _log_horner(lcs, lx, qm1, zech):
     return acc
 
 
+def _log_sum(u, v, qm1, zech):
+    """log(a + b) from u = log a and v = log b."""
+    if u < 0:
+        return v
+    if v < 0:
+        return u
+    z = zech[(v - u) % qm1]
+    return -1 if z < 0 else (u + z) % qm1
+
+
 def _one_plus_chi(lv):
     """1 + chi(v) from the log of v: the number of y with y^2 = v."""
     return 1 if lv < 0 else 2 - 2 * (lv & 1)
 
 
-def _low_degree_roots(f, field):
-    """Distinct roots of a nonzero trimmed f of degree at most 2."""
-    if len(f) == 1:
-        return []
-    if len(f) == 2:
-        return [field.neg(field.div(f[0], f[1]))]
-    c, b, a = f
-    exp, log, _ = field.log_tables
-    nh = field.neg(field.div(b, field.mul(field.from_int(2), a)))  # roots -h +- s
-    ld = log[field.sub(field.mul(nh, nh), field.div(c, a))]  # s^2 = h^2 - c/a
-    if ld < 0:
-        return [nh]
-    if ld & 1:
-        return []
-    s = exp[ld // 2]
-    return [field.add(nh, s), field.sub(nh, s)]
+class _LogPolys:
+    """Polynomials over F_q on discrete logs, for the rows of the cover kernel.
 
-
-def _split_roots(h, field):
-    """Roots of a monic h that is a product of distinct linear factors.
-
-    Above degree 2, h splits into gcd(h, (x + d)^((q-1)/2) - 1) and its
-    cofactor for the first d = 0, 1, 2, ... that separates two roots
-    (equal-degree splitting, Cantor & Zassenhaus, Math. Comp. 36, 1981), and
-    both parts recurse.
+    A polynomial is a constant-first list of coefficient logs with no trailing
+    -1 ([] is zero), and every modulus is monic (top log 0).  Multiplying two
+    coefficients adds their logs mod q - 1, adding them is one Zech lookup,
+    and -c adds (q - 1)/2 to log c; c^p is p log c, so the Frobenius map costs
+    no field power.
     """
-    if len(h) <= 3:
-        return _low_degree_roots(h, field)
-    zero, one = field.zero, field.one
-    half = (field.q - 1) // 2
-    for d in range(field.q):
-        g = powmod_list([d, one], half, h, field) or [zero]
-        g[0] = field.sub(g[0], one)
-        g = gcd_list(h, trim(g, zero), field)
-        if 1 < len(g) < len(h):
-            return _split_roots(g, field) + _split_roots(divmod_list(h, g, field)[0], field)
-    raise ArithmeticError("no splitting shift: h is not a product of distinct linear factors")
+
+    __slots__ = ("p", "k", "qm1", "half", "l2", "zech")
+
+    def __init__(self, field):
+        _, log, self.zech = field.log_tables
+        self.p, self.k = field.p, field.k
+        self.qm1 = field.q - 1
+        self.half = self.qm1 // 2
+        self.l2 = log[field.from_int(2)]
+
+    def monic(self, f):
+        lead, qm1 = f[-1], self.qm1
+        return [c if c < 0 else (c - lead) % qm1 for c in f]
+
+    def add_scaled(self, acc, off, c, row):
+        """acc[off + j] += g^c row[j] for every j, in place: one Zech add each."""
+        qm1, zech = self.qm1, self.zech
+        for j, t in enumerate(row, off):
+            if t >= 0:
+                t += c
+                s = acc[j]
+                if s < 0:
+                    acc[j] = t % qm1
+                else:
+                    z = zech[(t - s) % qm1]
+                    acc[j] = -1 if z < 0 else (s + z) % qm1
+
+    def divmod(self, a, f):
+        """(quotient, remainder) of a by the monic f."""
+        n = len(f) - 1
+        rem = list(a)
+        quo = [-1] * (len(rem) - n)
+        low = f[:-1]
+        for i in range(len(rem) - 1, n - 1, -1):
+            c = rem[i]
+            if c >= 0:  # subtract c y^(i - n) f; rem[i] itself cancels
+                quo[i - n] = c
+                self.add_scaled(rem, i - n, c + self.half, low)
+        del rem[n:]
+        while rem and rem[-1] < 0:
+            rem.pop()
+        return quo, rem
+
+    def mulmod(self, a, b, f):
+        """a b mod the monic f."""
+        if not a or not b:
+            return []
+        prod = [-1] * (len(a) + len(b) - 1)
+        for i, u in enumerate(a):
+            if u >= 0:
+                self.add_scaled(prod, i, u, b)
+        return prod if len(prod) < len(f) else self.divmod(prod, f)[1]
+
+    def powmod(self, a, e, f):
+        """a^e mod the monic f by square-and-multiply, for a reduced mod f."""
+        result = [0]
+        while e:
+            if e & 1:
+                result = self.mulmod(result, a, f)
+            e >>= 1
+            if e:
+                a = self.mulmod(a, a, f)
+        return result
+
+    def gcd(self, a, b):
+        """Monic gcd of a nonzero a and b, by the Euclidean algorithm."""
+        while b:
+            if len(b) == 1:
+                return [0]
+            b = self.monic(b)
+            a, b = b, self.divmod(a, b)[1]
+        return self.monic(a)
+
+    def xq(self, f):
+        """y^q mod the monic f of degree n >= 1.
+
+        y^p comes by square-and-multiply, a multiplication by y being a
+        shift.  Then g^p = sum g_i^p y^(ip) in characteristic p, so with the
+        rows y^(ip) mod f (i < n) each of the k - 1 steps from y^p to y^q is
+        a Frobenius on the coefficient logs and an n-by-n product.
+        """
+        qm1, p = self.qm1, self.p
+        n = len(f) - 1
+        yp = [-1, 0] if n > 1 else self.divmod([-1, 0], f)[1]
+        for bit in bin(p)[3:]:
+            yp = self.mulmod(yp, yp, f)
+            if bit == "1" and yp:
+                yp = [-1] + yp
+                if len(yp) > n:
+                    yp = self.divmod(yp, f)[1]
+        if self.k == 1:
+            return yp
+        rows = [[0], yp]
+        for _ in range(n - 2):
+            rows.append(self.mulmod(rows[-1], yp, f))
+        g = yp
+        for _ in range(self.k - 1):
+            acc = [-1] * n
+            for c, row in zip(g, rows):
+                if c >= 0:
+                    self.add_scaled(acc, 0, c * p % qm1, row)
+            while acc and acc[-1] < 0:
+                acc.pop()
+            g = acc
+        return g
+
+    def low_roots(self, f):
+        """Distinct roots, as logs, of a monic f of degree at most 2."""
+        qm1, half, zech = self.qm1, self.half, self.zech
+        if len(f) == 1:
+            return []
+        if len(f) == 2:
+            return [-1 if f[0] < 0 else (f[0] + half) % qm1]
+        # y^2 + b y + c has the roots t +- s, t = -b/2 and s^2 = t^2 - c
+        lc, lb = f[0], f[1]
+        lt = -1 if lb < 0 else (lb + half - self.l2) % qm1
+        ld = _log_sum(-1 if lt < 0 else 2 * lt % qm1, -1 if lc < 0 else (lc + half) % qm1,
+                      qm1, zech)
+        if ld < 0:
+            return [lt]
+        if ld & 1:
+            return []
+        ls = ld >> 1
+        return [_log_sum(lt, ls, qm1, zech), _log_sum(lt, (ls + half) % qm1, qm1, zech)]
+
+    def split(self, h):
+        """Roots of a monic h that is a product of distinct linear factors.
+
+        Above degree 2, h splits into gcd(h, (y + d)^((q-1)/2) - 1) and its
+        cofactor for the first d = 0, 1, g, g^2, ... that separates two roots
+        (equal-degree splitting, Cantor & Zassenhaus, Math. Comp. 36, 1981),
+        and both parts recurse.
+        """
+        if len(h) <= 3:
+            return self.low_roots(h)
+        qm1, half = self.qm1, self.half
+        for ld in range(-1, qm1):
+            g = self.powmod([ld, 0], half, h)  # nonzero: h has no repeated root
+            g[0] = _log_sum(g[0], half, qm1, self.zech)  # minus 1
+            while g and g[-1] < 0:
+                g.pop()
+            g = self.gcd(h, g)
+            if 1 < len(g) < len(h):
+                return self.split(g) + self.split(self.divmod(h, g)[0])
+        raise ArithmeticError("no splitting shift: h is not a product of distinct linear factors")
+
+    def roots(self, f):
+        """Distinct roots in F_q, as logs, of a monic f: the quadratic formula
+        up to degree 2, and the split of gcd(f, y^q - y) above it."""
+        if len(f) <= 3:
+            return self.low_roots(f)
+        g = self.xq(f)
+        g += [-1] * (2 - len(g))
+        g[1] = _log_sum(g[1], self.half, self.qm1, self.zech)  # minus y
+        while g and g[-1] < 0:
+            g.pop()
+        return self.split(self.gcd(f, g))
 
 
 def count_plane_quartic(curve, field) -> CountRecord:
@@ -301,6 +423,11 @@ def count_weighted(poly: UniPoly, genus: int, field) -> CountRecord:
                        time.perf_counter() - start, len(orbits))
 
 
+# 5 i + j for the x^i y^j of each quadric monomial, in the order
+# quadric_coefficients reads them
+_QUADRIC_INDEX = (10, 2, 0, 6, 5, 1)
+
+
 def count_bruin_cover(q1: TernaryForm, q2: TernaryForm, q3: TernaryForm, field):
     """(base count, cover count) for q2^2 = q1 q3 and its double cover, the
     q_i being quadrics (degree-2 TernaryForms).
@@ -309,64 +436,72 @@ def count_bruin_cover(q1: TernaryForm, q2: TernaryForm, q3: TernaryForm, field):
     is a nonzero square, 0 when it is a nonsquare, 1 when q1 = q2 = q3 = 0.
     On each orbit row x the base points are the roots of the quartic
     R_x(y) = v2^2 - v1 v3 in the field, v_i(y) = q_i(x, y, 1), and the fiber
-    is read off at each root; a row with R_x = 0 is scanned over y.  The
-    cover itself is never enumerated in P^4.
+    is read off at each root; a row with R_x = 0 is scanned over y.  All of
+    it runs on logs, and the cover itself is never enumerated in P^4.
     """
     _require_odd_finite(field)
     if any(quad.degree != 2 for quad in (q1, q2, q3)):
         raise ModelError("cover counting needs three degree-2 forms")
     if q1.is_zero() and q2.is_zero() and q3.is_zero():
         raise DegenerateInputError("all three quadratic forms are zero")
-    q = field.q
     start = time.perf_counter()
-    zero = field.zero
-    add, mul, sub = field.add, field.mul, field.sub
-    exp, log, _ = field.log_tables
-    packs = []
-    for quad in (q1, q2, q3):
-        cs = _coerce_scalars(quadric_coefficients(quad), quad.field, field)
-        packs.append(cs)  # (x^2, y^2, z^2, xy, xz, yz)
+    _, log, zech = field.log_tables
+    qm1 = field.q - 1
+    ops = _LogPolys(field)
+    # logs of each q_i = a x^2 + b y^2 + c z^2 + d xy + e xz + f yz
+    lqs = [[log[c] for c in _coerce_scalars(quadric_coefficients(quad), quad.field, field)]
+           for quad in (q1, q2, q3)]
+    # the q_i and q2^2 - q1 q3 on logs, with the x^i y^j coefficient at the
+    # flat index 5 i + j, so that a product of monomials adds their indices
+    lq2 = [[-1] * 11 for _ in lqs]
+    for row, lq in zip(lq2, lqs):
+        for i, t in zip(_QUADRIC_INDEX, lq):
+            row[i] = t
+    lq4 = [-1] * 21
+    for sign, u, v in ((0, 1, 1), (ops.half, 0, 2)):
+        for i, t in enumerate(lq2[u]):
+            if t >= 0:
+                ops.add_scaled(lq4, i, t + sign, lq2[v])
+    # R_x(y) = sum_j r_j(x) y^j: Horner logs of each r_j, top first, and of
+    # the line z = 0 at y = 1, whose x^i coefficient is that of x^i y^(4-i)
+    lrs = [[lq4[5 * i + j] for i in range(4 - j, -1, -1)] for j in range(5)]
+    lline = [lq4[4 * i + 4] for i in range(4, -1, -1)]
+    # for q1 and q3: v_i(y) = b y^2 + D y + C with D = d x + f and
+    # C = a x^2 + e x + c, and q_i(x, 1, 0) = a x^2 + d x + b
+    (c1, d1, line1, b1), (c3, d3, line3, b3) = ([[a, e, c], [d, f], [a, d, b], b]
+                                                for a, b, c, d, e, f in (lqs[0], lqs[2]))
+
+    def at(lcs, lx):  # log of c(x), x = 0 included
+        return lcs[-1] if lx < 0 else _log_horner(lcs, lx, qm1, zech)
+
+    def fiber(v1, v3, ly):
+        # 1 + chi(v1), or 1 + chi(v3) where v1 = 0; and 1 where v1 = v3 = 0,
+        # since v2^2 = v1 v3 forces v2 = 0 too
+        lv = at(v1, ly)
+        return _one_plus_chi(lv if lv >= 0 else at(v3, ly))
+
     # a curve is Frobenius-stable over the field its three forms share
     data_field = q1.field if q1.field == q2.field == q3.field else field
     orbits = _frobenius_orbits(data_field, field)
-
-    def fiber(v1, v3):
-        # 1 where v1 = v3 = 0, since v2^2 = v1 v3 forces v2 = 0 too
-        return _one_plus_chi(log[v1 or v3])
-
-    def value(v, y):
-        return add(mul(add(mul(v[2], y), v[1]), y), v[0])
-
-    nz = 0
-    ny = 0
+    nz = ny = 0
     for lx, size in orbits:
-        x = exp[lx] if lx >= 0 else zero
-        x2 = mul(x, x)
-        # v_i(y) = b y^2 + (d x + f) y + (a x^2 + e x + c), constant first
-        v1, v2, v3 = ([add(add(mul(a, x2), mul(e, x)), c), add(mul(d, x), f), b]
-                      for (a, b, c, d, e, f) in packs)
-        r = trim([sub(s, t) for s, t in zip(mul_list(v2, v2, field),
-                                            mul_list(v1, v3, field))], zero)
-        if not r:
-            ys = range(q)  # the line x = const lies inside the base quartic
-        elif len(r) <= 3:
-            ys = _low_degree_roots(r, field)
-        else:
-            ys = _split_roots(_rational_part(r, field), field)
-        row_z = len(ys)
-        row_y = sum(fiber(value(v1, y), value(v3, y)) for y in ys)
-        # line z = 0, y = 1: q_i(x, 1, 0) = a x^2 + d x + b
-        v1, v2, v3 = (add(add(mul(a, x2), mul(d, x)), b) for (a, b, c, d, e, f) in packs)
-        if sub(mul(v2, v2), mul(v1, v3)) == zero:
+        r = [at(lcs, lx) for lcs in lrs]
+        while r and r[-1] < 0:
+            r.pop()
+        # every y when the line x = const lies inside the base quartic
+        ys = ops.roots(ops.monic(r)) if r else range(-1, qm1)
+        row_z, row_y = len(ys), 0
+        if ys:
+            v1, v3 = [b1, at(d1, lx), at(c1, lx)], [b3, at(d3, lx), at(c3, lx)]
+            row_y = sum(fiber(v1, v3, ly) for ly in ys)
+        if at(lline, lx) < 0:  # the point (x:1:0)
             row_z += 1
-            row_y += fiber(v1, v3)
+            row_y += fiber(line1, line3, lx)
         nz += size * row_z
         ny += size * row_y
-    # the point (1:0:0): q_i = a_i
-    v1, v2, v3 = packs[0][0], packs[1][0], packs[2][0]
-    if sub(mul(v2, v2), mul(v1, v3)) == zero:
+    if lline[0] < 0:  # the point (1:0:0), where q_i = a_i
         nz += 1
-        ny += fiber(v1, v3)
+        ny += _one_plus_chi(line1[0] if line1[0] >= 0 else line3[0])
     seconds = time.perf_counter() - start
     r, m = data_field.q, field.k // data_field.k
     return (

@@ -6,12 +6,13 @@ formally.  BinaryForm stores a degree-n form as c_0..c_n meaning
 sum c_i x^(n-i) z^i (leading x-coefficient first); leading zeros are kept,
 they encode roots at infinity.
 
-Evaluation, product, division, modular product, modular power, x^q modulo
-a polynomial and gcd of dense polynomials live once, in the list kernel below.
-It works on bare constant-first coefficient lists without trailing zeros ([]
-is the zero polynomial) over any field object, so UniPoly, the per-row root
-counts of the counting kernels and the modulus, generator and subfield-root
-searches of the extension fields share it.
+Evaluation, product, division, modular product, modular power and gcd of
+dense polynomials live once, in the list kernel below.  It works on bare
+constant-first coefficient lists without trailing zeros ([] is the zero
+polynomial) over any field object, so UniPoly and the modulus, generator and
+subfield-root searches of the extension fields share it.  The counting
+kernels do not: their rows run on discrete logs (counting._LogPolys, which
+also takes y^q modulo a row).
 """
 
 from __future__ import annotations
@@ -87,38 +88,6 @@ def powmod_list(a, e: int, f, F):
         if e:
             a = mulmod_list(a, a, f, F)
     return result
-
-
-def xq_mod_list(f, F):
-    """x^q mod f over the finite field F of size q = p^k, for deg f >= 2.
-
-    In characteristic p, g(x)^p = sum g_i^p x^(ip), so with the rows
-    x^(ip) mod f (i < deg f) one Frobenius step is p-th powers of the
-    coefficients and a matrix-vector product, and x^q is k - 1 steps after
-    x^p: far fewer products mod f than square-and-multiply up to q.
-    """
-    zero, one, p = F.zero, F.one, F.p
-    xp = [zero, one]
-    for bit in bin(p)[3:]:  # left to right: multiplying by x is a shift
-        xp = mulmod_list(xp, xp, f, F)
-        if bit == "1":
-            xp = divmod_list([zero] + xp, f, F)[1]
-    if F.k == 1:
-        return xp
-    rows = [[one], xp]
-    for _ in range(len(f) - 3):
-        rows.append(mulmod_list(rows[-1], xp, f, F))
-    add, mul, power = F.add, F.mul, F.pow
-    g = xp
-    for _ in range(F.k - 1):
-        acc = [zero] * (len(f) - 1)
-        for c, row in zip(g, rows):
-            if c != zero:
-                c = power(c, p)
-                for j, r in enumerate(row):
-                    acc[j] = add(acc[j], mul(c, r))
-        g = trim(acc, zero)
-    return g
 
 
 def gcd_list(a, b, F):

@@ -18,8 +18,9 @@ from prymsplit import (
     quadric_coefficients,
     singular_model,
 )
-from prymsplit.counting import CountRecord, _frobenius_orbits, _low_degree_roots
+from prymsplit.counting import CountRecord, _LogPolys, _frobenius_orbits
 from prymsplit.fields import embedding
+from prymsplit.poly import powmod_list
 from helpers import (
     bielliptic,
     brute_cover_points,
@@ -460,21 +461,137 @@ class TestLogDomainKernels:
                     poly, genus, field
                 )
 
-    @pytest.mark.parametrize("p, k", [(7, 1), (3, 2), (5, 2)], ids=lambda v: str(v))
+
+# every field the row solver is run over: (p, k)
+ROW_FIELDS = [(3, 1), (5, 1), (7, 1), (3, 2), (5, 2), (3, 3), (3, 4), (3, 5)]
+ROW_IDS = ["F3", "F5", "F7", "F9", "F25", "F27", "F81", "F243"]
+
+
+def to_logs(field, cs):
+    """Constant-first field elements as the row solver's logs, trimmed."""
+    log = field.log_tables[1]
+    ls = [log[c] for c in cs]
+    while ls and ls[-1] < 0:
+        ls.pop()
+    return ls
+
+
+def from_logs(field, ls):
+    exp = field.log_tables[0]
+    return [field.zero if lv < 0 else exp[lv] for lv in ls]
+
+
+def product_of_linears(field, roots, lead=1):
+    """lead * prod (y - r), constant first."""
+    poly = UniPoly.constant(field, lead)
+    for r in roots:
+        poly = poly * (UniPoly.x(field) - UniPoly.constant(field, r))
+    return list(poly.coeffs)
+
+
+class TestRowSolver:
+    """The cover kernel's row solver on logs (_LogPolys) against enumeration
+    of y over the field and the list kernel's square-and-multiply."""
+
+    @staticmethod
+    def _inputs(field):
+        """Constant-first coefficient lists of each row shape, of degree at
+        most 4 as the rows R_x are; the gcd with y^q - y has degree 3 or 4 on
+        the shapes that take the Cantor-Zassenhaus split (3 over F_3)."""
+        rng = random.Random(field.q)
+        r, s, t = rng.sample(range(field.q), 3)
+        u = rng.choice([v for v in range(field.q) if v not in (r, s, t)] or [r])
+        lead = field.random_nonzero(rng)
+        nonsquare = next(v for v in range(field.q) if field.chi(v) < 0)
+        no_roots = [field.neg(nonsquare), 0, 1]  # y^2 - nonsquare
+        non_monic = (UniPoly(field, product_of_linears(field, (s, r)))
+                     * UniPoly(field, no_roots) + UniPoly.constant(field, lead)).scale(lead)
+        return {
+            "zero": [field.zero] * 5,
+            "constant": [lead],
+            "linear": [field.random_element(rng), lead],
+            "repeated-root": product_of_linears(field, (r, r, r, s)),
+            "non-monic": list(non_monic.coeffs) + [field.zero] * 2,  # untrimmed, as rows are
+            # b2^2 = b1 b3: R has degree 3
+            "cubic-one-root": list((UniPoly(field, product_of_linears(field, (r,), lead))
+                                    * UniPoly(field, no_roots)).coeffs),
+            "cubic-three-roots": product_of_linears(field, (r, s, t), lead),
+            "three-roots": product_of_linears(field, (r, r, s, t), lead),
+            "four-roots": product_of_linears(field, (r, s, t, u), lead),
+        }
+
+    SHAPES = ["zero", "constant", "linear", "repeated-root", "non-monic", "cubic-one-root",
+              "cubic-three-roots", "three-roots", "four-roots"]
+
+    @pytest.mark.parametrize("p, k", ROW_FIELDS, ids=ROW_IDS)
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_distinct_root_count_matches_enumeration(self, p, k, shape):
+        # a cover row R_x takes the path of its degree: every y when R_x = 0,
+        # the quadratic formula up to degree 2, and gcd(R_x, y^q - y) above,
+        # split by Cantor-Zassenhaus from degree 3
+        field = build_extension(p, k)
+        coeffs = self._inputs(field)[shape]
+        poly = UniPoly(field, coeffs)
+        expected = sorted(y for y in range(field.q) if poly.eval(y) == field.zero)
+        if shape in ("cubic-three-roots", "three-roots", "four-roots"):
+            assert len(expected) == min(field.q, 3 if shape != "four-roots" else 4)
+        f = to_logs(field, coeffs)
+        if not f:
+            assert len(expected) == field.q
+            return
+        ops = _LogPolys(field)
+        assert sorted(from_logs(field, ops.roots(ops.monic(f)))) == expected
+
+    @pytest.mark.parametrize("p, k", ROW_FIELDS[:6], ids=ROW_IDS[:6])
     def test_low_degree_roots_exhaustive(self, p, k):
         field = build_extension(p, k)
+        ops = _LogPolys(field)
         for a in range(field.q):
             for b in range(field.q):
+                # the w with a w^2 + b w = v, for every v
+                by_value = {}
+                for w in range(field.q):
+                    v = field.mul(field.add(field.mul(a, w), b), w)
+                    by_value.setdefault(v, []).append(w)
                 for c in range(field.q):
-                    f = [c, b, a]
-                    while f and f[-1] == 0:
-                        f.pop()
+                    f = to_logs(field, [c, b, a])
                     if not f:
                         continue
-                    expected = {w for w in range(field.q)
-                                if field.add(field.mul(field.add(field.mul(a, w), b), w), c) == 0}
-                    roots = _low_degree_roots(f, field)
-                    assert len(roots) == len(expected) and set(roots) == expected
+                    roots = from_logs(field, ops.low_roots(ops.monic(f)))
+                    assert sorted(roots) == by_value.get(field.neg(c), [])
+
+    @pytest.mark.parametrize("p, k", ROW_FIELDS, ids=ROW_IDS)
+    def test_monic_quadratic_roots_by_construction(self, p, k):
+        # every monic quadratic: (y - r)(y - s) has the roots {r, s}, and one
+        # that is no such product has none
+        field = build_extension(p, k)
+        ops = _LogPolys(field)
+        expected = {}
+        for r in range(field.q):
+            for s in range(r, field.q):
+                c0, c1, _ = product_of_linears(field, (r, s))
+                expected[c0, c1] = sorted({r, s})
+        for c0 in range(field.q):
+            for c1 in range(field.q):
+                roots = ops.low_roots(to_logs(field, [c0, c1, 1]))
+                assert sorted(from_logs(field, roots)) == expected.get((c0, c1), [])
+
+    @pytest.mark.parametrize("p, k", ROW_FIELDS + [(7, 2)], ids=ROW_IDS + ["F49"])
+    def test_frobenius_x_power_matches_square_and_multiply(self, p, k):
+        field = build_extension(p, k)
+        ops = _LogPolys(field)
+        rng = random.Random(field.q + 1)
+        for degree in (1, 2, 3, 4, 6):
+            for constant in (None, field.zero):  # y divides f when the constant is 0
+                f = [field.random_element(rng) for _ in range(degree)] + [field.one]
+                if constant is not None:
+                    f[0] = constant
+                expected = powmod_list([field.zero, field.one], field.q, f, field)
+                assert ops.xq(to_logs(field, f)) == to_logs(field, expected)
+        # y^q = y mod every product of distinct linear factors
+        for n in range(2, min(field.q, 4) + 1):
+            f = product_of_linears(field, rng.sample(range(field.q), n))
+            assert from_logs(field, ops.xq(to_logs(field, f))) == [field.zero, field.one]
 
 
 def nonsquare(field):

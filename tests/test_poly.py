@@ -152,52 +152,7 @@ class TestSquarefree:
 
 
 class TestListKernel:
-    """The shared list kernel, through its consumers: the per-row roots of
-    the cover kernel, x^q mod f and poly_gcd."""
-
-    @staticmethod
-    def _inputs(field):
-        """Constant-first coefficient lists of each shape, built over field."""
-        rng = random.Random(field.q)
-        x = UniPoly.x(field)
-
-        def linear(root):
-            return x - UniPoly.constant(field, root)
-
-        r, s = rng.sample(range(field.q), 2)
-        lead = field.random_nonzero(rng)
-        nonsquare = next(v for v in range(field.q) if field.chi(v) < 0)
-        no_roots = x * x - UniPoly.constant(field, nonsquare)
-        repeated = linear(r) * linear(r) * linear(r) * linear(s) * no_roots
-        non_monic = (linear(s) * linear(r) * no_roots + UniPoly.constant(field, lead)).scale(lead)
-        return {
-            "zero": [field.zero] * 5,
-            "constant": [lead],
-            "linear": [field.random_element(rng), lead],
-            "repeated-root": list(repeated.coeffs),
-            "non-monic": list(non_monic.coeffs) + [field.zero] * 2,  # untrimmed, as rows are
-        }
-
-    @pytest.mark.parametrize("p, k", [(5, 1), (7, 1), (3, 2), (5, 2), (3, 3)],
-                             ids=["F5", "F7", "F9", "F25", "F27"])
-    @pytest.mark.parametrize("shape", ["zero", "constant", "linear", "repeated-root", "non-monic"])
-    def test_distinct_root_count_matches_enumeration(self, p, k, shape):
-        # a cover row R_x takes the path of its degree: every y when R_x = 0,
-        # the quadratic formula up to degree 2, and gcd(R_x, y^q - y) above
-        from prymsplit.counting import _low_degree_roots, _rational_part
-        from prymsplit.poly import trim
-
-        field = build_extension(p, k)
-        coeffs = self._inputs(field)[shape]
-        poly = UniPoly(field, coeffs)
-        expected = sum(1 for y in range(field.q) if poly.eval(y) == field.zero)
-        f = trim(list(coeffs), field.zero)
-        if not f:
-            assert expected == field.q
-        elif len(f) <= 3:
-            assert len(_low_degree_roots(f, field)) == expected
-        else:
-            assert len(_rational_part(f, field)) - 1 == expected
+    """The shared list kernel, through its consumers: evaluation and poly_gcd."""
 
     @pytest.mark.parametrize("field", [F7, build_extension(5, 2), QQ], ids=["F7", "F25", "QQ"])
     def test_eval_list_matches_term_by_term_sum(self, field):
@@ -212,26 +167,6 @@ class TestListKernel:
                     expected = field.add(expected, field.mul(c, field.pow(x, i)))
                 assert eval_list(cs, x, field) == expected
                 assert UniPoly(field, cs).eval(x) == expected
-
-    @pytest.mark.parametrize("p, k", [(7, 1), (3, 2), (5, 2), (3, 3), (3, 5), (7, 2)],
-                             ids=["F7", "F9", "F25", "F27", "F243", "F49"])
-    def test_frobenius_x_power_matches_square_and_multiply(self, p, k):
-        from prymsplit.poly import powmod_list, trim, xq_mod_list
-
-        field = build_extension(p, k)
-        rng = random.Random(field.q + 1)
-        for degree in (2, 3, 4, 6):
-            for _ in range(3):
-                f = [field.random_element(rng) for _ in range(degree)]
-                f = trim(f + [field.random_nonzero(rng)], field.zero)
-                expected = powmod_list([field.zero, field.one], field.q, f, field)
-                assert xq_mod_list(f, field) == expected
-        # x^q = x mod every product of distinct linear factors
-        roots = rng.sample(range(field.q), 3)
-        f = [field.one]
-        for r in roots:
-            f = (UniPoly(field, f) * (UniPoly.x(field) - UniPoly.constant(field, r))).coeffs
-        assert xq_mod_list(list(f), field) == [field.zero, field.one]
 
     def test_gcd_over_qq_with_denominators(self):
         x = UniPoly.x(QQ)
