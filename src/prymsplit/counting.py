@@ -4,13 +4,14 @@ Three counters, all exact:
 
 * the bielliptic quartic y^4 - h y^2 + fg in P^2: (0:1:0) is never on it, so
   its points lie over the points [x:z] of P^1, and each such row is the
-  quadratic w^2 - h w + fg in w = y^2.  One loop takes each affine row from
-  log x to h(x) and fg(x) by Horner's rule in discrete-log form (below),
-  reads the row x = infinity off the top coefficients, and solves the
-  quadratic in w inline, with no function call per row.
+  quadratic w^2 - h w + fg in w = y^2.  h(x) and fg(x) come by Horner's rule
+  in discrete-log form (below), one pass per coefficient over the whole list
+  of rows, and a row with h c != 0 (c = fg(x)) has #{y} read from a per-field
+  table indexed by log(c / h^2) and the parity of log h; a row with h = 0 or
+  c = 0 has a closed form, and x = infinity reads the top coefficients.
 * hyperelliptic-type models y^2 = F(x) in P(1, g+1, 1): character sums over
-  the x-line, F evaluated by Horner's rule in log form, plus the points above
-  x = infinity read off the degree-(2g+2) homogenization.
+  the x-line, F evaluated by the same column-wise Horner's rule, plus the
+  points above x = infinity read off the degree-(2g+2) homogenization.
 * the double cover q1 = u^2, q2 = uv, q3 = v^2 of the plane quartic
   q2^2 = q1 q3: on a row the three forms are quadratics v_i(y), and the base
   points are the roots of R(y) = v2^2 - v1 v3 in the field.  The row takes
@@ -27,9 +28,8 @@ the curve: it maps the points over x one-to-one onto the points over x^r and
 preserves the quadratic character.  One representative row per orbit is
 evaluated and weighted by the orbit size, about q/m rows for a curve over F_p
 counted over F_{p^m}.  The orbits are walked on exponents: x = g^j has
-x^r = g^(j r mod q - 1), so each orbit is handed to a kernel as the log of its
-representative, and zero as -1.  The log-form kernels start from that log;
-the others take x = g^j from the exp table.
+x^r = g^(j r mod q - 1), so the orbits are handed to a kernel as two lists,
+the logs of their representatives (zero as -1) and their sizes.
 
 A kernel takes the curve and the counting field and nothing else: the
 verifiers in zeta pick each field and check the axis cap before they build
@@ -43,7 +43,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field as dc_field
-from itertools import chain
+from operator import mul
 
 from .errors import DegenerateInputError, ModelError, UnsupportedFieldError
 from .fields import embedding
@@ -90,21 +90,22 @@ def _coerce_scalars(values, data_field, count_field):
 
 
 def _frobenius_orbits(data_field, field):
-    """(log of representative, size) of each orbit of x -> x^r on the counting field.
+    """(reps, sizes): the log of each orbit's representative and the orbit's
+    size, for the orbits of x -> x^r on the counting field.
 
     r is the size of data_field, where the curve's coefficients live.  The walk
     runs on exponents: x = g^j has x^r = g^(j r mod q - 1), so the orbits of
     F_q^* are the cosets j -> j r of Z/(q - 1), and no field power is taken.
-    Zero is its own orbit and comes first as (-1, 1), -1 being the log of zero.
-    Built on first use and cached on the counting field per r; for r = q every
-    orbit is a single element.
+    Zero is its own orbit and comes first as log -1, size 1.  Built on first
+    use and cached on the counting field per r as two flat lists, so the cache
+    holds no per-orbit objects; for r = q every orbit is a single element.
     """
     r = data_field.q
     orbits = field._orbits.get(r)
     if orbits is None:
         qm1 = field.q - 1
         seen = bytearray(qm1)
-        orbits = [(-1, 1)]
+        reps, sizes = [-1], [1]
         for j in range(qm1):
             if not seen[j]:  # j is the least log in its orbit; mark the rest
                 size, i = 1, j * r % qm1
@@ -112,8 +113,9 @@ def _frobenius_orbits(data_field, field):
                     seen[i] = 1
                     size += 1
                     i = i * r % qm1
-                orbits.append((j, size))
-        orbits = field._orbits[r] = tuple(orbits)
+                reps.append(j)
+                sizes.append(size)
+        orbits = field._orbits[r] = (reps, sizes)
     return orbits
 
 
@@ -127,7 +129,7 @@ def _log_horner(lcs, lx, qm1, zech):
     top first, and lx = log x; x != 0.
 
     Each step is acc x + c_i: times x adds lx, and plus c_i is one Zech
-    lookup.  count_plane_quartic runs the same step inline.
+    lookup.  _log_values runs the same step over a whole list of x.
     """
     acc = -1
     for t in lcs:
@@ -138,6 +140,28 @@ def _log_horner(lcs, lx, qm1, zech):
         else:
             z = zech[(t - acc - lx) % qm1]
             acc = -1 if z < 0 else (acc + lx + z) % qm1
+    return acc
+
+
+def _log_values(lcs, reps, qm1, zech):
+    """logs of c(x) at every x of reps, by Horner's rule column-wise.
+
+    lcs are the logs of c's coefficients, top first, and reps the logs of the
+    x, reps[0] being -1 (x = 0) as _frobenius_orbits gives them.  Each
+    coefficient is one pass over the whole list, the step of _log_horner, so
+    there is no function call or inner loop per x; entry 0 is the constant
+    term.
+    """
+    if not lcs:
+        return [-1] * len(reps)
+    acc = [lcs[0]] * len(reps)
+    for t in lcs[1:]:
+        if t < 0:
+            acc = [-1 if a < 0 else (a + lx) % qm1 for a, lx in zip(acc, reps)]
+        else:
+            acc = [t if a < 0 else -1 if (z := zech[(t - a - lx) % qm1]) < 0
+                   else (a + lx + z) % qm1 for a, lx in zip(acc, reps)]
+    acc[0] = lcs[-1]  # x = 0, where the passes above ran on the log -1
     return acc
 
 
@@ -154,6 +178,47 @@ def _log_sum(u, v, qm1, zech):
 def _one_plus_chi(lv):
     """1 + chi(v) from the log of v: the number of y with y^2 = v."""
     return 1 if lv < 0 else 2 - 2 * (lv & 1)
+
+
+def _row_table(field):
+    """#{y : y^4 - h y^2 + c = 0} for h, c != 0, indexed by
+    log(c / h^2) + (q - 1) (log h & 1); built on first use and cached on the
+    field.
+
+    Put w = h om: then w^2 - h w + c = 0 is om (1 - om) = c / h^2, whose roots
+    om and 1 - om are nonzero and not 1, and a root w gives
+    1 + chi(w) = 1 + chi(h) chi(om) points y.  So one walk over
+    om = g^j in F_q^* minus {1}, one Zech lookup each, adds 2 at the entry of
+    om (1 - om) for the parity of log h that makes chi(h) chi(om) = 1.
+    """
+    rows = field._rows
+    if rows is None:
+        zech = field.log_tables[2]
+        qm1 = field.q - 1
+        half = qm1 // 2
+        table = bytearray(2 * qm1)
+        for j in range(1, qm1):  # log(1 - om) = zech[log(-om)]
+            table[(j + zech[(j + half) % qm1]) % qm1 + (j & 1) * qm1] += 2
+        rows = field._rows = bytes(table)
+    return rows
+
+
+def _zero_row(lh, lc, qm1):
+    """#{y : y^4 - h y^2 + c = 0} when h = 0 or c = 0 (lh or lc is -1)."""
+    if lc < 0:  # y^2 (y^2 - h)
+        return 1 if lh < 0 else 3 - 2 * (lh & 1)
+    half = qm1 // 2
+    lk = (lc + half) % qm1  # y^4 = -c: y^2 = +-s with s^2 = -c
+    if lk & 1:
+        return 0
+    return _one_plus_chi(lk >> 1) + _one_plus_chi((lk >> 1) + half)
+
+
+def _row_counts(lhs, lcs, rows, qm1):
+    """#{y : y^4 - h y^2 + c = 0} for each pair of logs (log h, log c) from
+    lhs and lcs: one lookup in rows = _row_table(field) when h c != 0."""
+    return [rows[(lc - 2 * lh) % qm1 + (lh & 1) * qm1] if (lh | lc) >= 0
+            else _zero_row(lh, lc, qm1) for lh, lc in zip(lhs, lcs)]
 
 
 class _LogPolys:
@@ -334,67 +399,20 @@ def count_plane_quartic(curve, field) -> CountRecord:
     the constant coefficients of h and fg and x = infinity the top ones.
     """
     _require_odd_finite(field)
-    q = field.q
     start = time.perf_counter()
     _, log, zech = field.log_tables
-    qm1, half, l2 = q - 1, (q - 1) // 2, log[field.from_int(2)]
+    qm1 = field.q - 1
     # logs of the coefficients of h(x, 1) and fg(x, 1), top first
     lhs = [log[c] for c in _coerce_scalars(curve.h.coeffs, curve.field, field)]
     lcs = [log[c] for c in _coerce_scalars(curve.fg().coeffs, curve.field, field)]
-    # x = 0 (log -1) reads the constant terms, and x = infinity, the sentinel
-    # orbit (-2, 1) after the last one, reads the top terms
-    ends = {-1: (lhs[-1], lcs[-1]), -2: (lhs[0], lcs[0])}
-    orbits = _frobenius_orbits(curve.field, field)
-    n = 0
-    for lx, size in chain(orbits, ((-2, 1),)):
-        if lx < 0:
-            lh, lc = ends[lx]
-        else:
-            # Horner's rule on logs, the step of _log_horner inlined: two
-            # calls per row cost about a tenth of a count over F_{23^3}
-            lh = -1
-            for t in lhs:
-                if lh < 0:
-                    lh = t
-                elif t < 0:
-                    lh = (lh + lx) % qm1
-                else:
-                    z = zech[(t - lh - lx) % qm1]
-                    lh = -1 if z < 0 else (lh + lx + z) % qm1
-            lc = -1
-            for t in lcs:
-                if lc < 0:
-                    lc = t
-                elif t < 0:
-                    lc = (lc + lx) % qm1
-                else:
-                    z = zech[(t - lc - lx) % qm1]
-                    lc = -1 if z < 0 else (lc + lx + z) % qm1
-        # each root w of w^2 - h w + c gives 1 + chi(w) points y, chi(g^j) = (-1)^j
-        if lc < 0:  # w (w - h)
-            pts = 1 if lh < 0 else 3 - 2 * (lh & 1)
-        else:
-            lk = (lc + half) % qm1  # -c
-            if lh < 0:  # w = +-s with s^2 = -c, log s = ls and log(-s) = ls + half
-                ls = lk >> 1
-                pts = 0 if lk & 1 else 4 - 2 * (ls & 1) - 2 * ((ls + half) & 1)
-            else:
-                # w = t +- s with t = h/2 and s^2 = t^2 - c = t^2 (1 + (-c)/t^2)
-                lt = (lh - l2) % qm1
-                z = zech[lk - 2 * lt % qm1]
-                if z < 0:
-                    pts = 2 - 2 * (lt & 1)
-                else:
-                    ld = (2 * lt + z) % qm1
-                    if ld & 1:
-                        pts = 0
-                    else:
-                        z1, z2 = zech[ld // 2 - lt], zech[ld // 2 + half - lt]
-                        pts = ((1 if z1 < 0 else 2 - 2 * ((lt + z1) & 1))
-                               + (1 if z2 < 0 else 2 - 2 * ((lt + z2) & 1)))
-        n += size * pts
+    reps, sizes = _frobenius_orbits(curve.field, field)
+    rows = _row_table(field)
+    counts = _row_counts(_log_values(lhs, reps, qm1, zech), _log_values(lcs, reps, qm1, zech),
+                         rows, qm1)
+    # x = infinity reads the top coefficients
+    n = sum(map(mul, sizes, counts)) + _row_counts(lhs[:1], lcs[:1], rows, qm1)[0]
     return CountRecord("plane-quartic", curve.field.q, field.k // curve.field.k, n,
-                       time.perf_counter() - start, len(orbits))
+                       time.perf_counter() - start, len(reps))
 
 
 def count_weighted(poly: UniPoly, genus: int, field) -> CountRecord:
@@ -413,14 +431,13 @@ def count_weighted(poly: UniPoly, genus: int, field) -> CountRecord:
     coeffs = _coerce_scalars(poly.coeffs, poly.field, field)
     _, log, zech = field.log_tables
     lcs = [log[c] for c in reversed(coeffs)]
-    orbits = _frobenius_orbits(poly.field, field)
-    n = _one_plus_chi(lcs[-1] if lcs else -1)  # x = 0, the first orbit
-    for lx, size in orbits[1:]:
-        n += size * _one_plus_chi(_log_horner(lcs, lx, q - 1, zech))
+    reps, sizes = _frobenius_orbits(poly.field, field)
+    n = sum(size * _one_plus_chi(lv)
+            for size, lv in zip(sizes, _log_values(lcs, reps, q - 1, zech)))
     top = coeffs[2 * genus + 2] if len(coeffs) > 2 * genus + 2 else zero
     n += _one_plus_chi(log[top])
     return CountRecord("weighted-hyperelliptic", poly.field.q, field.k // poly.field.k, n,
-                       time.perf_counter() - start, len(orbits))
+                       time.perf_counter() - start, len(reps))
 
 
 # 5 i + j for the x^i y^j of each quadric monomial, in the order
@@ -482,9 +499,9 @@ def count_bruin_cover(q1: TernaryForm, q2: TernaryForm, q3: TernaryForm, field):
 
     # a curve is Frobenius-stable over the field its three forms share
     data_field = q1.field if q1.field == q2.field == q3.field else field
-    orbits = _frobenius_orbits(data_field, field)
+    reps, sizes = _frobenius_orbits(data_field, field)
     nz = ny = 0
-    for lx, size in orbits:
+    for lx, size in zip(reps, sizes):
         r = [at(lcs, lx) for lcs in lrs]
         while r and r[-1] < 0:
             r.pop()
@@ -505,6 +522,6 @@ def count_bruin_cover(q1: TernaryForm, q2: TernaryForm, q3: TernaryForm, field):
     seconds = time.perf_counter() - start
     r, m = data_field.q, field.k // data_field.k
     return (
-        CountRecord("plane-quartic", r, m, nz, seconds, len(orbits)),
-        CountRecord("bruin-cover", r, m, ny, seconds, len(orbits)),
+        CountRecord("plane-quartic", r, m, nz, seconds, len(reps)),
+        CountRecord("bruin-cover", r, m, ny, seconds, len(reps)),
     )

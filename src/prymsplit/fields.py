@@ -124,9 +124,10 @@ class _FiniteField:
     quadratic-character tables, built lazily from mul, are read by no code in
     this package, only by perfbench's warm-up and tracer.  All are cached
     on the field object (fields themselves are cached, see build_extension),
-    as are the Frobenius orbits the counting kernels walk: x -> x^r acts on
-    the log j of x = g^j as j -> j r mod q - 1, so an orbit is kept as the
-    log of its representative and its size.
+    as are the Frobenius orbits the counting kernels walk and the bielliptic
+    kernel's row table (_rows, 2 (q - 1) bytes).  x -> x^r acts on the log j
+    of x = g^j as j -> j r mod q - 1, so the orbits are kept as two flat
+    lists: the logs of their representatives and their sizes.
     """
 
     kind = "finite"
@@ -144,7 +145,8 @@ class _FiniteField:
         self._sqrt_table = None
         self._chi_table = None
         self._exp = None
-        self._orbits = {}  # r -> (log, size) orbits of j -> j r, see counting._frobenius_orbits
+        self._orbits = {}  # r -> (reps, sizes), see counting._frobenius_orbits
+        self._rows = None  # the bielliptic row counts, see counting._row_table
 
     def _set_log_tables(self, exp):
         """log and Zech tables from exp[i] = g^i, g a generator of F_q^*.

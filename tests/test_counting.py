@@ -18,9 +18,16 @@ from prymsplit import (
     quadric_coefficients,
     singular_model,
 )
-from prymsplit.counting import CountRecord, _LogPolys, _frobenius_orbits
+from prymsplit.counting import (
+    CountRecord,
+    _LogPolys,
+    _frobenius_orbits,
+    _log_values,
+    _row_counts,
+    _row_table,
+)
 from prymsplit.fields import embedding
-from prymsplit.poly import powmod_list
+from prymsplit.poly import eval_list, powmod_list
 from helpers import (
     bielliptic,
     brute_cover_points,
@@ -347,8 +354,10 @@ class TestFrobeniusOrbits:
         small, big = build_extension(p, k), build_extension(p, big_k)
         exp, r, qm1 = big.log_tables[0], small.q, big.q - 1
         orbits = _frobenius_orbits(small, big)
-        assert orbits[0] == (-1, 1)  # zero is its own orbit, first
-        assert sum(size for _, size in orbits) == big.q
+        reps, sizes = orbits
+        assert (reps[0], sizes[0]) == (-1, 1)  # zero is its own orbit, first
+        assert len(reps) == len(sizes)
+        assert sum(sizes) == big.q
         # the element orbits, rebuilt through field powers x -> x^r
         expected = set()
         for x in range(big.q):
@@ -359,17 +368,17 @@ class TestFrobeniusOrbits:
             expected.add(frozenset(orbit))
         # each log orbit {exp[j r^i]} is a whole element orbit of its stated size
         walked = [frozenset(exp[j * r**i % qm1] for i in range(big.k // small.k))
-                  if j >= 0 else frozenset({0}) for j, _ in orbits]
-        assert [len(orbit) for orbit in walked] == [size for _, size in orbits]
+                  if j >= 0 else frozenset({0}) for j in reps]
+        assert [len(orbit) for orbit in walked] == sizes
         assert len(set(walked)) == len(walked)  # no two representatives are conjugate
         assert set(walked) == expected
         assert _frobenius_orbits(small, big) is orbits  # cached per (field, r)
 
     def test_identity_walk_over_own_field(self):
         orbits = _frobenius_orbits(F7, F7)
-        assert orbits == ((-1, 1),) + tuple((j, 1) for j in range(6))
+        assert orbits == ([-1, *range(6)], [1] * 7)
         exp = F7.log_tables[0]
-        assert {exp[j] if j >= 0 else 0 for j, _ in orbits} == set(range(7))
+        assert {exp[j] if j >= 0 else 0 for j in orbits[0]} == set(range(7))
         assert _frobenius_orbits(F7, F7) is orbits
 
     @pytest.mark.parametrize("p, k, big_k", PAIRS, ids=lambda v: str(v))
@@ -380,7 +389,7 @@ class TestFrobeniusOrbits:
             curve = shaped_curve(shape, small, rng)
             rec = count_plane_quartic(curve, big)
             assert rec.n == brute_curve_points(curve, big)
-            assert rec.rows == len(_frobenius_orbits(small, big)) < big.q
+            assert rec.rows == len(_frobenius_orbits(small, big)[0]) < big.q
 
     @pytest.mark.parametrize("p, k, big_k", [(3, 1, 2), (5, 1, 2), (3, 1, 3), (3, 2, 4)],
                              ids=lambda v: str(v))
@@ -405,7 +414,7 @@ class TestFrobeniusOrbits:
             rec_z, rec_y = count_bruin_cover(*quads, big)
             assert rec_y.n == brute_cover_points(*lifted, big)
             assert rec_z.n == count_bruin_cover(*lifted, big)[0].n
-            assert rec_y.rows == len(_frobenius_orbits(small, big))
+            assert rec_y.rows == len(_frobenius_orbits(small, big)[0])
 
 
 def _random_row(field, rng, length):
@@ -460,6 +469,56 @@ class TestLogDomainKernels:
                 assert count_weighted(poly, genus, field).n == brute_weighted_points(
                     poly, genus, field
                 )
+
+
+class TestRowCounts:
+    """The bielliptic kernel's row count #{y : y^4 - h y^2 + c = 0}: the
+    table lookup where h c != 0 and the closed forms where h or c is zero."""
+
+    @pytest.mark.parametrize("p, k", [(3, 1), (5, 1), (7, 1), (3, 2), (5, 2), (3, 3)],
+                             ids=["F3", "F5", "F7", "F9", "F25", "F27"])
+    def test_every_row_matches_enumeration(self, p, k):
+        field = build_extension(p, k)
+        log = field.log_tables[1]
+        squares = [field.mul(y, y) for y in range(field.q)]
+        pairs = [(h, c) for h in range(field.q) for c in range(field.q)]
+        expected = [sum(field.sub(field.add(field.mul(w, w), c), field.mul(h, w)) == field.zero
+                        for w in squares)
+                    for h, c in pairs]
+        rows = _row_table(field)
+        assert len(rows) == 2 * (field.q - 1)
+        counts = _row_counts([log[h] for h, _ in pairs], [log[c] for _, c in pairs], rows,
+                             field.q - 1)
+        assert counts == expected
+        assert _row_table(field) is rows  # cached on the field
+
+
+class TestLogValues:
+    """_log_values, Horner's rule on logs over a whole orbit list, against
+    eval_list at every representative, x = 0 included."""
+
+    # (field of the coefficients, counting field): prime fields, extension
+    # fields, and subfields whose orbits have more than one element
+    PAIRS = [((3, 1), (3, 1)), ((7, 1), (7, 1)), ((23, 1), (23, 1)), ((3, 2), (3, 2)),
+             ((5, 2), (5, 2)), ((3, 3), (3, 3)), ((3, 1), (3, 4)), ((5, 1), (5, 3))]
+
+    @pytest.mark.parametrize("small, big", PAIRS, ids=lambda v: "F%d^%d" % v)
+    def test_matches_eval_list(self, small, big):
+        small, big = build_extension(*small), build_extension(*big)
+        exp, log, zech = big.log_tables
+        table = embedding(small, big)
+        reps, _ = _frobenius_orbits(small, big)
+        xs = [big.zero if j < 0 else exp[j] for j in reps]
+        rng = random.Random(big.q)
+        for degree in range(6):
+            for zero_at in (None, 0, degree // 2, degree):  # leading, middle, constant
+                cs = [table[small.random_element(rng)] for _ in range(degree + 1)]
+                if zero_at is not None:
+                    cs[zero_at] = big.zero
+                low_first = cs[::-1]
+                assert _log_values([log[c] for c in cs], reps, big.q - 1, zech) == [
+                    log[eval_list(low_first, x, big)] for x in xs]
+        assert _log_values([], reps, big.q - 1, zech) == [-1] * len(reps)
 
 
 # every field the row solver is run over: (p, k)

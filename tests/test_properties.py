@@ -103,20 +103,26 @@ def quadric_triples(draw, pairs=COVER_PAIRS):
     """(counting field, three quadrics over a subfield of it).  In some
     examples the base quartic contains a line x = c z, whose row R_c vanishes;
     in some the y^2 coefficients b_i have b2^2 = b1 b3, so that every row R_x
-    has degree at most 3."""
+    has degree at most 3; in some b2^2 != b1 b3, so that every row R_x is a
+    quartic, which random draws, rich in zeros, often miss."""
     small, big = (build_extension(*f) for f in draw(st.sampled_from(pairs)))
     element = st.integers(0, small.q - 1)
-    shape = draw(st.sampled_from(["random", "random", "line", "short"]))  # half random
+    shape = draw(st.sampled_from(["random", "quartic", "line", "short"]))
     if shape == "line":
         c, s = draw(element), draw(st.integers(1, small.q - 1))
         rng = draw(st.randoms(use_true_random=False))
         return big, line_inside_the_base(small, rng, c, s)
     coeffs = [[draw(element) for _ in range(6)] for _ in range(3)]
+    mul = small.mul
     if shape == "short":  # (b1, b2, b3) = s (u^2, u v, v^2)
         s, u, v = (draw(element) for _ in range(3))
-        mul = small.mul
         for cs, b in zip(coeffs, (mul(u, u), mul(u, v), mul(v, v))):
             cs[1] = mul(s, b)
+    elif shape == "quartic":  # b1 != 0 and b3 != b2^2 / b1
+        b1, b2 = draw(st.integers(1, small.q - 1)), draw(element)
+        b3 = draw(st.sampled_from([v for v in range(small.q) if mul(b1, v) != mul(b2, b2)]))
+        for cs, b in zip(coeffs, (b1, b2, b3)):
+            cs[1] = b
     quads = [quadric(small, *cs) for cs in coeffs]
     if all(quad.is_zero() for quad in quads):
         quads[1] = quadric(small, 0, 1, 0, 0, 0, 0)
