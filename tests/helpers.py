@@ -39,6 +39,45 @@ def field_tripwire(monkeypatch, limit=DEFAULT_AXIS_CAP):
     return sizes
 
 
+def digit_mul(field, a, b):
+    """a * b in a finite field by schoolbook digit arithmetic mod its monic
+    modulus, reading none of the field's tables."""
+    k, mod = field.k, field.modulus
+    if k == 1:
+        return a * b % field.p
+    prod = [0] * (2 * k - 1)
+    for i, x in enumerate(field.coeffs(a)):
+        for j, y in enumerate(field.coeffs(b)):
+            prod[i + j] += x * y
+    for d in range(2 * k - 2, k - 1, -1):  # x^k = -(mod[0] + ... + mod[k-1] x^(k-1))
+        for j in range(k):
+            prod[d - k + j] -= prod[d] * mod[j]
+    return field.from_coeffs(prod[:k])  # reduces each digit mod p
+
+
+def digit_pow(field, a, e):
+    """a^e, e >= 0, by square-and-multiply on digit_mul."""
+    acc = field.one
+    while e:
+        if e & 1:
+            acc = digit_mul(field, acc, a)
+        a = digit_mul(field, a, a)
+        e >>= 1
+    return acc
+
+
+def sequential_exp(field):
+    """The exp table of an extension field by the per-element walk: g^i for
+    i < q - 1, one digit product per step, g from the field's own generator
+    search."""
+    g = field.from_coeffs(field._find_generator(list(field.modulus)))
+    exp = [field.one]
+    for _ in range(field.q - 1):
+        exp.append(digit_mul(field, exp[-1], g))
+    assert exp.pop() == field.one, "g^(q-1) != 1"
+    return exp
+
+
 def random_unipoly(field, rng, max_degree):
     return UniPoly(field, [field.random_element(rng) for _ in range(max_degree + 1)])
 

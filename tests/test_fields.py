@@ -10,9 +10,9 @@ from prymsplit import (
     UnsupportedFieldError,
     build_extension,
 )
-from prymsplit.fields import PrimeField, embedding, is_irreducible, is_prime
+from prymsplit.fields import _EXP_BLOCK, PrimeField, embedding, is_irreducible, is_prime
 from prymsplit.zeta import _PRIME_POOL
-from helpers import PSI12, PSI13
+from helpers import PSI12, PSI13, digit_mul, digit_pow, sequential_exp
 
 
 def test_prime_field_descriptor():
@@ -189,12 +189,16 @@ def test_log_tables(p, k):
     field = build_extension(p, k)
     exp, log, zech = field.log_tables
     assert sorted(exp) == list(range(1, field.q))  # exp permutes F_q^*
-    assert all(exp[i] == field.mul(exp[i - 1], exp[1]) for i in range(1, field.q - 1))
+    # each step is a product by g, in digit arithmetic that reads no table
+    g = exp[1]
+    assert exp[0] == 1 and digit_mul(field, exp[-1], g) == 1
+    assert all(exp[i] == digit_mul(field, exp[i - 1], g) for i in range(1, field.q - 1))
     assert log[0] == -1 and all(log[v] == i for i, v in enumerate(exp))
     # adding one to a packed element bumps its low base-p digit
     assert zech == [log[v - v % p + (v + 1) % p] for v in exp]
-    for a in range(field.q):  # the character the tables give is Euler's
-        assert (log[a] < 0 and a == 0) or (-1) ** log[a] == field.euler_character(a)
+    half = (field.q - 1) // 2
+    for a in range(1, field.q):  # the character the tables give is Euler's
+        assert (-1) ** log[a] == (1 if digit_pow(field, a, half) == 1 else -1)
 
 
 def test_prime_field_builds_log_tables_only_on_demand():
@@ -285,3 +289,15 @@ def test_modulus_and_generator_are_pinned(p, k, modulus, exp_head):
     field = build_extension(p, k)
     assert field.describe()["modulus"] == modulus
     assert field._exp[:len(exp_head)] == exp_head
+
+
+# every pinned field; F_{3^10} (q - 1 = 59048), whose last block is partial
+EXP_WALK_FIELDS = [(p, k) for p, k, _, _ in FIELD_PINS] + [(3, 10)]
+
+
+@pytest.mark.parametrize("p, k", EXP_WALK_FIELDS, ids=[f"{p}^{k}" for p, k in EXP_WALK_FIELDS])
+def test_exp_table_matches_the_sequential_walk(p, k):
+    field = build_extension(p, k)
+    if (p, k) == (3, 10):
+        assert field.q - 1 > _EXP_BLOCK and (field.q - 1) % _EXP_BLOCK
+    assert field.log_tables[0] == sequential_exp(field)
