@@ -6,12 +6,16 @@ Three counters, all exact:
   its points lie over the points [x:z] of P^1, and each such row is the
   quadratic w^2 - h w + fg in w = y^2.  h(x) and fg(x) come by Horner's rule
   in discrete-log form (below), one pass per coefficient over the whole list
-  of rows, and a row with h c != 0 (c = fg(x)) has #{y} read from a per-field
-  table indexed by log(c / h^2) and the parity of log h; a row with h = 0 or
-  c = 0 has a closed form, and x = infinity reads the top coefficients.
+  of rows, each value kept as a log relative to the last nonzero coefficient
+  passed, so that a step is one Zech lookup.  A row with h c != 0
+  (c = fg(x)) has #{y} read from a per-field table indexed by log(c / h^2)
+  and the parity of log h, both taken from the two bases and the relative
+  logs; a row with h = 0 or c = 0 has a closed form, and x = infinity reads
+  the top coefficients.
 * hyperelliptic-type models y^2 = F(x) in P(1, g+1, 1): character sums over
-  the x-line, F evaluated by the same column-wise Horner's rule, plus the
-  points above x = infinity read off the degree-(2g+2) homogenization.
+  the x-line, F evaluated by the same column-wise Horner's rule and chi read
+  off the parity of base plus relative log, plus the points above
+  x = infinity read off the degree-(2g+2) homogenization.
 * the double cover q1 = u^2, q2 = uv, q3 = v^2 of the plane quartic
   q2^2 = q1 q3: on a row the three forms are quadratics v_i(y), and the base
   points are the roots of R(y) = v2^2 - v1 v3 in the field.  The row takes
@@ -122,14 +126,18 @@ def _frobenius_orbits(data_field, field):
 # --- discrete-log form: v = g^j is kept as j in [0, q - 1) and zero as -1 ---
 # (fields._FiniteField.log_tables).  A product adds logs mod q - 1, a sum is
 # one Zech lookup, -v adds (q - 1)/2, chi(v) = (-1)^j, and for even j g^(j/2)
-# is a square root of v.
+# is a square root of v.  The column-wise passes of _log_values keep a list of
+# values as one base t and logs r relative to it, v = g^(t + r): q - 1 is
+# even, so chi(v) is the parity of t + r, and the Zech table is twice q - 1
+# long so that a relative step indexes it without a %.
 
 def _log_horner(lcs, lx, qm1, zech):
     """log of c(x) by Horner's rule, from lcs = the logs of c's coefficients,
     top first, and lx = log x; x != 0.
 
     Each step is acc x + c_i: times x adds lx, and plus c_i is one Zech
-    lookup.  _log_values runs the same step over a whole list of x.
+    lookup.  _log_values runs the same step over a whole list of x, on logs
+    relative to the last nonzero coefficient, which spares it the % below.
     """
     acc = -1
     for t in lcs:
@@ -144,25 +152,35 @@ def _log_horner(lcs, lx, qm1, zech):
 
 
 def _log_values(lcs, reps, qm1, zech):
-    """logs of c(x) at every x of reps, by Horner's rule column-wise.
+    """(t, rs): c(x) = g^(t + rs[i]) at the i-th x of reps, and rs[i] = -1
+    where c(x) = 0, by Horner's rule column-wise.
 
-    lcs are the logs of c's coefficients, top first, and reps the logs of the
-    x, reps[0] being -1 (x = 0) as _frobenius_orbits gives them.  Each
-    coefficient is one pass over the whole list, the step of _log_horner, so
-    there is no function call or inner loop per x; entry 0 is the constant
-    term.
+    lcs are the logs of c's coefficients, top first, reps the logs of the x,
+    reps[0] being -1 (x = 0) as _frobenius_orbits gives them, and zech the
+    field's Zech table, 2 (q - 1) long.  Each coefficient is one pass over
+    the whole list, the step of _log_horner, so there is no function call or
+    inner loop per x.  The base t is the log of the last nonzero coefficient
+    passed (0 before the first): with v = g^(t + r),
+    v x + g^t' = g^t' (1 + g^(r + lx + t - t')), so the step to a nonzero
+    t' is r' = zech[r + lx + d] for the one d = ((t - t') mod (q - 1)) - (q - 1)
+    of the pass.  r + lx + d lies in [-q, 2 (q - 1) - 3], inside the doubled
+    table, so the step takes no % and each r' is an entry of zech, not a new
+    int.  A zero value restarts at r' = 0, and a zero t' adds lx and keeps
+    the base.  Entry 0 is the constant term.
     """
     if not lcs:
-        return [-1] * len(reps)
-    acc = [lcs[0]] * len(reps)
-    for t in lcs[1:]:
-        if t < 0:
-            acc = [-1 if a < 0 else (a + lx) % qm1 for a, lx in zip(acc, reps)]
+        return 0, [-1] * len(reps)
+    t = max(lcs[0], 0)
+    rs = [-1 if lcs[0] < 0 else 0] * len(reps)
+    for t1 in lcs[1:]:
+        if t1 < 0:
+            rs = [-1 if r < 0 else (r + lx) % qm1 for r, lx in zip(rs, reps)]
         else:
-            acc = [t if a < 0 else -1 if (z := zech[(t - a - lx) % qm1]) < 0
-                   else (a + lx + z) % qm1 for a, lx in zip(acc, reps)]
-    acc[0] = lcs[-1]  # x = 0, where the passes above ran on the log -1
-    return acc
+            d = (t - t1) % qm1 - qm1
+            rs = [0 if r < 0 else zech[r + lx + d] for r, lx in zip(rs, reps)]
+            t = t1
+    rs[0] = -1 if lcs[-1] < 0 else 0  # x = 0, where the passes above ran on the log -1
+    return t, rs
 
 
 def _log_sum(u, v, qm1, zech):
@@ -214,11 +232,21 @@ def _zero_row(lh, lc, qm1):
     return _one_plus_chi(lk >> 1) + _one_plus_chi((lk >> 1) + half)
 
 
-def _row_counts(lhs, lcs, rows, qm1):
-    """#{y : y^4 - h y^2 + c = 0} for each pair of logs (log h, log c) from
-    lhs and lcs: one lookup in rows = _row_table(field) when h c != 0."""
-    return [rows[(lc - 2 * lh) % qm1 + (lh & 1) * qm1] if (lh | lc) >= 0
-            else _zero_row(lh, lc, qm1) for lh, lc in zip(lhs, lcs)]
+def _row_counts(h, c, rows, qm1):
+    """#{y : y^4 - h y^2 + c = 0} for each pair of values of h and c, each
+    list given as _log_values gives it, (base, relative logs): one lookup in
+    rows = _row_table(field) when h c != 0.
+
+    With log h = th + rh and log c = tc + rc, log(c / h^2) is
+    tc - 2 th + rc - 2 rh, and log h has the parity of rh ^ th, q - 1 being
+    even.  _zero_row gets th + rh and tc + rc unreduced: it reads only their
+    parities and reduces them itself.
+    """
+    (th, lhs), (tc, lcs) = h, c
+    k = tc - 2 * th
+    return [rows[(k + lc - 2 * lh) % qm1 + ((lh ^ th) & 1) * qm1] if (lh | lc) >= 0
+            else _zero_row(lh if lh < 0 else lh + th, lc if lc < 0 else lc + tc, qm1)
+            for lh, lc in zip(lhs, lcs)]
 
 
 class _LogPolys:
@@ -409,8 +437,8 @@ def count_plane_quartic(curve, field) -> CountRecord:
     rows = _row_table(field)
     counts = _row_counts(_log_values(lhs, reps, qm1, zech), _log_values(lcs, reps, qm1, zech),
                          rows, qm1)
-    # x = infinity reads the top coefficients
-    n = sum(map(mul, sizes, counts)) + _row_counts(lhs[:1], lcs[:1], rows, qm1)[0]
+    # x = infinity reads the top coefficients, as logs relative to 0
+    n = sum(map(mul, sizes, counts)) + _row_counts((0, lhs[:1]), (0, lcs[:1]), rows, qm1)[0]
     return CountRecord("plane-quartic", curve.field.q, field.k // curve.field.k, n,
                        time.perf_counter() - start, len(reps))
 
@@ -432,8 +460,8 @@ def count_weighted(poly: UniPoly, genus: int, field) -> CountRecord:
     _, log, zech = field.log_tables
     lcs = [log[c] for c in reversed(coeffs)]
     reps, sizes = _frobenius_orbits(poly.field, field)
-    n = sum(size * _one_plus_chi(lv)
-            for size, lv in zip(sizes, _log_values(lcs, reps, q - 1, zech)))
+    t, rs = _log_values(lcs, reps, q - 1, zech)
+    n = sum(size * _one_plus_chi(r if r < 0 else t + r) for size, r in zip(sizes, rs))
     top = coeffs[2 * genus + 2] if len(coeffs) > 2 * genus + 2 else zero
     n += _one_plus_chi(log[top])
     return CountRecord("weighted-hyperelliptic", poly.field.q, field.k // poly.field.k, n,

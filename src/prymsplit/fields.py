@@ -123,10 +123,12 @@ class _FiniteField:
 
     The constructor checks p once; subclasses set k, q and modulus and
     provide the four ring operations and _build_log_tables.  The exp/log/Zech
-    tables serve the counting kernels and chi().  The square-root and
-    quadratic-character tables, built lazily from mul, are read by no code in
-    this package, only by perfbench's warm-up and tracer.  All are cached
-    on the field object (fields themselves are cached, see build_extension),
+    tables serve the counting kernels and chi(); the Zech table is 2 (q - 1)
+    long, its q - 1 entries written twice (see _set_log_tables).  The
+    square-root and quadratic-character tables, built lazily from mul, are
+    read by no code in this package, only by perfbench's warm-up and tracer.
+    All are cached on the field object (fields themselves are cached, see
+    build_extension),
     as are the Frobenius orbits the counting kernels walk and the bielliptic
     kernel's row table (_rows, 2 (q - 1) bytes).  x -> x^r acts on the log j
     of x = g^j as j -> j r mod q - 1, so the orbits are kept as two flat
@@ -156,13 +158,16 @@ class _FiniteField:
 
         zech[d] = log(1 + g^d), and -1 stands for zero: log[0] = -1, and
         zech[d] = -1 where 1 + g^d = 0.  Adding one to a packed value only
-        touches its low base-p digit.
+        touches its low base-p digit.  zech holds its q - 1 entries twice, so
+        any d in [-2 (q - 1), 2 (q - 1)) indexes it unreduced (a negative d
+        from the end): the Horner passes of counting._log_values take no %.
         """
         q, pm1 = self.q, self.p - 1
         log = [-1] * q
         for i, v in enumerate(exp):
             log[v] = i
-        self._zech = [log[v + 1 if v % self.p != pm1 else v - pm1] for v in exp]
+        zech = [log[v + 1 if v % self.p != pm1 else v - pm1] for v in exp]
+        self._zech = zech + zech
         self._exp, self._log, self._qm1, self._half = exp, log, q - 1, (q - 1) // 2
 
     @property

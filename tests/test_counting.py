@@ -473,13 +473,16 @@ class TestLogDomainKernels:
 
 class TestRowCounts:
     """The bielliptic kernel's row count #{y : y^4 - h y^2 + c = 0}: the
-    table lookup where h c != 0 and the closed forms where h or c is zero."""
+    table lookup where h c != 0 and the closed forms where h or c is zero,
+    with h and c given as _log_values gives them, a base and logs relative
+    to it."""
 
     @pytest.mark.parametrize("p, k", [(3, 1), (5, 1), (7, 1), (3, 2), (5, 2), (3, 3)],
                              ids=["F3", "F5", "F7", "F9", "F25", "F27"])
     def test_every_row_matches_enumeration(self, p, k):
         field = build_extension(p, k)
         log = field.log_tables[1]
+        qm1 = field.q - 1
         squares = [field.mul(y, y) for y in range(field.q)]
         pairs = [(h, c) for h in range(field.q) for c in range(field.q)]
         expected = [sum(field.sub(field.add(field.mul(w, w), c), field.mul(h, w)) == field.zero
@@ -487,38 +490,97 @@ class TestRowCounts:
                     for h, c in pairs]
         rows = _row_table(field)
         assert len(rows) == 2 * (field.q - 1)
-        counts = _row_counts([log[h] for h, _ in pairs], [log[c] for _, c in pairs], rows,
-                             field.q - 1)
-        assert counts == expected
+        lhs, lcs = [log[h] for h, _ in pairs], [log[c] for _, c in pairs]
+
+        def relative(ls, t):
+            return [l if l < 0 else (l - t) % qm1 for l in ls]
+
+        # every (h, c) pair under each pair of bases: both even, each one odd,
+        # and the top base q - 2 on both sides
+        for th, tc in sorted({(0, 0), (1, 0), (0, 1), (1, 1), (qm1 - 1, qm1 - 1),
+                              (qm1 // 2, 1)}):
+            counts = _row_counts((th, relative(lhs, th)), (tc, relative(lcs, tc)), rows, qm1)
+            assert counts == expected, (th, tc)
         assert _row_table(field) is rows  # cached on the field
 
 
 class TestLogValues:
-    """_log_values, Horner's rule on logs over a whole orbit list, against
-    eval_list at every representative, x = 0 included."""
+    """_log_values, Horner's rule on logs over a whole orbit list: it returns
+    a base t and logs r relative to it, and (t + r) mod (q - 1) must be the
+    log of eval_list at every representative, x = 0 included, with r = -1
+    exactly where the value is zero."""
 
     # (field of the coefficients, counting field): prime fields, extension
     # fields, and subfields whose orbits have more than one element
     PAIRS = [((3, 1), (3, 1)), ((7, 1), (7, 1)), ((23, 1), (23, 1)), ((3, 2), (3, 2)),
              ((5, 2), (5, 2)), ((3, 3), (3, 3)), ((3, 1), (3, 4)), ((5, 1), (5, 3))]
 
+    @staticmethod
+    def check(cs, reps, field):
+        """cs, top first, against eval_list at every x of reps."""
+        exp, log, zech = field.log_tables
+        qm1 = field.q - 1
+        t, rs = _log_values([log[c] for c in cs], reps, qm1, zech)
+        assert 0 <= t < qm1 and len(rs) == len(reps)
+        assert all(-1 <= r < qm1 for r in rs)
+        low_first = cs[::-1]
+        assert [r if r < 0 else (t + r) % qm1 for r in rs] == [
+            log[eval_list(low_first, field.zero if j < 0 else exp[j], field)] for j in reps]
+
     @pytest.mark.parametrize("small, big", PAIRS, ids=lambda v: "F%d^%d" % v)
     def test_matches_eval_list(self, small, big):
         small, big = build_extension(*small), build_extension(*big)
-        exp, log, zech = big.log_tables
         table = embedding(small, big)
         reps, _ = _frobenius_orbits(small, big)
-        xs = [big.zero if j < 0 else exp[j] for j in reps]
         rng = random.Random(big.q)
         for degree in range(6):
             for zero_at in (None, 0, degree // 2, degree):  # leading, middle, constant
                 cs = [table[small.random_element(rng)] for _ in range(degree + 1)]
                 if zero_at is not None:
                     cs[zero_at] = big.zero
-                low_first = cs[::-1]
-                assert _log_values([log[c] for c in cs], reps, big.q - 1, zech) == [
-                    log[eval_list(low_first, x, big)] for x in xs]
-        assert _log_values([], reps, big.q - 1, zech) == [-1] * len(reps)
+                self.check(cs, reps, big)
+            # equal consecutive logs: every step has d = -(q - 1), the low
+            # edge of the doubled Zech table
+            a = table[small.random_nonzero(rng)]
+            self.check([a] * (degree + 1), reps, big)
+            # the zero polynomial, and leading zeros before the first base
+            self.check([big.zero] * (degree + 1), reps, big)
+            self.check([big.zero] * 2 + [a] * degree, reps, big)
+        qm1, zech = big.q - 1, big.log_tables[2]
+        assert _log_values([], reps, qm1, zech) == (0, [-1] * len(reps))
+
+    def test_every_cubic_over_f3(self):
+        """q - 1 = 2, the shortest Zech table: all 81 c of degree <= 3."""
+        reps, _ = _frobenius_orbits(F3, F3)
+        for n in range(3 ** 4):
+            self.check([n // 3 ** i % 3 for i in range(4)], reps, F3)
+
+    @pytest.mark.parametrize("p, k", [(3, 1), (7, 1), (3, 2), (5, 2), (23, 1)],
+                             ids=["F3", "F7", "F9", "F25", "F23"])
+    def test_rows_of_h_and_fg_with_zero_leading_coefficients(self, p, k):
+        """The bielliptic rows through both bases: h and fg = f g whose top
+        coefficients vanish, so each pass starts from base 0 or the second
+        coefficient, against the rows counted by enumeration."""
+        field = build_extension(p, k)
+        exp, log, zech = field.log_tables
+        qm1 = field.q - 1
+        reps, _ = _frobenius_orbits(field, field)
+        squares = [field.mul(y, y) for y in range(field.q)]
+        rng = random.Random(f"lead-{p}-{k}")
+        for _ in range(4):
+            h = [0] + _triple(field, rng)[1:]
+            fg = [0, 0] + _random_row(field, rng, 3)
+            for hs, cs in ((h, fg), (h[:2] + [0], fg), ([0, 0, 0], fg), (h, [0] * 5)):
+                counts = _row_counts(_log_values([log[v] for v in hs], reps, qm1, zech),
+                                     _log_values([log[v] for v in cs], reps, qm1, zech),
+                                     _row_table(field), qm1)
+                expected = []
+                for j in reps:
+                    x = field.zero if j < 0 else exp[j]
+                    hx, cx = eval_list(hs[::-1], x, field), eval_list(cs[::-1], x, field)
+                    expected.append(sum(field.add(field.sub(field.mul(w, w), field.mul(hx, w)),
+                                                  cx) == field.zero for w in squares))
+                assert counts == expected
 
 
 # every field the row solver is run over: (p, k)
