@@ -18,6 +18,7 @@ import contextlib
 import functools
 import json
 import os
+import random
 import re
 import sys
 import time
@@ -42,6 +43,7 @@ from .zeta import (
     DEFAULT_AXIS_CAP,
     check_axis_cap,
     check_bruin_depth,
+    reduce_curve,
     verify_bruin,
     verify_split,
     verify_split_rational,
@@ -278,8 +280,6 @@ def _curve_from_args(args) -> BiellipticQuartic:
     if args.p is None:
         return curve
     if curve.field.kind == "rationals":
-        from .zeta import reduce_curve
-
         return reduce_curve(curve, args.p)
     if curve.field.p != args.p:
         raise DocumentError(
@@ -354,8 +354,6 @@ def _cmd_bruin(args) -> int:
     if field.kind != "finite":
         raise DocumentError("bruin verification needs a finite base field")
     if args.epsilon is None:
-        import random
-
         eps = field.random_nonzero(random.Random(args.seed))
     else:
         eps = field.from_int(args.epsilon)

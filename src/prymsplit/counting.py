@@ -17,14 +17,16 @@ Three counters, all exact:
   off the parity of base plus relative log, plus the points above
   x = infinity read off the degree-(2g+2) homogenization.
 * the double cover q1 = u^2, q2 = uv, q3 = v^2 of the plane quartic
-  q2^2 = q1 q3: on a row the three forms are quadratics v_i(y), and the base
-  points are the roots of R(y) = v2^2 - v1 v3 in the field.  The row takes
-  R's coefficients by Horner's rule on logs, solves it by the quadratic
-  formula up to degree 2, and above it splits gcd(R, y^q - y) by
-  Cantor-Zassenhaus, all on logs (_LogPolys).  The fiber over a base point
-  has 1 + chi(q1) points (or 1 + chi(q3) when q1 vanishes), and 1 exactly
-  where all three quadrics vanish, so the genus-5 curve is never enumerated
-  in P^4.
+  base = q2^2 - q1 q3 (ternary.cover_quartic): on a row the three forms are
+  quadratics v_i(y), and the base points are the roots of
+  R(y) = base(x, y, 1) = v2^2 - v1 v3 in the field.  R's five coefficients
+  and the x-parts of v1 and v3 come from the same column-wise Horner's rule;
+  a row solves R by the quadratic formula up to degree 2, and above it
+  splits gcd(R, y^q - y) by Cantor-Zassenhaus, all on logs (_LogPolys), and
+  evaluates v1 and v3 at each root by Zech lookups.  The fiber over a base
+  point has 1 + chi(q1) points (or 1 + chi(q3) when q1 vanishes), and 1
+  exactly where all three quadrics vanish, so the genus-5 curve is never
+  enumerated in P^4.
 
 Every kernel walks the x-axis one Frobenius orbit at a time.  The curve's
 coefficients live in a subfield F_r of the counting field, so x -> x^r fixes
@@ -49,10 +51,10 @@ import time
 from dataclasses import dataclass, field as dc_field
 from operator import mul
 
-from .errors import DegenerateInputError, ModelError, UnsupportedFieldError
+from .errors import ModelError, UnsupportedFieldError
 from .fields import embedding
 from .poly import UniPoly
-from .ternary import TernaryForm, quadric_coefficients
+from .ternary import TernaryForm, cover_quartic, quadric_coefficients
 
 @dataclass(frozen=True)
 class CountRecord:
@@ -79,32 +81,33 @@ def _require_odd_finite(field):
         raise UnsupportedFieldError("even characteristic is excluded")
 
 
-def _coerce_scalars(values, data_field, count_field):
-    """Map coefficients living in data_field into count_field."""
-    if data_field == count_field:
-        return list(values)
-    if data_field.kind != "finite":
-        raise UnsupportedFieldError("cannot count a curve with rational coefficients")
-    if data_field.p != count_field.p:
-        raise UnsupportedFieldError("characteristic mismatch between curve and field")
-    if data_field.k == 1:
-        return list(values)  # packed prime-field values embed as themselves
-    table = embedding(data_field, count_field)
-    return [table[v] for v in values]
+def _coerce_scalars(values, curve_field, count_field):
+    """The logs in count_field (zero as -1) of coefficients living in
+    curve_field."""
+    if curve_field != count_field:
+        if curve_field.kind != "finite":
+            raise UnsupportedFieldError("cannot count a curve with rational coefficients")
+        if curve_field.p != count_field.p:
+            raise UnsupportedFieldError("characteristic mismatch between curve and field")
+        if curve_field.k > 1:  # packed prime-field values embed as themselves
+            table = embedding(curve_field, count_field)
+            values = [table[v] for v in values]
+    log = count_field.log_tables[1]
+    return [log[v] for v in values]
 
 
-def _frobenius_orbits(data_field, field):
+def _frobenius_orbits(curve_field, field):
     """(reps, sizes): the log of each orbit's representative and the orbit's
     size, for the orbits of x -> x^r on the counting field.
 
-    r is the size of data_field, where the curve's coefficients live.  The walk
+    r is the size of curve_field, where the curve's coefficients live.  The walk
     runs on exponents: x = g^j has x^r = g^(j r mod q - 1), so the orbits of
     F_q^* are the cosets j -> j r of Z/(q - 1), and no field power is taken.
     Zero is its own orbit and comes first as log -1, size 1.  Built on first
     use and cached on the counting field per r as two flat lists, so the cache
     holds no per-orbit objects; for r = q every orbit is a single element.
     """
-    r = data_field.q
+    r = curve_field.q
     orbits = field._orbits.get(r)
     if orbits is None:
         qm1 = field.q - 1
@@ -131,26 +134,6 @@ def _frobenius_orbits(data_field, field):
 # even, so chi(v) is the parity of t + r, and the Zech table is twice q - 1
 # long so that a relative step indexes it without a %.
 
-def _log_horner(lcs, lx, qm1, zech):
-    """log of c(x) by Horner's rule, from lcs = the logs of c's coefficients,
-    top first, and lx = log x; x != 0.
-
-    Each step is acc x + c_i: times x adds lx, and plus c_i is one Zech
-    lookup.  _log_values runs the same step over a whole list of x, on logs
-    relative to the last nonzero coefficient, which spares it the % below.
-    """
-    acc = -1
-    for t in lcs:
-        if acc < 0:
-            acc = t
-        elif t < 0:
-            acc = (acc + lx) % qm1
-        else:
-            z = zech[(t - acc - lx) % qm1]
-            acc = -1 if z < 0 else (acc + lx + z) % qm1
-    return acc
-
-
 def _log_values(lcs, reps, qm1, zech):
     """(t, rs): c(x) = g^(t + rs[i]) at the i-th x of reps, and rs[i] = -1
     where c(x) = 0, by Horner's rule column-wise.
@@ -158,9 +141,10 @@ def _log_values(lcs, reps, qm1, zech):
     lcs are the logs of c's coefficients, top first, reps the logs of the x,
     reps[0] being -1 (x = 0) as _frobenius_orbits gives them, and zech the
     field's Zech table, 2 (q - 1) long.  Each coefficient is one pass over
-    the whole list, the step of _log_horner, so there is no function call or
-    inner loop per x.  The base t is the log of the last nonzero coefficient
-    passed (0 before the first): with v = g^(t + r),
+    the whole list, acc x + c_i with times x adding lx and plus c_i one Zech
+    lookup, so there is no function call or inner loop per x; it is the
+    package's one Horner evaluator on logs.  The base t is the log of the last
+    nonzero coefficient passed (0 before the first): with v = g^(t + r),
     v x + g^t' = g^t' (1 + g^(r + lx + t - t')), so the step to a nonzero
     t' is r' = zech[r + lx + d] for the one d = ((t - t') mod (q - 1)) - (q - 1)
     of the pass.  r + lx + d lies in [-q, 2 (q - 1) - 3], inside the doubled
@@ -428,11 +412,11 @@ def count_plane_quartic(curve, field) -> CountRecord:
     """
     _require_odd_finite(field)
     start = time.perf_counter()
-    _, log, zech = field.log_tables
+    zech = field.log_tables[2]
     qm1 = field.q - 1
     # logs of the coefficients of h(x, 1) and fg(x, 1), top first
-    lhs = [log[c] for c in _coerce_scalars(curve.h.coeffs, curve.field, field)]
-    lcs = [log[c] for c in _coerce_scalars(curve.fg().coeffs, curve.field, field)]
+    lhs = _coerce_scalars(curve.h.coeffs, curve.field, field)
+    lcs = _coerce_scalars(curve.fg().coeffs, curve.field, field)
     reps, sizes = _frobenius_orbits(curve.field, field)
     rows = _row_table(field)
     counts = _row_counts(_log_values(lhs, reps, qm1, zech), _log_values(lcs, reps, qm1, zech),
@@ -453,102 +437,91 @@ def count_weighted(poly: UniPoly, genus: int, field) -> CountRecord:
     _require_odd_finite(field)
     if poly.degree != float("-inf") and poly.degree > 2 * genus + 2:
         raise ModelError(f"degree {poly.degree} exceeds 2g+2 = {2 * genus + 2}")
-    q = field.q
     start = time.perf_counter()
-    zero = field.zero
-    coeffs = _coerce_scalars(poly.coeffs, poly.field, field)
-    _, log, zech = field.log_tables
-    lcs = [log[c] for c in reversed(coeffs)]
+    lcs = _coerce_scalars(poly.coeffs, poly.field, field)
     reps, sizes = _frobenius_orbits(poly.field, field)
-    t, rs = _log_values(lcs, reps, q - 1, zech)
+    t, rs = _log_values(lcs[::-1], reps, field.q - 1, field.log_tables[2])
     n = sum(size * _one_plus_chi(r if r < 0 else t + r) for size, r in zip(sizes, rs))
-    top = coeffs[2 * genus + 2] if len(coeffs) > 2 * genus + 2 else zero
-    n += _one_plus_chi(log[top])
+    n += _one_plus_chi(lcs[2 * genus + 2] if len(lcs) > 2 * genus + 2 else -1)
     return CountRecord("weighted-hyperelliptic", poly.field.q, field.k // poly.field.k, n,
                        time.perf_counter() - start, len(reps))
 
 
-# 5 i + j for the x^i y^j of each quadric monomial, in the order
-# quadric_coefficients reads them
-_QUADRIC_INDEX = (10, 2, 0, 6, 5, 1)
+def _fiber(v1, v3, ly, qm1, zech):
+    """The cover points over the base point y = g^ly of a row, from the logs
+    of the coefficients, top first, of the row's quadratics v1 and v3:
+    1 + chi(v1(y)), or 1 + chi(v3(y)) where v1(y) = 0, and 1 where both
+    vanish, since v2^2 = v1 v3 forces v2 = 0 too.  Each a y^2 + b y + c is
+    two _log_sums, which reduce their arguments, so the logs may come
+    unreduced."""
+    for la, lb, lc in (v1, v3):
+        if ly >= 0:
+            lc = _log_sum(_log_sum(la if la < 0 else la + 2 * ly, lb if lb < 0 else lb + ly,
+                                   qm1, zech), lc, qm1, zech)
+        if lc >= 0:
+            return _one_plus_chi(lc)
+    return 1
 
 
 def count_bruin_cover(q1: TernaryForm, q2: TernaryForm, q3: TernaryForm, field):
     """(base count, cover count) for q2^2 = q1 q3 and its double cover, the
-    q_i being quadrics (degree-2 TernaryForms).
+    q_i being quadrics (degree-2 TernaryForms) over one field F_r, a subfield
+    of the counting field; forms over different fields are refused.
 
     Fiber over a base point: 2 points when the first nonvanishing of (q1, q3)
     is a nonzero square, 0 when it is a nonsquare, 1 when q1 = q2 = q3 = 0.
     On each orbit row x the base points are the roots of the quartic
-    R_x(y) = v2^2 - v1 v3 in the field, v_i(y) = q_i(x, y, 1), and the fiber
-    is read off at each root; a row with R_x = 0 is scanned over y.  All of
-    it runs on logs, and the cover itself is never enumerated in P^4.
+    R_x(y) = base(x, y, 1) in the field, base = cover_quartic(q1, q2, q3), and
+    the fiber is read off at each root from v_i(y) = q_i(x, y, 1); a row with
+    R_x = 0 is scanned over y.  All of it runs on logs, and the cover itself
+    is never enumerated in P^4.
     """
     _require_odd_finite(field)
     if any(quad.degree != 2 for quad in (q1, q2, q3)):
         raise ModelError("cover counting needs three degree-2 forms")
-    if q1.is_zero() and q2.is_zero() and q3.is_zero():
-        raise DegenerateInputError("all three quadratic forms are zero")
+    curve_field = q1.field
+    if not curve_field == q2.field == q3.field:
+        raise UnsupportedFieldError("the three quadratic forms live over different fields")
     start = time.perf_counter()
-    _, log, zech = field.log_tables
+    base = cover_quartic(q1, q2, q3)
+    zech = field.log_tables[2]
     qm1 = field.q - 1
     ops = _LogPolys(field)
-    # logs of each q_i = a x^2 + b y^2 + c z^2 + d xy + e xz + f yz
-    lqs = [[log[c] for c in _coerce_scalars(quadric_coefficients(quad), quad.field, field)]
-           for quad in (q1, q2, q3)]
-    # the q_i and q2^2 - q1 q3 on logs, with the x^i y^j coefficient at the
-    # flat index 5 i + j, so that a product of monomials adds their indices
-    lq2 = [[-1] * 11 for _ in lqs]
-    for row, lq in zip(lq2, lqs):
-        for i, t in zip(_QUADRIC_INDEX, lq):
-            row[i] = t
-    lq4 = [-1] * 21
-    for sign, u, v in ((0, 1, 1), (ops.half, 0, 2)):
-        for i, t in enumerate(lq2[u]):
-            if t >= 0:
-                ops.add_scaled(lq4, i, t + sign, lq2[v])
-    # R_x(y) = sum_j r_j(x) y^j: Horner logs of each r_j, top first, and of
-    # the line z = 0 at y = 1, whose x^i coefficient is that of x^i y^(4-i)
-    lrs = [[lq4[5 * i + j] for i in range(4 - j, -1, -1)] for j in range(5)]
-    lline = [lq4[4 * i + 4] for i in range(4, -1, -1)]
+    reps, sizes = _frobenius_orbits(curve_field, field)
+    # logs, top first, of each r_j in R_x(y) = sum_j r_j(x) y^j, and of the
+    # line base(x, 1, 0), whose x^i coefficient is that of x^i y^(4-i)
+    lrs = [_coerce_scalars([base.coeff((i, j, 4 - i - j)) for i in range(4 - j, -1, -1)],
+                           curve_field, field) for j in range(5)]
+    lline = _coerce_scalars([base.coeff((i, 4 - i, 0)) for i in range(4, -1, -1)],
+                            curve_field, field)
     # for q1 and q3: v_i(y) = b y^2 + D y + C with D = d x + f and
     # C = a x^2 + e x + c, and q_i(x, 1, 0) = a x^2 + d x + b
-    (c1, d1, line1, b1), (c3, d3, line3, b3) = ([[a, e, c], [d, f], [a, d, b], b]
-                                                for a, b, c, d, e, f in (lqs[0], lqs[2]))
-
-    def at(lcs, lx):  # log of c(x), x = 0 included
-        return lcs[-1] if lx < 0 else _log_horner(lcs, lx, qm1, zech)
-
-    def fiber(v1, v3, ly):
-        # 1 + chi(v1), or 1 + chi(v3) where v1 = 0; and 1 where v1 = v3 = 0,
-        # since v2^2 = v1 v3 forces v2 = 0 too
-        lv = at(v1, ly)
-        return _one_plus_chi(lv if lv >= 0 else at(v3, ly))
-
-    # a curve is Frobenius-stable over the field its three forms share
-    data_field = q1.field if q1.field == q2.field == q3.field else field
-    reps, sizes = _frobenius_orbits(data_field, field)
+    (a1, b1, c1, d1, e1, f1), (a3, b3, c3, d3, e3, f3) = (
+        _coerce_scalars(quadric_coefficients(quad), curve_field, field) for quad in (q1, q3))
+    # each column stays as _log_values gives it, a base and logs relative to
+    # it, so that it holds Zech entries and no new ints; a row adds the base
+    columns = [_log_values(lcs, reps, qm1, zech)
+               for lcs in (*lrs, lline, [d1, f1], [a1, e1, c1], [d3, f3], [a3, e3, c3])]
+    bases = [t for t, _ in columns]
     nz = ny = 0
-    for lx, size in zip(reps, sizes):
-        r = [at(lcs, lx) for lcs in lrs]
+    for lx, size, *row in zip(reps, sizes, *(rs for _, rs in columns)):
+        *r, lz, ld1, lc1, ld3, lc3 = [u if u < 0 else t + u for t, u in zip(bases, row)]
         while r and r[-1] < 0:
             r.pop()
         # every y when the line x = const lies inside the base quartic
         ys = ops.roots(ops.monic(r)) if r else range(-1, qm1)
-        row_z, row_y = len(ys), 0
-        if ys:
-            v1, v3 = [b1, at(d1, lx), at(c1, lx)], [b3, at(d3, lx), at(c3, lx)]
-            row_y = sum(fiber(v1, v3, ly) for ly in ys)
-        if at(lline, lx) < 0:  # the point (x:1:0)
+        row_z = len(ys)
+        row_y = sum(_fiber((b1, ld1, lc1), (b3, ld3, lc3), ly, qm1, zech) for ly in ys)
+        if lz < 0:  # the point (x:1:0)
             row_z += 1
-            row_y += fiber(line1, line3, lx)
+            row_y += _fiber((a1, d1, b1), (a3, d3, b3), lx, qm1, zech)
         nz += size * row_z
         ny += size * row_y
     if lline[0] < 0:  # the point (1:0:0), where q_i = a_i
         nz += 1
-        ny += _one_plus_chi(line1[0] if line1[0] >= 0 else line3[0])
+        ny += _one_plus_chi(a1 if a1 >= 0 else a3)
     seconds = time.perf_counter() - start
-    r, m = data_field.q, field.k // data_field.k
+    r, m = curve_field.q, field.k // curve_field.k
     return (
         CountRecord("plane-quartic", r, m, nz, seconds, len(reps)),
         CountRecord("bruin-cover", r, m, ny, seconds, len(reps)),

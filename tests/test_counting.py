@@ -22,7 +22,9 @@ from prymsplit.counting import (
     CountRecord,
     _LogPolys,
     _frobenius_orbits,
+    _log_sum,
     _log_values,
+    _one_plus_chi,
     _row_counts,
     _row_table,
 )
@@ -262,6 +264,21 @@ class TestBruinCover:
         quartic = q * q
         with pytest.raises(ModelError):
             count_bruin_cover(q, quartic, q, F5)
+
+    def test_mixed_fields_rejected(self, monkeypatch):
+        # the forms must share the field the curve is Frobenius-stable over,
+        # and the refusal comes before any row is counted
+        import prymsplit.counting as counting_module
+
+        def tripwire(*args):
+            raise AssertionError("a count ran")
+
+        monkeypatch.setattr(counting_module, "_frobenius_orbits", tripwire)
+        rng = random.Random(16)
+        q1 = random_quadratic(F3, rng)
+        q2, q3 = (random_quadratic(F9, rng) for _ in range(2))
+        with pytest.raises(UnsupportedFieldError):
+            count_bruin_cover(q1, q2, q3, F9)
 
     @pytest.mark.parametrize("field", [F3, F5, F9], ids=["F3", "F5", "F9"])
     def test_fiber_table_against_p4_enumeration(self, field):
@@ -713,6 +730,34 @@ class TestRowSolver:
         for n in range(2, min(field.q, 4) + 1):
             f = product_of_linears(field, rng.sample(range(field.q), n))
             assert from_logs(field, ops.xq(to_logs(field, f))) == [field.zero, field.one]
+
+
+@pytest.mark.parametrize("p, k", [(3, 1), (7, 1), (3, 2), (5, 2)], ids=["F3", "F7", "F9", "F25"])
+def test_unreduced_logs_read_as_reduced(p, k):
+    # a cover row's logs are a column base plus a relative log, as large as
+    # 2 (q - 1): log j and j + (q - 1) must give the same element
+    field = build_extension(p, k)
+    qm1 = field.q - 1
+    zech = field.log_tables[2]
+    ops = _LogPolys(field)
+    logs = range(-1, qm1)
+
+    def lift(j):
+        return j if j < 0 else j + qm1
+
+    def reduce(j):
+        return j if j < 0 else j % qm1
+
+    for v in logs:
+        assert _one_plus_chi(lift(v)) == _one_plus_chi(v)
+        for u in logs:
+            expected = _log_sum(u, v, qm1, zech)
+            for a, b in ((u, lift(v)), (lift(u), v), (lift(u), lift(v))):
+                assert reduce(_log_sum(a, b, qm1, zech)) == expected
+            if v >= 0:  # u + g^v y
+                expected = ops.monic([u, v])
+                for f in ([u, lift(v)], [lift(u), v], [lift(u), lift(v)]):
+                    assert ops.monic(f) == expected
 
 
 def nonsquare(field):
