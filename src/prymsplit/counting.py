@@ -480,10 +480,8 @@ def count_bruin_cover(q1: TernaryForm, q2: TernaryForm, q3: TernaryForm, field):
     if any(quad.degree != 2 for quad in (q1, q2, q3)):
         raise ModelError("cover counting needs three degree-2 forms")
     curve_field = q1.field
-    if not curve_field == q2.field == q3.field:
-        raise UnsupportedFieldError("the three quadratic forms live over different fields")
     start = time.perf_counter()
-    base = cover_quartic(q1, q2, q3)
+    base = cover_quartic(q1, q2, q3)  # raises on forms over different fields
     zech = field.log_tables[2]
     qm1 = field.q - 1
     ops = _LogPolys(field)

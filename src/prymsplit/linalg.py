@@ -1,15 +1,11 @@
 """Exact linear algebra: the 3x3 coefficient matrix and dense determinants.
 
-Determinants over the rationals clear denominators and run fraction-free
-Bareiss elimination on integers; finite-field determinants and every rank come
-from one Gaussian elimination over the field object.  Both are exact, which
-every caller here depends on.
+Every determinant and every rank, over the rationals as over a finite field,
+comes from one Gaussian elimination over the field object (_eliminate).  It
+is exact, which every caller here depends on.
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
-from math import lcm
 
 from .errors import SingularMatrixError
 
@@ -113,44 +109,6 @@ class Matrix3:
         return f"Matrix3({self.rows})"
 
 
-def det_bareiss_int(rows) -> int:
-    """Fraction-free determinant of an integer matrix (Bareiss)."""
-    n = len(rows)
-    m = [list(r) for r in rows]
-    sign = 1
-    prev = 1
-    for c in range(n - 1):
-        if m[c][c] == 0:
-            for r in range(c + 1, n):
-                if m[r][c] != 0:
-                    m[c], m[r] = m[r], m[c]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        pivot = m[c][c]
-        for r in range(c + 1, n):
-            mr = m[r]
-            mc = m[c]
-            mrc = mr[c]
-            for j in range(c + 1, n):
-                mr[j] = (mr[j] * pivot - mrc * mc[j]) // prev
-            mr[c] = 0
-        prev = pivot
-    return sign * m[n - 1][n - 1]
-
-
-def det_rational(rows) -> Fraction:
-    """Determinant of a matrix of Fractions via row-wise denominator clearing."""
-    denom = 1
-    int_rows = []
-    for r in rows:
-        d = lcm(*(f.denominator for f in r)) if r else 1
-        denom *= d
-        int_rows.append([f.numerator * (d // f.denominator) for f in r])
-    return Fraction(det_bareiss_int(int_rows), denom)
-
-
 def _eliminate(rows, field):
     """(rank, det) by Gaussian elimination over a field object.
 
@@ -199,11 +157,8 @@ def _eliminate(rows, field):
 
 
 def det_in_field(rows, field):
-    """Exact determinant: Bareiss over the rationals, elimination otherwise."""
-    if not rows:
-        return field.one
-    if field.kind == "rationals":
-        return det_rational(rows)
+    """Exact determinant by Gaussian elimination over the field object, the
+    rationals included; 1 for the empty matrix."""
     return _eliminate(rows, field)[1]
 
 

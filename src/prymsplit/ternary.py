@@ -1,7 +1,8 @@
 """Homogeneous forms in three variables.
 
 TernaryForm keeps a sparse exponent->coefficient map with zero entries
-dropped; arithmetic is exact over the owning field.  A quadric is a degree-2
+dropped; arithmetic is exact over the owning field, and forms over different
+fields are refused (UnsupportedFieldError).  A quadric is a degree-2
 TernaryForm: quadric builds one from its six monomial coefficients,
 quadric_coefficients reads them back, and gram gives its symmetric Gram
 matrix, whose off-diagonal entries are half the mixed coefficients
@@ -10,7 +11,7 @@ matrix, whose off-diagonal entries are half the mixed coefficients
 
 from __future__ import annotations
 
-from .errors import DegenerateInputError
+from .errors import DegenerateInputError, UnsupportedFieldError
 
 
 class TernaryForm:
@@ -78,12 +79,18 @@ class TernaryForm:
     def _check(self, other):
         if self.degree != other.degree:
             raise ValueError("form degrees differ")
+        self._check_field(other)
+
+    def _check_field(self, other):
+        if self.field != other.field:
+            raise UnsupportedFieldError("forms over different fields")
 
     def __neg__(self):
         F = self.field
         return TernaryForm(F, self.degree, {m: F.neg(c) for m, c in self.coeffs.items()})
 
     def __mul__(self, other):
+        self._check_field(other)
         F = self.field
         out = {}
         for (i1, j1, k1), a in self.coeffs.items():
@@ -183,7 +190,8 @@ def gram(q: TernaryForm) -> tuple:
 
 
 def cover_quartic(q1: TernaryForm, q2: TernaryForm, q3: TernaryForm) -> TernaryForm:
-    """The plane quartic q2^2 - q1*q3 cut out by a quadric triple."""
+    """The plane quartic q2^2 - q1*q3 cut out by a quadric triple, which must
+    share one field (UnsupportedFieldError otherwise)."""
     if q1.is_zero() and q2.is_zero() and q3.is_zero():
         raise DegenerateInputError("all three quadratic forms are zero")
     return q2 * q2 - q1 * q3

@@ -10,7 +10,10 @@ from prymsplit import (
     UnsupportedFieldError,
     build_extension,
 )
-from prymsplit.fields import _EXP_BLOCK, PrimeField, embedding, is_irreducible, is_prime
+from prymsplit.fields import (
+    _EXP_BLOCK, ExtensionField, PrimeField, embedding, is_irreducible, is_prime,
+)
+from prymsplit.poly import eval_list
 from prymsplit.zeta import _PRIME_POOL
 from helpers import PSI12, PSI13, digit_mul, digit_pow, sequential_exp
 
@@ -229,6 +232,20 @@ def test_embedding_is_a_field_homomorphism():
         assert table[small.add(a, b)] == big.add(table[a], table[b])
         assert table[small.mul(a, b)] == big.mul(table[a], table[b])
     assert table[small.one] == big.one
+
+
+@pytest.mark.parametrize("p, k, big_k, modulus", [
+    (3, 2, 4, None), (3, 2, 6, None), (3, 2, 6, [2, 1, 1]), (5, 2, 4, None), (3, 3, 6, None),
+])
+def test_embedding_takes_the_smallest_root(p, k, big_k, modulus):
+    # the root of the small modulus is the least packed one over all of
+    # F_{p^K}, as a full scan finds it
+    small = build_extension(p, k) if modulus is None else ExtensionField(p, k, modulus)
+    big = build_extension(p, big_k)
+    root = next(e for e in range(big.q)
+                if eval_list(small.modulus, e, big) == 0)
+    x = small.from_coeffs([0, 1])
+    assert embedding(small, big)[x] == root
 
 
 def test_embedding_degree_mismatch():

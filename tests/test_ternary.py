@@ -2,8 +2,17 @@ import random
 
 import pytest
 
-from prymsplit import QQ, build_extension, quadric, quadric_coefficients
+from prymsplit import (
+    QQ,
+    UnsupportedFieldError,
+    bruin_cover,
+    build_extension,
+    cover_quartic,
+    quadric,
+    quadric_coefficients,
+)
 from prymsplit.ternary import gram
+from helpers import random_quadratic
 
 FIELDS = [build_extension(7), build_extension(3, 2), QQ]
 
@@ -32,3 +41,19 @@ def test_gram_is_symmetric_and_evaluates_the_quadric(field):
                 for j in range(3):
                     value = add(value, mul(v[i], mul(g[i][j], v[j])))
             assert value == q.eval(*v)
+
+
+def test_forms_over_different_fields_are_refused():
+    # F_3's packed values are F_9's too, so a mixed product would run F_3's
+    # mul on F_9 elements and return a wrong form instead of failing
+    rng = random.Random(33)
+    F3, F9 = build_extension(3), build_extension(3, 2)
+    q1 = quadric(F3, 1, 2, 1, 0, 1, 2)
+    q2, q3 = (random_quadratic(F9, rng) for _ in range(2))
+    for op in (lambda a, b: a + b, lambda a, b: a - b, lambda a, b: a * b):
+        with pytest.raises(UnsupportedFieldError):
+            op(q1, q2)
+    with pytest.raises(UnsupportedFieldError):
+        cover_quartic(q1, q2, q3)
+    with pytest.raises(UnsupportedFieldError):
+        bruin_cover(q1, q2, q3)
