@@ -9,13 +9,15 @@ Three counters, all exact:
   of rows, each value kept as a log relative to the last nonzero coefficient
   passed, so that a step is one Zech lookup.  A row with h c != 0
   (c = fg(x)) has #{y} read from a per-field table indexed by log(c / h^2)
-  and the parity of log h, both taken from the two bases and the relative
-  logs; a row with h = 0 or c = 0 has a closed form, and x = infinity reads
-  the top coefficients.
+  and the parity of log h.  Each count copies that table rotated for its
+  two bases, so that a row is one lookup at its two relative logs with no
+  %; the few rows with h = 0 or c = 0 are found by list.index and have a
+  closed form, and x = infinity reads the top coefficients.
 * hyperelliptic-type models y^2 = F(x) in P(1, g+1, 1): character sums over
-  the x-line, F evaluated by the same column-wise Horner's rule and chi read
-  off the parity of base plus relative log, plus the points above
-  x = infinity read off the degree-(2g+2) homogenization.
+  the x-line, F evaluated by the same column-wise Horner's rule and 1 + chi
+  read at the relative log from a per-count table whose halves follow the
+  parity of the base, plus the points above x = infinity read off the
+  degree-(2g+2) homogenization.
 * the double cover q1 = u^2, q2 = uv, q3 = v^2 of the plane quartic
   base = q2^2 - q1 q3 (ternary.cover_quartic): on a row the three forms are
   quadratics v_i(y), and the base points are the roots of
@@ -49,7 +51,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field as dc_field
-from operator import mul
 
 from .errors import ModelError, UnsupportedFieldError
 from .fields import embedding
@@ -103,16 +104,19 @@ def _frobenius_orbits(curve_field, field):
     r is the size of curve_field, where the curve's coefficients live.  The walk
     runs on exponents: x = g^j has x^r = g^(j r mod q - 1), so the orbits of
     F_q^* are the cosets j -> j r of Z/(q - 1), and no field power is taken.
-    Zero is its own orbit and comes first as log -1, size 1.  Built on first
-    use and cached on the counting field per r as two flat lists, so the cache
-    holds no per-orbit objects; for r = q every orbit is a single element.
+    Zero is its own orbit and comes first as log -1, size 1, and the orbits
+    come shortest first (by size, then by least log), so that all but the few
+    in proper subfields form one final block of size m = [F_q : F_r]
+    (_weighted_total).  Built on first use and cached on the counting field
+    per r as two flat lists, so the cache holds no per-orbit objects; for
+    r = q every orbit is a single element.
     """
     r = curve_field.q
     orbits = field._orbits.get(r)
     if orbits is None:
         qm1 = field.q - 1
         seen = bytearray(qm1)
-        reps, sizes = [-1], [1]
+        by_size = {1: [-1]}
         for j in range(qm1):
             if not seen[j]:  # j is the least log in its orbit; mark the rest
                 size, i = 1, j * r % qm1
@@ -120,8 +124,11 @@ def _frobenius_orbits(curve_field, field):
                     seen[i] = 1
                     size += 1
                     i = i * r % qm1
-                reps.append(j)
-                sizes.append(size)
+                by_size.setdefault(size, []).append(j)
+        reps, sizes = [], []
+        for size in sorted(by_size):
+            reps += by_size[size]
+            sizes += [size] * len(by_size[size])
         orbits = field._orbits[r] = (reps, sizes)
     return orbits
 
@@ -167,6 +174,14 @@ def _log_values(lcs, reps, qm1, zech):
     return t, rs
 
 
+def _weighted_total(sizes, counts, m):
+    """sum(size * count) over the orbits: every orbit from sizes.index(m) on
+    has size m, so a count is summed once, and only the short orbits before
+    that, the ones in proper subfields, are weighted row by row."""
+    short = sizes[:sizes.index(m)]
+    return m * sum(counts) - sum((m - size) * n for size, n in zip(short, counts))
+
+
 def _log_sum(u, v, qm1, zech):
     """log(a + b) from u = log a and v = log b."""
     if u < 0:
@@ -185,7 +200,8 @@ def _one_plus_chi(lv):
 def _row_table(field):
     """#{y : y^4 - h y^2 + c = 0} for h, c != 0, indexed by
     log(c / h^2) + (q - 1) (log h & 1); built on first use and cached on the
-    field.
+    field as 2 (q - 1) bytes.  A count reads it through a copy rotated for
+    its pair of bases (_row_counts), and a single row directly (_row_count).
 
     Put w = h om: then w^2 - h w + c = 0 is om (1 - om) = c / h^2, whose roots
     om and 1 - om are nonzero and not 1, and a root w gives
@@ -205,10 +221,14 @@ def _row_table(field):
     return rows
 
 
-def _zero_row(lh, lc, qm1):
-    """#{y : y^4 - h y^2 + c = 0} when h = 0 or c = 0 (lh or lc is -1)."""
+def _row_count(lh, lc, rows, qm1):
+    """#{y : y^4 - h y^2 + c = 0} for one row, from lh = log h and lc = log c
+    (zero as -1, any other log unreduced): one lookup in rows = _row_table(field)
+    when h c != 0, a closed form when h or c is zero."""
     if lc < 0:  # y^2 (y^2 - h)
         return 1 if lh < 0 else 3 - 2 * (lh & 1)
+    if lh >= 0:
+        return rows[(lc - 2 * lh) % qm1 + (lh & 1) * qm1]
     half = qm1 // 2
     lk = (lc + half) % qm1  # y^4 = -c: y^2 = +-s with s^2 = -c
     if lk & 1:
@@ -218,19 +238,40 @@ def _zero_row(lh, lc, qm1):
 
 def _row_counts(h, c, rows, qm1):
     """#{y : y^4 - h y^2 + c = 0} for each pair of values of h and c, each
-    list given as _log_values gives it, (base, relative logs): one lookup in
-    rows = _row_table(field) when h c != 0.
+    list given as _log_values gives it, (base, relative logs): one lookup per
+    row in a table built for this pair of bases from rows = _row_table(field).
 
-    With log h = th + rh and log c = tc + rc, log(c / h^2) is
-    tc - 2 th + rc - 2 rh, and log h has the parity of rh ^ th, q - 1 being
-    even.  _zero_row gets th + rh and tc + rc unreduced: it reads only their
-    parities and reduces them itself.
+    With log h = th + lh and log c = tc + lc, log(c / h^2) is k + lc - 2 lh,
+    k = tc - 2 th, and log h has the parity of lh when th is even and the
+    other one when th is odd, q - 1 being even.  So each half of rows is
+    rotated by k, and the two are swapped for an odd th, into tabs[lh & 1];
+    written out twice, 2 (q - 1) bytes, a half is indexed by lc - 2 lh in
+    [-2 (q - 1) + 2, q - 2] with no %, a negative index counting from the end
+    one period later.  A row where h or c vanishes reads an entry that means
+    nothing for it; the few such rows, at most deg h + deg c orbits and
+    x = 0, are found by list.index and recounted by _row_count.  The two
+    tables are the count's only new memory beside the list of counts.
     """
     (th, lhs), (tc, lcs) = h, c
-    k = tc - 2 * th
-    return [rows[(k + lc - 2 * lh) % qm1 + ((lh ^ th) & 1) * qm1] if (lh | lc) >= 0
-            else _zero_row(lh if lh < 0 else lh + th, lc if lc < 0 else lc + tc, qm1)
-            for lh, lc in zip(lhs, lcs)]
+    k = (tc - 2 * th) % qm1
+    even, odd = (rows[o + k:o + qm1] + rows[o:o + qm1] + rows[o:o + k] for o in (0, qm1))
+    tabs = (odd, even) if th & 1 else (even, odd)
+    counts = [tabs[lh & 1][lc - lh - lh] for lh, lc in zip(lhs, lcs)]
+    for i in _zeros(lhs) + _zeros(lcs):
+        lh, lc = lhs[i], lcs[i]
+        counts[i] = _row_count(lh if lh < 0 else lh + th, lc if lc < 0 else lc + tc, rows, qm1)
+    return counts
+
+
+def _zeros(ls):
+    """The positions of the zero values (log -1) in the list of logs ls."""
+    out, i = [], -1
+    try:
+        while True:
+            i = ls.index(-1, i + 1)
+            out.append(i)
+    except ValueError:
+        return out
 
 
 class _LogPolys:
@@ -418,13 +459,14 @@ def count_plane_quartic(curve, field) -> CountRecord:
     lhs = _coerce_scalars(curve.h.coeffs, curve.field, field)
     lcs = _coerce_scalars(curve.fg().coeffs, curve.field, field)
     reps, sizes = _frobenius_orbits(curve.field, field)
+    m = field.k // curve.field.k
     rows = _row_table(field)
     counts = _row_counts(_log_values(lhs, reps, qm1, zech), _log_values(lcs, reps, qm1, zech),
                          rows, qm1)
-    # x = infinity reads the top coefficients, as logs relative to 0
-    n = sum(map(mul, sizes, counts)) + _row_counts((0, lhs[:1]), (0, lcs[:1]), rows, qm1)[0]
-    return CountRecord("plane-quartic", curve.field.q, field.k // curve.field.k, n,
-                       time.perf_counter() - start, len(reps))
+    # x = infinity reads the top coefficients
+    n = _weighted_total(sizes, counts, m) + _row_count(lhs[0], lcs[0], rows, qm1)
+    return CountRecord("plane-quartic", curve.field.q, m, n, time.perf_counter() - start,
+                       len(reps))
 
 
 def count_weighted(poly: UniPoly, genus: int, field) -> CountRecord:
@@ -433,6 +475,10 @@ def count_weighted(poly: UniPoly, genus: int, field) -> CountRecord:
     Homogenize F to degree 2g+2: the affine chart contributes
     sum_x (1 + chi(F(x))) and x = infinity contributes 1 + chi(top
     coefficient), the top coefficient being zero whenever deg F < 2g + 2.
+    F(x) = g^(t + r) comes from _log_values, and 1 + chi is read at r from a
+    table built per count, q bytes: 2, 0, 2, 0, ... for an even t and
+    0, 2, 0, 2, ... for an odd one, q - 1 being even, and a final 1 that
+    r = -1 (F(x) = 0) reads.
     """
     _require_odd_finite(field)
     if poly.degree != float("-inf") and poly.degree > 2 * genus + 2:
@@ -440,11 +486,15 @@ def count_weighted(poly: UniPoly, genus: int, field) -> CountRecord:
     start = time.perf_counter()
     lcs = _coerce_scalars(poly.coeffs, poly.field, field)
     reps, sizes = _frobenius_orbits(poly.field, field)
+    m = field.k // poly.field.k
     t, rs = _log_values(lcs[::-1], reps, field.q - 1, field.log_tables[2])
-    n = sum(size * _one_plus_chi(r if r < 0 else t + r) for size, r in zip(sizes, rs))
+    # 1 + chi(F(x)) at index r = log F(x) - t: the halves swap with the parity
+    # of t, and r = -1 (F(x) = 0) reads the final 1
+    table = (b"\x00\x02" if t & 1 else b"\x02\x00") * ((field.q - 1) // 2) + b"\x01"
+    n = _weighted_total(sizes, [table[r] for r in rs], m)
     n += _one_plus_chi(lcs[2 * genus + 2] if len(lcs) > 2 * genus + 2 else -1)
-    return CountRecord("weighted-hyperelliptic", poly.field.q, field.k // poly.field.k, n,
-                       time.perf_counter() - start, len(reps))
+    return CountRecord("weighted-hyperelliptic", poly.field.q, m, n, time.perf_counter() - start,
+                       len(reps))
 
 
 def _fiber(v1, v3, ly, qm1, zech):

@@ -11,7 +11,7 @@ from .errors import SingularMatrixError
 
 
 class Matrix3:
-    __slots__ = ("field", "rows")
+    __slots__ = ("field", "rows", "_det")
 
     def __init__(self, field, rows):
         rows = tuple(tuple(r) for r in rows)
@@ -37,12 +37,18 @@ class Matrix3:
         )
 
     def det(self):
+        """Computed on the first call and kept: the rows never change."""
+        try:
+            return self._det
+        except AttributeError:
+            pass
         F = self.field
         (a, b, c), (d, e, f), (g, h, i) = self.rows
         t1 = F.mul(a, F.sub(F.mul(e, i), F.mul(f, h)))
         t2 = F.mul(b, F.sub(F.mul(d, i), F.mul(f, g)))
         t3 = F.mul(c, F.sub(F.mul(d, h), F.mul(e, g)))
-        return F.add(F.sub(t1, t2), t3)
+        self._det = F.add(F.sub(t1, t2), t3)
+        return self._det
 
     def adjugate(self):
         F = self.field

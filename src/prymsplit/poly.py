@@ -330,9 +330,16 @@ class BinaryForm:
     def is_squarefree(self) -> bool:
         """No repeated projective root: gcd(F(x,1), F'(x,1)) constant and at
         most a simple root at infinity.  Valid in every odd characteristic,
-        including when the characteristic divides the degree."""
+        including when the characteristic divides the degree.  Over Q a
+        squarefree reduction mod 2^61 - 1 answers first
+        (resultants.squarefree_mod_cert), so the gcd over Fractions runs only
+        when that certificate fails."""
         if self.is_zero():
             raise DegenerateInputError("squarefreeness of the zero form")
+        if self.field.kind == "rationals":
+            from .resultants import squarefree_mod_cert  # resultants imports this module
+            if squarefree_mod_cert(self):
+                return True
         zero = self.field.zero
         if self.coeffs[0] == zero and self.coeffs[1] == zero:
             return False

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, wraps
 
 from .errors import DegenerateInputError, RejectedInputError, UnsupportedFieldError
 from .linalg import Matrix3
@@ -33,6 +33,22 @@ from .ternary import TernaryForm, cover_quartic, gram, quadric
 log = logging.getLogger(__name__)
 
 RANDOM_CURVE_TRIES = 2000
+
+
+def _once(method):
+    """A no-argument method of a frozen dataclass, computed on the first call
+    and kept in the instance dict (which a frozen dataclass does not guard)."""
+    key = "_" + method.__name__
+
+    @wraps(method)
+    def cached(self):
+        try:
+            return self.__dict__[key]
+        except KeyError:
+            value = self.__dict__[key] = method(self)
+            return value
+
+    return cached
 
 
 @dataclass(frozen=True)
@@ -64,18 +80,23 @@ class BiellipticQuartic:
             BinaryForm.from_ints(field, 2, h),
         )
 
+    # A, fg and s are computed once per curve: validate, split and the
+    # counts each read them, and Matrix3 keeps its determinant.
+    @_once
     def coefficient_matrix(self) -> Matrix3:
         """Rows are the coefficient triples of f, h, g in that order."""
         return Matrix3(self.field, (self.f.coeffs, self.h.coeffs, self.g.coeffs))
 
+    @_once
     def fg(self) -> BinaryForm:
         return self.f * self.g
 
+    @_once
     def branch_quartic(self) -> BinaryForm:
         """s = h^2 - 4 f g, the quartic under the genus-1 model Y^2 = s."""
         F = self.field
         four = F.from_int(4)
-        return (self.h * self.h) - (self.f * self.g).scale(four)
+        return (self.h * self.h) - self.fg().scale(four)
 
     def plane_quartic(self) -> TernaryForm:
         """The defining ternary quartic, variables ordered (x, y, z)."""

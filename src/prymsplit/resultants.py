@@ -28,9 +28,11 @@ Conventions fixed here and relied on everywhere else:
   zero.  Over a finite field the rank is taken in that field.  Over the
   rationals it is first taken modulo l = 2^61 - 1, and rank 36 mod l is a
   certificate (a 36x36 minor nonzero mod l is nonzero); a lower rank, or l
-  dividing a denominator, leaves the answer to the exact rank over Q.  The
-  value itself is computed only where it is printed: disc-check and the
-  self-test's golden criterion.
+  dividing a denominator, leaves the answer to the exact rank over Q.
+  BinaryForm.is_squarefree over Q is decided the same way: a reduction mod l
+  that is squarefree at the same formal degree proves it (squarefree_mod_cert),
+  and anything else runs the exact gcd over Q.  The value itself is computed
+  only where it is printed: disc-check and the self-test's golden criterion.
 """
 
 from __future__ import annotations
@@ -248,14 +250,30 @@ def disc_ternary_quartic(F: TernaryForm):
     return field.div(res, field.from_int(QUARTIC_DISC_NORMALIZER))
 
 
+def _cert_image(values):
+    """Rationals mapped into _CERT_FIELD, or None when l divides a
+    denominator: the one reduction behind both certificates mod l."""
+    try:
+        return [_CERT_FIELD.from_fraction(c) for c in values]
+    except ZeroDivisionError:
+        return None
+
+
 def _reduce_mod_cert(F: TernaryForm):
     """A rational form with its coefficients mapped into _CERT_FIELD, or None
     when l divides a denominator."""
-    try:
-        coeffs = {m: _CERT_FIELD.from_fraction(c) for m, c in F.coeffs.items()}
-    except ZeroDivisionError:
-        return None
-    return TernaryForm(_CERT_FIELD, F.degree, coeffs)
+    image = _cert_image(F.coeffs.values())
+    return None if image is None else TernaryForm(_CERT_FIELD, F.degree, zip(F.coeffs, image))
+
+
+def squarefree_mod_cert(F: BinaryForm) -> bool:
+    """Whether a rational binary form reduces mod l to a squarefree form of
+    the same formal degree, which proves F squarefree over Q: a repeated
+    root L^2 | F survives the reduction, L made primitive.  False says
+    nothing: l may divide a denominator, the reduction may vanish, or l may
+    merge two roots."""
+    image = _cert_image(F.coeffs)
+    return image is not None and any(image) and BinaryForm(_CERT_FIELD, F.n, image).is_squarefree()
 
 
 def _has_singular_point(F: TernaryForm) -> bool:

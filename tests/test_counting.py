@@ -21,10 +21,12 @@ from prymsplit import (
 from prymsplit.counting import (
     CountRecord,
     _LogPolys,
+    _coerce_scalars,
     _frobenius_orbits,
     _log_sum,
     _log_values,
     _one_plus_chi,
+    _row_count,
     _row_counts,
     _row_table,
 )
@@ -364,7 +366,8 @@ class TestBruinCover:
 class TestFrobeniusOrbits:
     """Curves over a subfield, counted one row per orbit of x -> x^r."""
 
-    PAIRS = [(3, 1, 2), (5, 1, 2), (3, 1, 3), (5, 1, 3), (3, 2, 4)]  # (p, k, K)
+    # (p, k, K); over F_{3^4} the orbits of F_3 have sizes 1, 2 and 4
+    PAIRS = [(3, 1, 2), (5, 1, 2), (3, 1, 3), (5, 1, 3), (3, 2, 4), (3, 1, 4)]
 
     @pytest.mark.parametrize("p, k, big_k", PAIRS, ids=lambda v: str(v))
     def test_orbits_partition_the_field(self, p, k, big_k):
@@ -374,6 +377,9 @@ class TestFrobeniusOrbits:
         reps, sizes = orbits
         assert (reps[0], sizes[0]) == (-1, 1)  # zero is its own orbit, first
         assert len(reps) == len(sizes)
+        # shortest first, by least log within a size, ending in the full size m
+        assert list(zip(sizes, reps)) == sorted(zip(sizes, reps))
+        assert sizes[-1] == big.k // small.k
         assert sum(sizes) == big.q
         # the element orbits, rebuilt through field powers x -> x^r
         expected = set()
@@ -490,9 +496,9 @@ class TestLogDomainKernels:
 
 class TestRowCounts:
     """The bielliptic kernel's row count #{y : y^4 - h y^2 + c = 0}: the
-    table lookup where h c != 0 and the closed forms where h or c is zero,
-    with h and c given as _log_values gives them, a base and logs relative
-    to it."""
+    lookup in the table rotated for the pair of bases where h c != 0, and the
+    closed forms of _row_count where h or c is zero, with h and c given as
+    _log_values gives them, a base and logs relative to it."""
 
     @pytest.mark.parametrize("p, k", [(3, 1), (5, 1), (7, 1), (3, 2), (5, 2), (3, 3)],
                              ids=["F3", "F5", "F7", "F9", "F25", "F27"])
@@ -513,12 +519,20 @@ class TestRowCounts:
             return [l if l < 0 else (l - t) % qm1 for l in ls]
 
         # every (h, c) pair under each pair of bases: both even, each one odd,
-        # and the top base q - 2 on both sides
-        for th, tc in sorted({(0, 0), (1, 0), (0, 1), (1, 1), (qm1 - 1, qm1 - 1),
-                              (qm1 // 2, 1)}):
+        # and the top base q - 2 on both sides; the rotation k = tc - 2 th
+        # mod q - 1 is 0 for an even and for an odd th, and q - 2, its top
+        bases = {(0, 0), (1, 0), (0, 1), (1, 1), (qm1 - 1, qm1 - 1), (qm1 // 2, 1),
+                 (1, 2 % qm1), (0, qm1 - 1), (qm1 - 1, qm1 - 2)}
+        assert {(tc - 2 * th) % qm1 for th, tc in bases} >= {0, qm1 - 1}
+        assert {th & 1 for th, tc in bases if (tc - 2 * th) % qm1 == 0} == {0, 1}
+        for th, tc in sorted(bases):
             counts = _row_counts((th, relative(lhs, th)), (tc, relative(lcs, tc)), rows, qm1)
             assert counts == expected, (th, tc)
         assert _row_table(field) is rows  # cached on the field
+        # one row from absolute logs, reduced and not, as x = infinity reads it
+        for shift in (0, qm1):
+            assert [_row_count(lh if lh < 0 else lh + shift, lc if lc < 0 else lc + shift,
+                               rows, qm1) for lh, lc in zip(lhs, lcs)] == expected
 
 
 class TestLogValues:
@@ -598,6 +612,85 @@ class TestLogValues:
                     expected.append(sum(field.add(field.sub(field.mul(w, w), field.mul(hx, w)),
                                                   cx) == field.zero for w in squares))
                 assert counts == expected
+
+
+def _orbit_polynomial(small, big, j):
+    """The product of X - x over the orbit of x = g^j under x -> x^r, r = |small|,
+    as constant-first coefficients in small: the minimal polynomial of x."""
+    exp = big.log_tables[0]
+    back = {v: s for s, v in enumerate(embedding(small, big))}
+    x, poly = exp[j], [big.one]
+    while True:
+        poly = [big.sub(a, big.mul(x, b)) for a, b in zip([big.zero] + poly, poly + [big.zero])]
+        x = big.pow(x, small.q)
+        if x == exp[j]:
+            return [back[c] for c in poly]
+
+
+class TestZeroRows:
+    """Rows where h or fg vanishes.  The row pass reads them from an entry
+    that means nothing there, and _row_counts recounts them; count_weighted
+    reads F(x) = 0 from the final entry of its table.  Each case is checked
+    at x = 0, at the last orbit representative and on an orbit of size > 1,
+    against enumeration."""
+
+    # (p, k, K): a curve over F_{p^k} counted over F_{p^K}, where the last
+    # orbit has one or two elements, so that a quadratic form vanishes on it
+    PAIRS = [(3, 1, 2), (5, 1, 2), (7, 1, 2), (3, 2, 4), (7, 1, 1), (5, 2, 2)]
+
+    @pytest.mark.parametrize("p, k, big_k", PAIRS, ids=lambda v: str(v))
+    def test_plane_quartic_rows_where_h_or_fg_vanishes(self, p, k, big_k):
+        small, big = build_extension(p, k), build_extension(p, big_k)
+        reps, sizes = _frobenius_orbits(small, big)
+        # the minimal polynomial of the last representative, as (x^2, xz, z^2)
+        top = _orbit_polynomial(small, big, reps[-1])[::-1]
+        if len(top) == 2:
+            top.append(0)
+        xz, rng = [0, 1, 0], random.Random(f"zero-rows-{p}-{k}-{big_k}")
+        other = [small.random_nonzero(rng) for _ in range(3)]
+        cases = [(xz, top, top), (top, xz, other), (xz, top, xz), (top, top, other),
+                 (top, [1, 0, 0], xz)]  # (f, g, h)
+        exp, log, zech = big.log_tables
+        seen = set()
+        for f, g, h in cases:
+            curve = bielliptic(small, f, g, h)
+            lh, lc = (_log_values(_coerce_scalars(form.coeffs, small, big), reps, big.q - 1,
+                                  zech)[1] for form in (curve.h, curve.fg()))
+            seen.update((name, i) for name, ls in (("h", lh), ("fg", lc))
+                        for i in (0, len(reps) - 1) if ls[i] < 0)
+            assert count_plane_quartic(curve, big).n == brute_curve_points(curve, big), (f, g, h)
+        assert seen == {("h", 0), ("fg", 0), ("h", len(reps) - 1), ("fg", len(reps) - 1)}
+        assert sizes[-1] == big_k // k
+
+    @pytest.mark.parametrize("p, k, big_k", [(3, 1, 1), (7, 1, 1), (3, 2, 2), (3, 1, 3),
+                                             (5, 1, 3)], ids=lambda v: str(v))
+    def test_weighted_rows_where_f_vanishes_under_both_parities(self, p, k, big_k):
+        """The table's halves swap with the parity of the base t, and F(x) = 0
+        reads its final 1; an odd degree [F_q : F_r] lets a nonsquare of the
+        curve's field stay a nonsquare, so t takes both parities."""
+        small, big = build_extension(p, k), build_extension(p, big_k)
+        reps, _ = _frobenius_orbits(small, big)
+        table = embedding(small, big)
+        log, zech = big.log_tables[1:]
+        ns = next(a for a in range(1, small.q) if small.chi(a) < 0)
+        rng = random.Random(f"weighted-zeros-{p}-{k}-{big_k}")
+        last = _orbit_polynomial(small, big, reps[-1])
+        vanishing = UniPoly(small, [0, 1]) * UniPoly(small, last)  # x = 0 and the last orbit
+        parities = set()
+        for genus in (1, 2):
+            for scale in (small.one, ns) * 2:
+                # degree 2g + 2 in all: x, the last orbit's polynomial, the rest random
+                filler = [small.random_nonzero(rng) for _ in range(2 * genus + 3 - len(last))]
+                poly = (vanishing * UniPoly(small, filler)).scale(scale)
+                assert poly.degree == 2 * genus + 2
+                lcs = _coerce_scalars(poly.coeffs, small, big)
+                t, rs = _log_values(lcs[::-1], reps, big.q - 1, zech)
+                assert rs[0] < 0 and rs[-1] < 0
+                parities.add(t & 1)
+                lifted = UniPoly(big, [table[c] for c in poly.coeffs])
+                assert count_weighted(poly, genus, big).n == brute_weighted_points(
+                    lifted, genus, big)
+        assert parities == {0, 1}
 
 
 # every field the row solver is run over: (p, k)

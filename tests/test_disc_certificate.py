@@ -34,6 +34,7 @@ from prymsplit import (
     split,
     validate,
 )
+from prymsplit import poly as prym_poly
 from prymsplit.fields import PrimeField
 from prymsplit.prym import _pencil_targets
 from helpers import random_ternary_form
@@ -259,3 +260,79 @@ def test_failed_cross_check_fails_the_gate(p, monkeypatch, capsys):
     assert cli.main(["validate", "--input", json.dumps(doc)]) == 3
     assert "validate: fail" in capsys.readouterr().out
 
+
+
+class TestSquarefreeCertificate:
+    """BinaryForm.is_squarefree over Q: a reduction mod l that is squarefree
+    at the same formal degree answers True, and every other case runs the
+    exact gcd over Q."""
+
+    @staticmethod
+    def exact(form, monkeypatch):
+        with monkeypatch.context() as m:
+            m.setattr(resultants, "squarefree_mod_cert", lambda F: False)
+            return form.is_squarefree()
+
+    @staticmethod
+    def gcds_over_q(monkeypatch):
+        calls = []
+        real = prym_poly.poly_gcd
+
+        def spy(a, b):
+            if a.field == QQ:
+                calls.append(a)
+            return real(a, b)
+
+        monkeypatch.setattr(prym_poly, "poly_gcd", spy)
+        return calls
+
+    def test_agrees_with_the_exact_gcd_on_random_forms(self, monkeypatch):
+        rng = random.Random(41)
+        seen = set()
+        for trial in range(240):
+            n = rng.choice((2, 3, 4, 6))
+            roots = [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(n)]
+            if trial % 3 == 0:  # a repeated root
+                roots[1] = roots[0]
+            # prod (x - r z), with leading zeros: a root at infinity, simple or double
+            coeffs = [Fraction(1)]
+            for r in roots[: n - trial % 4 % 3]:
+                coeffs = [a - r * b for a, b in zip(coeffs + [0], [0] + coeffs)]
+            coeffs = [0] * (n + 1 - len(coeffs)) + coeffs
+            scale = Fraction(rng.randint(1, 10**6), rng.randint(1, 10**6))
+            form = BinaryForm(QQ, n, [scale * c for c in coeffs])
+            expected = self.exact(form, monkeypatch)
+            assert form.is_squarefree() == expected, form
+            seen.add((expected, coeffs[0] == 0))
+        assert seen == {(True, True), (True, False), (False, True), (False, False)}
+
+    def test_certified_forms_skip_the_gcd_over_q(self, monkeypatch):
+        calls = self.gcds_over_q(monkeypatch)
+        form = BinaryForm(QQ, 4, [Fraction(3, 7), 1, Fraction(-5, 2), 0, 11])
+        assert form.is_squarefree()
+        assert calls == []
+
+    def test_squarefree_over_q_but_not_mod_ell(self, monkeypatch):
+        form = BinaryForm.from_ints(QQ, 2, [1, -ELL, 0])  # x (x - l z)
+        assert not resultants.squarefree_mod_cert(form)
+        calls = self.gcds_over_q(monkeypatch)
+        assert form.is_squarefree()
+        assert len(calls) == 1
+
+    def test_ell_in_a_denominator(self, monkeypatch):
+        form = BinaryForm(QQ, 2, [Fraction(1, ELL), 1, 0])  # x (x / l + z)
+        assert not resultants.squarefree_mod_cert(form)
+        calls = self.gcds_over_q(monkeypatch)
+        assert form.is_squarefree()
+        assert not BinaryForm(QQ, 2, [Fraction(1, ELL), 0, 0]).is_squarefree()  # x^2 / l
+        assert len(calls) == 2
+
+    def test_every_coefficient_a_multiple_of_ell(self, monkeypatch):
+        calls = self.gcds_over_q(monkeypatch)
+        for coeffs, expected in (([ELL, -ELL, 0], True),  # l x (x - z)
+                                 ([ELL, -2 * ELL, ELL], False),  # l (x - z)^2
+                                 ([0, ELL, 3 * ELL], True)):  # l z (x + 3z)
+            form = BinaryForm.from_ints(QQ, 2, coeffs)
+            assert not resultants.squarefree_mod_cert(form)  # reduces to zero
+            assert form.is_squarefree() == expected
+        assert len(calls) == 3

@@ -152,6 +152,41 @@ class TestSplit:
         assert sr.sextic == sr.b * (sr.b * sr.b - sr.a * sr.c)
 
 
+    @pytest.mark.parametrize("field", [QQ, F7], ids=["QQ", "F7"])
+    def test_validate_and_split_compute_a_fg_and_s_once(self, field, monkeypatch):
+        """A, its determinant, fg and s are computed once per curve, however
+        many of validate, split and plane_quartic read them."""
+        products, dets = [], []
+        real_mul, real_add = BinaryForm.__mul__, field.add
+        monkeypatch.setattr(BinaryForm, "__mul__",
+                            lambda a, b: products.append((a, b)) or real_mul(a, b))
+        curve = BiellipticQuartic.from_ints(field, **DEMO)
+        matrix = curve.coefficient_matrix()
+        # Matrix3.det ends in one field.add; count the determinants by it
+        monkeypatch.setattr(field, "add", lambda a, b: dets.append(1) or real_add(a, b))
+        det = matrix.det()
+        assert matrix.det() is det and len(dets) == 1
+        monkeypatch.setattr(field, "add", real_add)
+        report = validate(curve)
+        sr = split(curve)
+        curve.plane_quartic()
+        assert products == [(curve.f, curve.g), (curve.h, curve.h)]  # fg, then h^2 in s
+        assert curve.coefficient_matrix() is matrix is sr.matrix
+        assert report.det == sr.det == det == matrix.det()
+        assert curve.fg() is curve.fg() and curve.branch_quartic() is sr.genus_one
+        # the memo lives outside the dataclass fields: equality and hashing ignore it
+        fresh = BiellipticQuartic.from_ints(field, **DEMO)
+        assert fresh == curve and hash(fresh) == hash(curve)
+
+    def test_memoized_determinant_is_still_checked_by_the_inverse(self):
+        """inverse() keeps its round-trip assert: a wrong kept determinant is caught."""
+        curve = BiellipticQuartic.from_ints(F7, **DEMO)
+        matrix = curve.coefficient_matrix()
+        matrix._det = F7.mul(matrix.det(), 2)
+        with pytest.raises(AssertionError):
+            matrix.inverse()
+
+
 class TestGenusOneModel:
     def test_h_zero_degenerates_to_minus_4fg(self):
         curve = BiellipticQuartic.from_ints(QQ, f=[0, 1, 0], g=[1, 1, 1], h=[0, 0, 0])
