@@ -11,8 +11,9 @@ Three counters, all exact:
   (c = fg(x)) has #{y} read from a per-field table indexed by log(c / h^2)
   and the parity of log h.  Each count copies that table rotated for its
   two bases, so that a row is one lookup at its two relative logs with no
-  %; the few rows with h = 0 or c = 0 are found by list.index and have a
-  closed form, and x = infinity reads the top coefficients.
+  %; the few rows with h = 0 or c = 0 are found by list.index, and they and
+  x = infinity, which reads the top coefficients, solve the quadratic in w
+  by the cover rows' quadratic formula (_LogPolys.low_roots).
 * hyperelliptic-type models y^2 = F(x) in P(1, g+1, 1): character sums over
   the x-line, F evaluated by the same column-wise Horner's rule and 1 + chi
   read at the relative log from a per-count table whose halves follow the
@@ -54,7 +55,7 @@ from dataclasses import dataclass, field as dc_field
 
 from .errors import ModelError, UnsupportedFieldError
 from .fields import embedding
-from .poly import UniPoly
+from .poly import UniPoly, trim
 from .ternary import TernaryForm, cover_quartic, quadric_coefficients
 
 @dataclass(frozen=True)
@@ -201,7 +202,8 @@ def _row_table(field):
     """#{y : y^4 - h y^2 + c = 0} for h, c != 0, indexed by
     log(c / h^2) + (q - 1) (log h & 1); built on first use and cached on the
     field as 2 (q - 1) bytes.  A count reads it through a copy rotated for
-    its pair of bases (_row_counts), and a single row directly (_row_count).
+    its pair of bases (_row_counts); a row where h or c vanishes is solved by
+    _row_count instead.
 
     Put w = h om: then w^2 - h w + c = 0 is om (1 - om) = c / h^2, whose roots
     om and 1 - om are nonzero and not 1, and a root w gives
@@ -221,25 +223,19 @@ def _row_table(field):
     return rows
 
 
-def _row_count(lh, lc, rows, qm1):
+def _row_count(lh, lc, ops):
     """#{y : y^4 - h y^2 + c = 0} for one row, from lh = log h and lc = log c
-    (zero as -1, any other log unreduced): one lookup in rows = _row_table(field)
-    when h c != 0, a closed form when h or c is zero."""
-    if lc < 0:  # y^2 (y^2 - h)
-        return 1 if lh < 0 else 3 - 2 * (lh & 1)
-    if lh >= 0:
-        return rows[(lc - 2 * lh) % qm1 + (lh & 1) * qm1]
-    half = qm1 // 2
-    lk = (lc + half) % qm1  # y^4 = -c: y^2 = +-s with s^2 = -c
-    if lk & 1:
-        return 0
-    return _one_plus_chi(lk >> 1) + _one_plus_chi((lk >> 1) + half)
+    (zero as -1, any other log unreduced), ops being the field's _LogPolys:
+    each distinct root w of w^2 - h w + c, by the quadratic formula, gives
+    1 + chi(w) values of y = sqrt(w)."""
+    return sum(_one_plus_chi(w) for w in ops.low_roots([lc, lh if lh < 0 else lh + ops.half, 0]))
 
 
-def _row_counts(h, c, rows, qm1):
+def _row_counts(h, c, rows, ops):
     """#{y : y^4 - h y^2 + c = 0} for each pair of values of h and c, each
     list given as _log_values gives it, (base, relative logs): one lookup per
-    row in a table built for this pair of bases from rows = _row_table(field).
+    row in a table built for this pair of bases from rows = _row_table(field),
+    ops being the field's _LogPolys.
 
     With log h = th + lh and log c = tc + lc, log(c / h^2) is k + lc - 2 lh,
     k = tc - 2 th, and log h has the parity of lh when th is even and the
@@ -249,17 +245,19 @@ def _row_counts(h, c, rows, qm1):
     [-2 (q - 1) + 2, q - 2] with no %, a negative index counting from the end
     one period later.  A row where h or c vanishes reads an entry that means
     nothing for it; the few such rows, at most deg h + deg c orbits and
-    x = 0, are found by list.index and recounted by _row_count.  The two
-    tables are the count's only new memory beside the list of counts.
+    x = 0, are found by list.index and recounted by _row_count, which solves
+    their quadratic in w.  The two tables are the count's only new memory
+    beside the list of counts.
     """
     (th, lhs), (tc, lcs) = h, c
+    qm1 = ops.qm1
     k = (tc - 2 * th) % qm1
     even, odd = (rows[o + k:o + qm1] + rows[o:o + qm1] + rows[o:o + k] for o in (0, qm1))
     tabs = (odd, even) if th & 1 else (even, odd)
     counts = [tabs[lh & 1][lc - lh - lh] for lh, lc in zip(lhs, lcs)]
     for i in _zeros(lhs) + _zeros(lcs):
         lh, lc = lhs[i], lcs[i]
-        counts[i] = _row_count(lh if lh < 0 else lh + th, lc if lc < 0 else lc + tc, rows, qm1)
+        counts[i] = _row_count(lh if lh < 0 else lh + th, lc if lc < 0 else lc + tc, ops)
     return counts
 
 
@@ -322,9 +320,7 @@ class _LogPolys:
                 quo[i - n] = c
                 self.add_scaled(rem, i - n, c + self.half, low)
         del rem[n:]
-        while rem and rem[-1] < 0:
-            rem.pop()
-        return quo, rem
+        return quo, trim(rem, -1)
 
     def mulmod(self, a, b, f):
         """a b mod the monic f."""
@@ -336,16 +332,24 @@ class _LogPolys:
                 self.add_scaled(prod, i, u, b)
         return prod if len(prod) < len(f) else self.divmod(prod, f)[1]
 
-    def powmod(self, a, e, f):
-        """a^e mod the monic f by square-and-multiply, for a reduced mod f."""
-        result = [0]
-        while e:
-            if e & 1:
-                result = self.mulmod(result, a, f)
-            e >>= 1
-            if e:
-                a = self.mulmod(a, a, f)
-        return result
+    def pow_linear(self, ld, e, f):
+        """(y + g^ld)^e mod the monic f of degree n >= 1, for e >= 1 (ld = -1
+        for y^e), by square-and-multiply from the top bit of e.
+
+        It starts from y + g^ld itself, so the top bit costs no squaring, and
+        a multiplication by y + g^ld is a shift plus one add_scaled; a zero
+        power stays zero.
+        """
+        n = len(f) - 1
+        a = [ld, 0] if n > 1 else self.divmod([ld, 0], f)[1]
+        for bit in bin(e)[3:]:
+            a = self.mulmod(a, a, f)
+            if bit == "1" and a:
+                shifted = [-1] + a
+                if ld >= 0:
+                    self.add_scaled(shifted, 0, ld, a)
+                a = shifted if len(shifted) <= n else self.divmod(shifted, f)[1]
+        return a
 
     def gcd(self, a, b):
         """Monic gcd of a nonzero a and b, by the Euclidean algorithm."""
@@ -359,20 +363,14 @@ class _LogPolys:
     def xq(self, f):
         """y^q mod the monic f of degree n >= 1.
 
-        y^p comes by square-and-multiply, a multiplication by y being a
-        shift.  Then g^p = sum g_i^p y^(ip) in characteristic p, so with the
-        rows y^(ip) mod f (i < n) each of the k - 1 steps from y^p to y^q is
-        a Frobenius on the coefficient logs and an n-by-n product.
+        y^p is pow_linear(-1, p, f).  Then g^p = sum g_i^p y^(ip) in
+        characteristic p, so with the rows y^(ip) mod f (i < n) each of the
+        k - 1 steps from y^p to y^q is a Frobenius on the coefficient logs and
+        an n-by-n product.
         """
         qm1, p = self.qm1, self.p
         n = len(f) - 1
-        yp = [-1, 0] if n > 1 else self.divmod([-1, 0], f)[1]
-        for bit in bin(p)[3:]:
-            yp = self.mulmod(yp, yp, f)
-            if bit == "1" and yp:
-                yp = [-1] + yp
-                if len(yp) > n:
-                    yp = self.divmod(yp, f)[1]
+        yp = self.pow_linear(-1, p, f)
         if self.k == 1:
             return yp
         rows = [[0], yp]
@@ -384,9 +382,7 @@ class _LogPolys:
             for c, row in zip(g, rows):
                 if c >= 0:
                     self.add_scaled(acc, 0, c * p % qm1, row)
-            while acc and acc[-1] < 0:
-                acc.pop()
-            g = acc
+            g = trim(acc, -1)
         return g
 
     def low_roots(self, f):
@@ -414,17 +410,15 @@ class _LogPolys:
         Above degree 2, h splits into gcd(h, (y + d)^((q-1)/2) - 1) and its
         cofactor for the first d = 0, 1, g, g^2, ... that separates two roots
         (equal-degree splitting, Cantor & Zassenhaus, Math. Comp. 36, 1981),
-        and both parts recurse.
+        and both parts recurse; (y + d)^((q-1)/2) mod h is pow_linear.
         """
         if len(h) <= 3:
             return self.low_roots(h)
         qm1, half = self.qm1, self.half
         for ld in range(-1, qm1):
-            g = self.powmod([ld, 0], half, h)  # nonzero: h has no repeated root
+            g = self.pow_linear(ld, half, h)  # nonzero: h has no repeated root
             g[0] = _log_sum(g[0], half, qm1, self.zech)  # minus 1
-            while g and g[-1] < 0:
-                g.pop()
-            g = self.gcd(h, g)
+            g = self.gcd(h, trim(g, -1))
             if 1 < len(g) < len(h):
                 return self.split(g) + self.split(self.divmod(h, g)[0])
         raise ArithmeticError("no splitting shift: h is not a product of distinct linear factors")
@@ -437,9 +431,7 @@ class _LogPolys:
         g = self.xq(f)
         g += [-1] * (2 - len(g))
         g[1] = _log_sum(g[1], self.half, self.qm1, self.zech)  # minus y
-        while g and g[-1] < 0:
-            g.pop()
-        return self.split(self.gcd(f, g))
+        return self.split(self.gcd(f, trim(g, -1)))
 
 
 def count_plane_quartic(curve, field) -> CountRecord:
@@ -453,18 +445,17 @@ def count_plane_quartic(curve, field) -> CountRecord:
     """
     _require_odd_finite(field)
     start = time.perf_counter()
-    zech = field.log_tables[2]
-    qm1 = field.q - 1
+    ops = _LogPolys(field)
+    zech, qm1 = ops.zech, ops.qm1
     # logs of the coefficients of h(x, 1) and fg(x, 1), top first
     lhs = _coerce_scalars(curve.h.coeffs, curve.field, field)
     lcs = _coerce_scalars(curve.fg().coeffs, curve.field, field)
     reps, sizes = _frobenius_orbits(curve.field, field)
     m = field.k // curve.field.k
-    rows = _row_table(field)
     counts = _row_counts(_log_values(lhs, reps, qm1, zech), _log_values(lcs, reps, qm1, zech),
-                         rows, qm1)
+                         _row_table(field), ops)
     # x = infinity reads the top coefficients
-    n = _weighted_total(sizes, counts, m) + _row_count(lhs[0], lcs[0], rows, qm1)
+    n = _weighted_total(sizes, counts, m) + _row_count(lhs[0], lcs[0], ops)
     return CountRecord("plane-quartic", curve.field.q, m, n, time.perf_counter() - start,
                        len(reps))
 
@@ -532,9 +523,8 @@ def count_bruin_cover(q1: TernaryForm, q2: TernaryForm, q3: TernaryForm, field):
     curve_field = q1.field
     start = time.perf_counter()
     base = cover_quartic(q1, q2, q3)  # raises on forms over different fields
-    zech = field.log_tables[2]
-    qm1 = field.q - 1
     ops = _LogPolys(field)
+    zech, qm1 = ops.zech, ops.qm1
     reps, sizes = _frobenius_orbits(curve_field, field)
     # logs, top first, of each r_j in R_x(y) = sum_j r_j(x) y^j, and of the
     # line base(x, 1, 0), whose x^i coefficient is that of x^i y^(4-i)
@@ -551,11 +541,10 @@ def count_bruin_cover(q1: TernaryForm, q2: TernaryForm, q3: TernaryForm, field):
     columns = [_log_values(lcs, reps, qm1, zech)
                for lcs in (*lrs, lline, [d1, f1], [a1, e1, c1], [d3, f3], [a3, e3, c3])]
     bases = [t for t, _ in columns]
-    nz = ny = 0
-    for lx, size, *row in zip(reps, sizes, *(rs for _, rs in columns)):
+    base_rows, cover_rows = [], []
+    for lx, *row in zip(reps, *(rs for _, rs in columns)):
         *r, lz, ld1, lc1, ld3, lc3 = [u if u < 0 else t + u for t, u in zip(bases, row)]
-        while r and r[-1] < 0:
-            r.pop()
+        trim(r, -1)
         # every y when the line x = const lies inside the base quartic
         ys = ops.roots(ops.monic(r)) if r else range(-1, qm1)
         row_z = len(ys)
@@ -563,13 +552,14 @@ def count_bruin_cover(q1: TernaryForm, q2: TernaryForm, q3: TernaryForm, field):
         if lz < 0:  # the point (x:1:0)
             row_z += 1
             row_y += _fiber((a1, d1, b1), (a3, d3, b3), lx, qm1, zech)
-        nz += size * row_z
-        ny += size * row_y
+        base_rows.append(row_z)
+        cover_rows.append(row_y)
+    r, m = curve_field.q, field.k // curve_field.k
+    nz, ny = _weighted_total(sizes, base_rows, m), _weighted_total(sizes, cover_rows, m)
     if lline[0] < 0:  # the point (1:0:0), where q_i = a_i
         nz += 1
         ny += _one_plus_chi(a1 if a1 >= 0 else a3)
     seconds = time.perf_counter() - start
-    r, m = curve_field.q, field.k // curve_field.k
     return (
         CountRecord("plane-quartic", r, m, nz, seconds, len(reps)),
         CountRecord("bruin-cover", r, m, ny, seconds, len(reps)),

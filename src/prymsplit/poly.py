@@ -12,7 +12,8 @@ constant-first coefficient lists without trailing zeros ([] is the zero
 polynomial) over any field object, so UniPoly and the modulus, generator and
 subfield-root searches of the extension fields share it.  The counting
 kernels do not: their rows run on discrete logs (counting._LogPolys, which
-also takes y^q modulo a row).
+also takes y^q modulo a row).  They share only trim, with the log -1 as the
+zero to drop.
 """
 
 from __future__ import annotations
@@ -25,7 +26,8 @@ NEG_INF = float("-inf")
 # --- list kernel -------------------------------------------------------------
 
 def trim(cs: list, zero) -> list:
-    """Drop trailing zeros in place; returns cs."""
+    """Drop trailing zeros in place; returns cs.  zero is the field's zero,
+    or -1 for the counting kernels' lists of discrete logs."""
     while cs and cs[-1] == zero:
         cs.pop()
     return cs
@@ -145,11 +147,6 @@ class UniPoly:
 
     def coeff(self, i):
         return self.coeffs[i] if 0 <= i < len(self.coeffs) else self.field.zero
-
-    def leading(self):
-        if not self.coeffs:
-            raise DegenerateInputError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
 
     def __add__(self, other):
         F = self.field

@@ -45,7 +45,7 @@ from .errors import (
     UndefinedResultantError,
 )
 from .fields import QQ, PrimeField
-from .linalg import det_in_field, rank_in_field
+from .linalg import Matrix3, det_in_field, rank_in_field
 from .poly import BinaryForm
 from .ternary import TernaryForm
 
@@ -180,8 +180,6 @@ def _shares_projective_zero(cubics, field) -> bool:
 
 
 def _random_gl3(field, rng):
-    from .linalg import Matrix3
-
     for _ in range(64):
         if field.kind == "rationals":
             rows = [[field.from_int(rng.randint(-3, 3)) for _ in range(3)] for _ in range(3)]

@@ -31,7 +31,7 @@ from prymsplit.counting import (
     _row_table,
 )
 from prymsplit.fields import embedding
-from prymsplit.poly import eval_list, powmod_list
+from prymsplit.poly import divmod_list, eval_list, powmod_list
 from helpers import (
     bielliptic,
     brute_cover_points,
@@ -496,8 +496,8 @@ class TestLogDomainKernels:
 
 class TestRowCounts:
     """The bielliptic kernel's row count #{y : y^4 - h y^2 + c = 0}: the
-    lookup in the table rotated for the pair of bases where h c != 0, and the
-    closed forms of _row_count where h or c is zero, with h and c given as
+    lookup in the table rotated for the pair of bases where h c != 0, and
+    _row_count's quadratic formula where h or c is zero, with h and c given as
     _log_values gives them, a base and logs relative to it."""
 
     @pytest.mark.parametrize("p, k", [(3, 1), (5, 1), (7, 1), (3, 2), (5, 2), (3, 3)],
@@ -512,6 +512,7 @@ class TestRowCounts:
                         for w in squares)
                     for h, c in pairs]
         rows = _row_table(field)
+        ops = _LogPolys(field)
         assert len(rows) == 2 * (field.q - 1)
         lhs, lcs = [log[h] for h, _ in pairs], [log[c] for _, c in pairs]
 
@@ -526,13 +527,13 @@ class TestRowCounts:
         assert {(tc - 2 * th) % qm1 for th, tc in bases} >= {0, qm1 - 1}
         assert {th & 1 for th, tc in bases if (tc - 2 * th) % qm1 == 0} == {0, 1}
         for th, tc in sorted(bases):
-            counts = _row_counts((th, relative(lhs, th)), (tc, relative(lcs, tc)), rows, qm1)
+            counts = _row_counts((th, relative(lhs, th)), (tc, relative(lcs, tc)), rows, ops)
             assert counts == expected, (th, tc)
         assert _row_table(field) is rows  # cached on the field
         # one row from absolute logs, reduced and not, as x = infinity reads it
         for shift in (0, qm1):
             assert [_row_count(lh if lh < 0 else lh + shift, lc if lc < 0 else lc + shift,
-                               rows, qm1) for lh, lc in zip(lhs, lcs)] == expected
+                               ops) for lh, lc in zip(lhs, lcs)] == expected
 
 
 class TestLogValues:
@@ -604,7 +605,7 @@ class TestLogValues:
             for hs, cs in ((h, fg), (h[:2] + [0], fg), ([0, 0, 0], fg), (h, [0] * 5)):
                 counts = _row_counts(_log_values([log[v] for v in hs], reps, qm1, zech),
                                      _log_values([log[v] for v in cs], reps, qm1, zech),
-                                     _row_table(field), qm1)
+                                     _row_table(field), _LogPolys(field))
                 expected = []
                 for j in reps:
                     x = field.zero if j < 0 else exp[j]
@@ -823,6 +824,36 @@ class TestRowSolver:
         for n in range(2, min(field.q, 4) + 1):
             f = product_of_linears(field, rng.sample(range(field.q), n))
             assert from_logs(field, ops.xq(to_logs(field, f))) == [field.zero, field.one]
+
+    @pytest.mark.parametrize("p, k", [(3, 1), (7, 1), (3, 2), (5, 2), (3, 3)],
+                             ids=["F3", "F7", "F9", "F25", "F27"])
+    def test_pow_linear_matches_square_and_multiply(self, p, k):
+        # (y + g^ld)^e mod f, the y^p of xq and the (y + d)^((q-1)/2) of split,
+        # against the list kernel over the field, for monic f of degree 1-4:
+        # random, divisible by y, and with repeated roots, y^n among them
+        field = build_extension(p, k)
+        ops = _LogPolys(field)
+        exp = field.log_tables[0]
+        rng = random.Random(f"pow-linear-{p}-{k}")
+        r, s = rng.sample(range(field.q), 2)
+        moduli = []
+        for degree in range(1, 5):
+            f = [field.random_element(rng) for _ in range(degree)] + [field.one]
+            moduli += [f, [field.zero] + f[1:], [field.zero] * degree + [field.one],
+                       product_of_linears(field, [r] * (degree - 1) + [s])]
+        lds = [-1] + rng.sample(range(field.q - 1), min(3, field.q - 1))
+        exponents = sorted({1, 2, p, (field.q - 1) // 2, field.q})
+        zeros = 0
+        for f in moduli:
+            for ld in lds:
+                linear = [field.zero if ld < 0 else exp[ld], field.one]
+                a = divmod_list(linear, f, field)[1]
+                for e in exponents:
+                    expected = to_logs(field, powmod_list(a, e, f, field))
+                    assert ops.pow_linear(ld, e, to_logs(field, f)) == expected, (f, ld, e)
+                    zeros += not expected
+        assert zeros  # y^e mod y^n for e >= n
+        assert ops.pow_linear(-1, 5, to_logs(field, [field.zero, field.zero, field.one])) == []
 
 
 @pytest.mark.parametrize("p, k", [(3, 1), (7, 1), (3, 2), (5, 2)], ids=["F3", "F7", "F9", "F25"])
