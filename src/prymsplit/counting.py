@@ -4,18 +4,13 @@ Three counters, all exact:
 
 * the bielliptic quartic y^4 - h y^2 + fg in P^2: (0:1:0) is never on it, so
   its points lie over the points [x:z] of P^1, and each such row is the
-  quadratic w^2 - h w + fg in w = y^2.  h(x) and fg(x) come by Horner's rule
-  in discrete-log form (below), one pass per coefficient over the whole list
-  of rows, each value kept as a log relative to the last nonzero coefficient
-  passed, so that a step is one Zech lookup.  A row with h c != 0
-  (c = fg(x)) has #{y} read from a per-field table indexed by log(c / h^2)
-  and the parity of log h.  Each count copies that table rotated for its
-  two bases, so that a row is one lookup at its two relative logs with no
-  %; the few rows with h = 0 or c = 0 are found by list.index, and they and
-  x = infinity, which reads the top coefficients, solve the quadratic in w
-  by the cover rows' quadratic formula (_LogPolys.low_roots).
+  quadratic w^2 - h w + fg in w = y^2.  One comprehension runs every row: two
+  Horner steps on logs for each of f, g and h, and #{y} read from a table
+  indexed by log(fg / h^2) and the parity of log h (_plane_rows).  The rows
+  where that read is wrong, and x = infinity, solve the quadratic in w by
+  the cover rows' quadratic formula (_LogPolys.low_roots).
 * hyperelliptic-type models y^2 = F(x) in P(1, g+1, 1): character sums over
-  the x-line, F evaluated by the same column-wise Horner's rule and 1 + chi
+  the x-line, F evaluated column-wise by _log_values and 1 + chi
   read at the relative log from a per-count table whose halves follow the
   parity of the base, plus the points above x = infinity read off the
   degree-(2g+2) homogenization.
@@ -51,9 +46,10 @@ x = c inside the base quartic) is scanned over its q values of y.
 from __future__ import annotations
 
 import time
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field as dc_field
 
-from .errors import ModelError, UnsupportedFieldError
+from .errors import DegenerateInputError, ModelError, UnsupportedFieldError
 from .fields import embedding
 from .poly import UniPoly, trim
 from .ternary import TernaryForm, cover_quartic, quadric_coefficients
@@ -151,7 +147,7 @@ def _log_values(lcs, reps, qm1, zech):
     field's Zech table, 2 (q - 1) long.  Each coefficient is one pass over
     the whole list, acc x + c_i with times x adding lx and plus c_i one Zech
     lookup, so there is no function call or inner loop per x; it is the
-    package's one Horner evaluator on logs.  The base t is the log of the last
+    package's column-wise Horner on logs.  The base t is the log of the last
     nonzero coefficient passed (0 before the first): with v = g^(t + r),
     v x + g^t' = g^t' (1 + g^(r + lx + t - t')), so the step to a nonzero
     t' is r' = zech[r + lx + d] for the one d = ((t - t') mod (q - 1)) - (q - 1)
@@ -202,7 +198,7 @@ def _row_table(field):
     """#{y : y^4 - h y^2 + c = 0} for h, c != 0, indexed by
     log(c / h^2) + (q - 1) (log h & 1); built on first use and cached on the
     field as 2 (q - 1) bytes.  A count reads it through a copy rotated for
-    its pair of bases (_row_counts); a row where h or c vanishes is solved by
+    its bases (_row_halves); a row where h or c vanishes is solved by
     _row_count instead.
 
     Put w = h om: then w^2 - h w + c = 0 is om (1 - om) = c / h^2, whose roots
@@ -223,53 +219,20 @@ def _row_table(field):
     return rows
 
 
+def _row_halves(rows, k, th, n):
+    """rows = _row_table(field) as tabs[lh & 1][i] for log(c / h^2) = k + i and
+    log h = th + lh: each half rotated by k, swapped for an odd th, n times over."""
+    qm1 = len(rows) // 2
+    even, odd = ((rows[o + k:o + qm1] + rows[o:o + k]) * n for o in (0, qm1))
+    return (odd, even) if th & 1 else (even, odd)
+
+
 def _row_count(lh, lc, ops):
     """#{y : y^4 - h y^2 + c = 0} for one row, from lh = log h and lc = log c
     (zero as -1, any other log unreduced), ops being the field's _LogPolys:
     each distinct root w of w^2 - h w + c, by the quadratic formula, gives
     1 + chi(w) values of y = sqrt(w)."""
     return sum(_one_plus_chi(w) for w in ops.low_roots([lc, lh if lh < 0 else lh + ops.half, 0]))
-
-
-def _row_counts(h, c, rows, ops):
-    """#{y : y^4 - h y^2 + c = 0} for each pair of values of h and c, each
-    list given as _log_values gives it, (base, relative logs): one lookup per
-    row in a table built for this pair of bases from rows = _row_table(field),
-    ops being the field's _LogPolys.
-
-    With log h = th + lh and log c = tc + lc, log(c / h^2) is k + lc - 2 lh,
-    k = tc - 2 th, and log h has the parity of lh when th is even and the
-    other one when th is odd, q - 1 being even.  So each half of rows is
-    rotated by k, and the two are swapped for an odd th, into tabs[lh & 1];
-    written out twice, 2 (q - 1) bytes, a half is indexed by lc - 2 lh in
-    [-2 (q - 1) + 2, q - 2] with no %, a negative index counting from the end
-    one period later.  A row where h or c vanishes reads an entry that means
-    nothing for it; the few such rows, at most deg h + deg c orbits and
-    x = 0, are found by list.index and recounted by _row_count, which solves
-    their quadratic in w.  The two tables are the count's only new memory
-    beside the list of counts.
-    """
-    (th, lhs), (tc, lcs) = h, c
-    qm1 = ops.qm1
-    k = (tc - 2 * th) % qm1
-    even, odd = (rows[o + k:o + qm1] + rows[o:o + qm1] + rows[o:o + k] for o in (0, qm1))
-    tabs = (odd, even) if th & 1 else (even, odd)
-    counts = [tabs[lh & 1][lc - lh - lh] for lh, lc in zip(lhs, lcs)]
-    for i in _zeros(lhs) + _zeros(lcs):
-        lh, lc = lhs[i], lcs[i]
-        counts[i] = _row_count(lh if lh < 0 else lh + th, lc if lc < 0 else lc + tc, ops)
-    return counts
-
-
-def _zeros(ls):
-    """The positions of the zero values (log -1) in the list of logs ls."""
-    out, i = [], -1
-    try:
-        while True:
-            i = ls.index(-1, i + 1)
-            out.append(i)
-    except ValueError:
-        return out
 
 
 class _LogPolys:
@@ -434,30 +397,84 @@ class _LogPolys:
         return self.split(self.gcd(f, trim(g, -1)))
 
 
+def _horner_steps(lcs, qm1, zech):
+    """(t, T1, d1, T2, d2, hi): the quadratic with coefficient logs lcs, top first,
+    is g^(t + r) at x = g^lx, r = T2[T1[lx + d1] + lx + d2], unless x = 0 or a x + b
+    or the value vanishes; -2 <= r <= hi at every lx.  A step is a Zech lookup as
+    in _log_values, an identity range (r + lx) to a zero coefficient, and a
+    zeroed bytes (r = 0) while the prefix is zero, so no index leaves its table."""
+    t, steps, hi = (lcs[0] if lcs[0] >= 0 else None), [], 0
+    for lc in lcs[1:]:
+        if t is None:
+            steps += (bytes(qm1), 0)
+            t = lc if lc >= 0 else None
+        elif lc < 0:
+            steps += (range(-2, 2 * qm1), 2)  # r + lx, for r + lx >= -2
+            hi += qm1 - 1
+        else:
+            steps += (zech, (t - lc) % qm1 - qm1)
+            t, hi = lc, qm1 - 1
+    return (t or 0, *steps, hi)
+
+
+def _orbit_row(j, r, qm1, reps, sizes):
+    """The row of (reps, sizes), sorted by size, then log, that holds x = g^j, j >= 0."""
+    rep, size, i = j, 1, j * r % qm1
+    while i != j:
+        rep, size, i = min(rep, i), size + 1, i * r % qm1
+    lo = bisect_left(sizes, size)
+    return bisect_left(reps, rep, lo, bisect_right(sizes, size, lo))
+
+
+def _plane_rows(lfs, lgs, lhs, curve_field, field, ops):
+    """#{y : y^4 - h y^2 + fg = 0} on each row of _frobenius_orbits, from the logs
+    in field, top first, of f, g and h (ops: the field's _LogPolys).  With
+    log f = tf + lf (_horner_steps) and so on, a row reads _row_halves for
+    k = tf + tg - 2 th at lf + lg - 2 lh.  That is wrong only at x = 0 and where a
+    prefix, a x + b or f, g or h, vanishes: those roots' rows (_orbit_row) are
+    recounted by _row_count, and every row is when f, g or h is zero."""
+    qm1, zech = ops.qm1, ops.zech
+    reps, sizes = _frobenius_orbits(curve_field, field)
+    (tf, F1, f1, F2, f2, fhi), (tg, G1, g1, G2, g2, ghi), (th, H1, h1, H2, h2, hhi) = (
+        _horner_steps(ls, qm1, zech) for ls in (lfs, lgs, lhs))
+    n = -(-max(fhi + ghi + 5, 2 * hhi + 4) // qm1)  # halves long enough for every index
+    tabs = _row_halves(_row_table(field), (tf + tg - 2 * th) % qm1, th, n)
+    counts = [tabs[(lh := H2[H1[lx + h1] + lx + h2]) & 1][
+        F2[F1[lx + f1] + lx + f2] + G2[G1[lx + g1] + lx + g2] - lh - lh] for lx in reps]
+    bad = range(len(reps))  # every row when f, g or h is zero
+    if min(map(max, (lfs, lgs, lhs))) >= 0:
+        # the roots of a x + b and of a x^2 + b x + c, for each of f, g and h
+        prefixes = [trim(p, -1) for a, b, c in (lfs, lgs, lhs) for p in ([b, a], [c, b, a])]
+        roots = {j for p in prefixes if p for j in ops.low_roots(ops.monic(p)) if j >= 0}
+        bad = sorted({0} | {_orbit_row(j, curve_field.q, qm1, reps, sizes) for j in roots})
+    xs = [reps[i] for i in bad]  # x = 0 first, as _log_values takes it
+    (tf, fs), (tg, gs), (th, hs) = (_log_values(ls, xs, qm1, zech) for ls in (lfs, lgs, lhs))
+    for i, lf, lg, lh in zip(bad, fs, gs, hs):
+        lc = -1 if lf < 0 or lg < 0 else lf + lg + tf + tg
+        counts[i] = _row_count(lh if lh < 0 else lh + th, lc, ops)
+    return counts
+
+
 def count_plane_quartic(curve, field) -> CountRecord:
     """Exact number of projective points of the bielliptic quartic
     C: y^4 - h(x, z) y^2 + f(x, z) g(x, z) = 0.
 
     (0:1:0) is never on C, so C's points lie over the points [x:z] of P^1,
     one row each: the y with w^2 - h w + fg = 0, w = y^2.  The affine rows
-    z = 1 come one per Frobenius orbit, x = infinity after them; x = 0 reads
-    the constant coefficients of h and fg and x = infinity the top ones.
+    z = 1 come one per Frobenius orbit (_plane_rows), x = infinity after
+    them, reading the top coefficients of h and fg.
     """
     _require_odd_finite(field)
     start = time.perf_counter()
     ops = _LogPolys(field)
-    zech, qm1 = ops.zech, ops.qm1
-    # logs of the coefficients of h(x, 1) and fg(x, 1), top first
-    lhs = _coerce_scalars(curve.h.coeffs, curve.field, field)
-    lcs = _coerce_scalars(curve.fg().coeffs, curve.field, field)
-    reps, sizes = _frobenius_orbits(curve.field, field)
+    lfs, lgs, lhs = (_coerce_scalars(form.coeffs, curve.field, field)
+                     for form in (curve.f, curve.g, curve.h))
+    counts = _plane_rows(lfs, lgs, lhs, curve.field, field, ops)
     m = field.k // curve.field.k
-    counts = _row_counts(_log_values(lhs, reps, qm1, zech), _log_values(lcs, reps, qm1, zech),
-                         _row_table(field), ops)
-    # x = infinity reads the top coefficients
-    n = _weighted_total(sizes, counts, m) + _row_count(lhs[0], lcs[0], ops)
+    n = _weighted_total(_frobenius_orbits(curve.field, field)[1], counts, m)
+    n += _row_count(lhs[0], -1 if lfs[0] < 0 or lgs[0] < 0 else lfs[0] + lgs[0], ops)
     return CountRecord("plane-quartic", curve.field.q, m, n, time.perf_counter() - start,
-                       len(reps))
+                       len(counts))
 
 
 def count_weighted(poly: UniPoly, genus: int, field) -> CountRecord:
@@ -514,8 +531,8 @@ def count_bruin_cover(q1: TernaryForm, q2: TernaryForm, q3: TernaryForm, field):
     On each orbit row x the base points are the roots of the quartic
     R_x(y) = base(x, y, 1) in the field, base = cover_quartic(q1, q2, q3), and
     the fiber is read off at each root from v_i(y) = q_i(x, y, 1); a row with
-    R_x = 0 is scanned over y.  All of it runs on logs, and the cover itself
-    is never enumerated in P^4.
+    R_x = 0 is scanned over y, and a base that vanishes identically refused.
+    All of it runs on logs, and the cover itself is never enumerated in P^4.
     """
     _require_odd_finite(field)
     if any(quad.degree != 2 for quad in (q1, q2, q3)):
@@ -523,6 +540,8 @@ def count_bruin_cover(q1: TernaryForm, q2: TernaryForm, q3: TernaryForm, field):
     curve_field = q1.field
     start = time.perf_counter()
     base = cover_quartic(q1, q2, q3)  # raises on forms over different fields
+    if base.is_zero():  # else every row is scanned over all q values of y
+        raise DegenerateInputError("q2^2 - q1 q3 vanishes identically")
     ops = _LogPolys(field)
     zech, qm1 = ops.zech, ops.qm1
     reps, sizes = _frobenius_orbits(curve_field, field)

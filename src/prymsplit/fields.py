@@ -84,6 +84,12 @@ class RationalField:
     def neg(self, a):
         return -a
 
+    def sub_scaled(self, row, f, src, cols):
+        """row[j] -= f src[j] for j in cols, in place (linalg._eliminate)."""
+        sub, mul = self.sub, self.mul
+        for j in cols:
+            row[j] = sub(row[j], mul(f, src[j]))
+
     def inv(self, a):
         if not a:
             raise ZeroDivisionError("inverse of zero")
@@ -193,6 +199,8 @@ class _FiniteField:
     def random_nonzero(self, rng):
         return rng.randrange(1, self.q)
 
+    sub_scaled = RationalField.sub_scaled  # by sub and mul; PrimeField's is inline
+
     def _build_square_tables(self):
         sqrt = [-1] * self.q
         mul = self.mul
@@ -260,6 +268,11 @@ class PrimeField(_FiniteField):
 
     def neg(self, a):
         return -a % self.p
+
+    def sub_scaled(self, row, f, src, cols):
+        p = self.p
+        for j in cols:
+            row[j] = (row[j] - f * src[j]) % p
 
     def inv(self, a):
         if a == 0:

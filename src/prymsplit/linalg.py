@@ -120,14 +120,14 @@ def _eliminate(rows, field):
 
     Works on any number of rows and columns; det is the determinant when the
     matrix is square (zero once a column has no pivot).  Each pivot is
-    inverted once, and a row update touches only the columns right of the
-    pivot where the pivot row is nonzero; column c below the pivot is never
-    read again, so it is left as it is.
+    inverted once, and a row update (field.sub_scaled) touches only the
+    columns right of the pivot where the pivot row is nonzero; column c below
+    the pivot is never read again, so it is left as it is.
     """
     m = [list(r) for r in rows]
     nrows = len(m)
     ncols = len(m[0]) if m else 0
-    sub, mul = field.sub, field.mul
+    mul = field.mul
     zero = field.zero
     det = field.one
     rank = 0
@@ -153,9 +153,7 @@ def _eliminate(rows, field):
             lead = mr[c]
             if lead == zero:
                 continue
-            f = mul(lead, inv)
-            for j in cols:
-                mr[j] = sub(mr[j], mul(f, pivot_row[j]))
+            field.sub_scaled(mr, mul(lead, inv), pivot_row, cols)
         rank += 1
         if rank == nrows:
             break

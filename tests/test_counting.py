@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -26,8 +27,10 @@ from prymsplit.counting import (
     _log_sum,
     _log_values,
     _one_plus_chi,
+    _orbit_row,
+    _plane_rows,
     _row_count,
-    _row_counts,
+    _row_halves,
     _row_table,
 )
 from prymsplit.fields import embedding
@@ -260,6 +263,23 @@ class TestBruinCover:
         z = TernaryForm.zero_form(F5, 2)
         with pytest.raises(DegenerateInputError):
             count_bruin_cover(z, z, z, F5)
+
+    def test_vanishing_base_rejected_before_any_row(self, monkeypatch):
+        # q2^2 = q1 q3 identically: every row would be scanned over all its
+        # y, so the count is refused before the orbits are walked
+        import prymsplit.counting as counting_module
+
+        def tripwire(*args):
+            raise AssertionError("a count ran")
+
+        monkeypatch.setattr(counting_module, "_frobenius_orbits", tripwire)
+        rng = random.Random(17)
+        for field in (F5, F9):
+            q = random_quadratic(field, rng)
+            two = field.from_int(2)
+            for triple in ((q, q, q), (q, q.scale(two), q.scale(field.mul(two, two)))):
+                with pytest.raises(DegenerateInputError):
+                    count_bruin_cover(*triple, field)
 
     def test_non_quadric_rejected(self):
         q = random_quadratic(F5, random.Random(15))
@@ -496,9 +516,9 @@ class TestLogDomainKernels:
 
 class TestRowCounts:
     """The bielliptic kernel's row count #{y : y^4 - h y^2 + c = 0}: the
-    lookup in the table rotated for the pair of bases where h c != 0, and
-    _row_count's quadratic formula where h or c is zero, with h and c given as
-    _log_values gives them, a base and logs relative to it."""
+    lookup in the table halves rotated for the bases where h c != 0, and
+    _row_count's quadratic formula for every row, h or c zero included, with
+    h and c given as _log_values gives them, a base and logs relative to it."""
 
     @pytest.mark.parametrize("p, k", [(3, 1), (5, 1), (7, 1), (3, 2), (5, 2), (3, 3)],
                              ids=["F3", "F5", "F7", "F9", "F25", "F27"])
@@ -526,11 +546,19 @@ class TestRowCounts:
                  (1, 2 % qm1), (0, qm1 - 1), (qm1 - 1, qm1 - 2)}
         assert {(tc - 2 * th) % qm1 for th, tc in bases} >= {0, qm1 - 1}
         assert {th & 1 for th, tc in bases if (tc - 2 * th) % qm1 == 0} == {0, 1}
+        nonzero = [i for i, (h, c) in enumerate(pairs) if h and c]
         for th, tc in sorted(bases):
-            counts = _row_counts((th, relative(lhs, th)), (tc, relative(lcs, tc)), rows, ops)
-            assert counts == expected, (th, tc)
+            # relative logs reduced, and one period up as an identity Horner
+            # step leaves them, on halves written out four times
+            tabs = _row_halves(rows, (tc - 2 * th) % qm1, th, 4)
+            for shift in (0, qm1):
+                rh = [lh + shift for lh in relative(lhs, th)]
+                rc = [lc + shift for lc in relative(lcs, tc)]
+                assert [tabs[rh[i] & 1][rc[i] - 2 * rh[i]] for i in nonzero] == [
+                    expected[i] for i in nonzero], (th, tc, shift)
         assert _row_table(field) is rows  # cached on the field
-        # one row from absolute logs, reduced and not, as x = infinity reads it
+        # one row from absolute logs, reduced and not, as x = infinity and
+        # the recounted rows read it
         for shift in (0, qm1):
             assert [_row_count(lh if lh < 0 else lh + shift, lc if lc < 0 else lc + shift,
                                ops) for lh, lc in zip(lhs, lcs)] == expected
@@ -590,26 +618,28 @@ class TestLogValues:
     @pytest.mark.parametrize("p, k", [(3, 1), (7, 1), (3, 2), (5, 2), (23, 1)],
                              ids=["F3", "F7", "F9", "F25", "F23"])
     def test_rows_of_h_and_fg_with_zero_leading_coefficients(self, p, k):
-        """The bielliptic rows through both bases: h and fg = f g whose top
-        coefficients vanish, so each pass starts from base 0 or the second
-        coefficient, against the rows counted by enumeration."""
+        """The bielliptic rows through _plane_rows: h and fg = f g whose top
+        coefficients vanish, so each Horner step starts from a zeroed prefix
+        or keeps its base, h = 0 and fg = 0 among them, against the rows
+        counted by enumeration."""
         field = build_extension(p, k)
-        exp, log, zech = field.log_tables
-        qm1 = field.q - 1
+        exp, log = field.log_tables[:2]
         reps, _ = _frobenius_orbits(field, field)
         squares = [field.mul(y, y) for y in range(field.q)]
         rng = random.Random(f"lead-{p}-{k}")
         for _ in range(4):
             h = [0] + _triple(field, rng)[1:]
-            fg = [0, 0] + _random_row(field, rng, 3)
-            for hs, cs in ((h, fg), (h[:2] + [0], fg), ([0, 0, 0], fg), (h, [0] * 5)):
-                counts = _row_counts(_log_values([log[v] for v in hs], reps, qm1, zech),
-                                     _log_values([log[v] for v in cs], reps, qm1, zech),
-                                     _row_table(field), _LogPolys(field))
+            # f and g linear, so fg = [0, 0, *], and fg = 0
+            f, g = [0] + _random_row(field, rng, 2), [0] + _random_row(field, rng, 2)
+            for hs, (fs, gs) in ((h, (f, g)), (h[:2] + [0], (f, g)), ([0, 0, 0], (f, g)),
+                                 (h, ([0, 0, 0], g))):
+                counts = _plane_rows(*([log[v] for v in cs] for cs in (fs, gs, hs)),
+                                     field, field, _LogPolys(field))
                 expected = []
                 for j in reps:
                     x = field.zero if j < 0 else exp[j]
-                    hx, cx = eval_list(hs[::-1], x, field), eval_list(cs[::-1], x, field)
+                    hx = eval_list(hs[::-1], x, field)
+                    cx = field.mul(eval_list(fs[::-1], x, field), eval_list(gs[::-1], x, field))
                     expected.append(sum(field.add(field.sub(field.mul(w, w), field.mul(hx, w)),
                                                   cx) == field.zero for w in squares))
                 assert counts == expected
@@ -630,7 +660,7 @@ def _orbit_polynomial(small, big, j):
 
 class TestZeroRows:
     """Rows where h or fg vanishes.  The row pass reads them from an entry
-    that means nothing there, and _row_counts recounts them; count_weighted
+    that means nothing there, and _plane_rows recounts them; count_weighted
     reads F(x) = 0 from the final entry of its table.  Each case is checked
     at x = 0, at the last orbit representative and on an orbit of size > 1,
     against enumeration."""
@@ -692,6 +722,85 @@ class TestZeroRows:
                 assert count_weighted(poly, genus, big).n == brute_weighted_points(
                     lifted, genus, big)
         assert parities == {0, 1}
+
+
+class TestPlaneRows:
+    """_plane_rows' one row path: the lookup is right except at x = 0 and
+    where a Horner prefix (a x + b, or f, g or h) vanishes, and exactly those
+    rows are found by the linear and quadratic formulas and recounted."""
+
+    MASKS = list(itertools.product((0, 1), repeat=3))  # nonzero coefficients of one quadratic
+
+    # (p, k, K, every combination): a curve over F_{p^k} counted over F_{p^K};
+    # on the larger fields each quadratic runs through its patterns in turn
+    # while the other two stay full
+    PATTERN_FIELDS = [(3, 1, 1, True), (3, 1, 2, True), (3, 1, 3, True), (5, 1, 1, True),
+                      (5, 1, 2, True), (5, 1, 3, False), (3, 2, 2, True), (3, 2, 4, False)]
+
+    @pytest.mark.parametrize("p, k, big_k, every", PATTERN_FIELDS, ids=lambda v: str(v))
+    def test_every_zero_pattern_against_enumeration(self, p, k, big_k, every):
+        """Each coefficient of f, g and h zero or not, f and g never zero: the
+        identity and zeroed steps of _horner_steps, against brute_curve_points."""
+        small, big = build_extension(p, k), build_extension(p, big_k)
+        rng = random.Random(f"patterns-{p}-{k}-{big_k}")
+        nonzero, full = self.MASKS[1:], self.MASKS[-1]
+        if every:
+            patterns = list(itertools.product(nonzero, nonzero, self.MASKS))
+        else:
+            patterns = ([(m, full, full) for m in nonzero] + [(full, m, full) for m in nonzero]
+                        + [(full, full, m) for m in self.MASKS])
+        for masks in patterns:
+            f, g, h = ([small.random_nonzero(rng) if bit else 0 for bit in mask]
+                       for mask in masks)
+            curve = bielliptic(small, f, g, h)
+            assert count_plane_quartic(curve, big).n == brute_curve_points(curve, big), masks
+
+    @pytest.mark.parametrize("p", [3, 5, 7])
+    def test_roots_on_orbits_of_size_one_and_two(self, p):
+        """f, g or h split over F_p, so that it vanishes on orbits of size 1,
+        or irreducible, so that it vanishes on an orbit of size 2 of every
+        even degree; a x + b with a, b != 0 vanishes at -b/a in F_p."""
+        small = build_extension(p)
+        rng = random.Random(f"orbit-roots-{p}")
+        ns = nonsquare(small)
+        a, b = rng.sample(range(1, p), 2)
+        split = [1, small.neg(small.add(a, b)), small.mul(a, b)]  # (x - a)(x - b)
+        irreducible = [1, 0, small.neg(ns)]  # x^2 - ns
+        sizes_seen = set()
+        for big_k in (1, 2, 4) if p == 3 else (1, 2):
+            big = build_extension(p, big_k)
+            reps, sizes = _frobenius_orbits(small, big)
+            ops = _LogPolys(big)
+            for _ in range(2):
+                other = [small.random_nonzero(rng) for _ in range(3)]
+                for f, g, h in ((split, irreducible, other), (irreducible, other, split),
+                                (other, split, irreducible), (irreducible, irreducible, split),
+                                (other, other, [0, 0, 0])):
+                    curve = bielliptic(small, f, g, h)
+                    for form in (f, g, h):
+                        logs = _coerce_scalars(form[::-1], small, big)
+                        if any(v >= 0 for v in logs):
+                            sizes_seen.update(sizes[_orbit_row(j, p, big.q - 1, reps, sizes)]
+                                              for j in ops.low_roots(ops.monic(logs)))
+                    assert count_plane_quartic(curve, big).n == brute_curve_points(curve, big), (
+                        big_k, f, g, h)
+        assert sizes_seen == {1, 2}
+
+    @pytest.mark.parametrize("small, big", [((3, 1), (3, 4)), ((5, 1), (5, 3)), ((3, 2), (3, 4)),
+                                            ((7, 1), (7, 2)), ((3, 1), (3, 1))],
+                             ids=lambda v: "F%d^%d" % v)
+    def test_orbit_row_finds_every_log(self, small, big):
+        small, big = build_extension(*small), build_extension(*big)
+        reps, sizes = _frobenius_orbits(small, big)
+        qm1, r = big.q - 1, small.q
+        assert reps[0] == -1 and sizes[0] == 1  # x = 0, the row that _plane_rows always recounts
+        for j in range(qm1):
+            orbit, i = {j}, j * r % qm1
+            while i != j:
+                orbit.add(i)
+                i = i * r % qm1
+            row = _orbit_row(j, r, qm1, reps, sizes)
+            assert (reps[row], sizes[row]) == (min(orbit), len(orbit))
 
 
 # every field the row solver is run over: (p, k)
