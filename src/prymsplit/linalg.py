@@ -1,8 +1,10 @@
 """Exact linear algebra: the 3x3 coefficient matrix and dense determinants.
 
 Every determinant and every rank, over the rationals as over a finite field,
-comes from one Gaussian elimination over the field object (_eliminate).  It
-is exact, which every caller here depends on.
+comes from one Gaussian elimination over the field object (_eliminate), which
+inserts the rows one at a time into an echelon basis and so reads a sparse
+row only as far as its first new pivot.  It is exact, which every caller
+here depends on.
 """
 
 from __future__ import annotations
@@ -65,7 +67,8 @@ class Matrix3:
         )
 
     def inverse(self):
-        """Adjugate-over-determinant; asserts the round trip A * A^-1 = I."""
+        """Adjugate-over-determinant, checked by the round trip A * A^-1 = I
+        (ArithmeticError when it fails, under python -O as without)."""
         F = self.field
         d = self.det()
         if d == F.zero:
@@ -75,7 +78,8 @@ class Matrix3:
         inv = Matrix3(
             F, [[F.mul(inv_d, adj.rows[i][j]) for j in range(3)] for i in range(3)]
         )
-        assert self.mat_mul(inv) == Matrix3.identity(F)
+        if self.mat_mul(inv) != Matrix3.identity(F):
+            raise ArithmeticError("the inverse failed its round trip A * A^-1 = I")
         return inv
 
     def mat_mul(self, other):
@@ -116,47 +120,46 @@ class Matrix3:
 
 
 def _eliminate(rows, field):
-    """(rank, det) by Gaussian elimination over a field object.
+    """(rank, det) by inserting the rows one at a time into an echelon basis.
 
-    Works on any number of rows and columns; det is the determinant when the
-    matrix is square (zero once a column has no pivot).  Each pivot is
-    inverted once, and a row update (field.sub_scaled) touches only the
-    columns right of the pivot where the pivot row is nonzero; column c below
-    the pivot is never read again, so it is left as it is.
+    Each row is reduced left to right by the pivots found so far: at a column
+    that has one, field.sub_scaled takes the pivot row's multiple away on the
+    columns right of it where that row is nonzero, so nothing left of the
+    column is read again.  A row that survives adds a pivot at its first
+    nonzero column, and the pass stops once every column has one.  The row
+    operations keep the determinant, so det is the product of the pivots
+    times the sign of the permutation carrying each row to its pivot column:
+    the determinant of a square matrix, and of the leading square block of a
+    wide one; zero once a row reduces to zero or rows outnumber columns.
     """
-    m = [list(r) for r in rows]
-    nrows = len(m)
-    ncols = len(m[0]) if m else 0
+    ncols = len(rows[0]) if rows else 0
     mul = field.mul
-    zero = field.zero
+    pivots = [None] * ncols  # (pivot row, inverse pivot, its nonzero columns right of it)
+    order = []  # the pivot column of each row that kept one, in row order
     det = field.one
-    rank = 0
-    for c in range(ncols):
-        piv = None
-        for r in range(rank, nrows):
-            if m[r][c] != zero:
-                piv = r
-                break
-        if piv is None:
-            det = zero
-            continue
-        if piv != rank:
-            m[rank], m[piv] = m[piv], m[rank]
-            det = field.neg(det)
-        pivot_row = m[rank]
-        pivot = pivot_row[c]
-        det = mul(det, pivot)
-        inv = field.inv(pivot)
-        cols = [j for j in range(c + 1, ncols) if pivot_row[j] != zero]
-        for r in range(rank + 1, nrows):
-            mr = m[r]
-            lead = mr[c]
-            if lead == zero:
-                continue
-            field.sub_scaled(mr, mul(lead, inv), pivot_row, cols)
-        rank += 1
-        if rank == nrows:
+    for row in rows:
+        if len(order) == ncols:
             break
+        v = list(row)
+        for c, a in enumerate(v):  # sees the updates sub_scaled makes right of c
+            if not a:
+                continue
+            hit = pivots[c]
+            if hit is None:
+                det = mul(det, a)
+                pivots[c] = (v, field.inv(a), [j for j in range(c + 1, ncols) if v[j]])
+                order.append(c)
+                break
+            src, pinv, cols = hit
+            field.sub_scaled(v, mul(a, pinv), src, cols)
+    rank = len(order)
+    if rank < len(rows) or max(order, default=-1) >= rank:
+        return rank, field.zero
+    for i in range(rank):  # sort the pivot columns by swaps, each flipping the sign
+        while order[i] != i:
+            j = order[i]
+            order[i], order[j] = order[j], j
+            det = field.neg(det)
     return rank, det
 
 

@@ -328,7 +328,7 @@ class BinaryForm:
         """No repeated projective root: gcd(F(x,1), F'(x,1)) constant and at
         most a simple root at infinity.  Valid in every odd characteristic,
         including when the characteristic divides the degree.  Over Q a
-        squarefree reduction mod 2^61 - 1 answers first
+        squarefree reduction mod the prime 2^30 - 35 answers first
         (resultants.squarefree_mod_cert), so the gcd over Fractions runs only
         when that certificate fails."""
         if self.is_zero():

@@ -147,8 +147,8 @@ def validate(curve: BiellipticQuartic) -> ValidationReport:
     to smoothness.  In every field this is cross-checked against whether the
     ternary-quartic discriminant vanishes, as resultants.quartic_disc_nonzero
     decides it: by one exact rank over the field, or over Q by a rank modulo
-    2^61 - 1 that certifies disc != 0.  Only a quartic that fails that
-    certificate pays for the rank over Q, whose cost grows with the
+    the prime 2^30 - 35 that certifies disc != 0.  Only a quartic that fails
+    that certificate pays for the rank over Q, whose cost grows with the
     coefficient height.  A cross-check that disagrees fails the gate.
     """
     F = curve.field

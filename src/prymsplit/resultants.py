@@ -26,9 +26,11 @@ Conventions fixed here and relied on everywhere else:
   disc_ternary_quartic(F) != 0 but decides it by the rank of the 45 degree-7
   multiples of the partials: rank 36 exactly when they share no projective
   zero.  Over a finite field the rank is taken in that field.  Over the
-  rationals it is first taken modulo l = 2^61 - 1, and rank 36 mod l is a
-  certificate (a 36x36 minor nonzero mod l is nonzero); a lower rank, or l
-  dividing a denominator, leaves the answer to the exact rank over Q.
+  rationals it is first taken modulo l = 2^30 - 35, and rank 36 mod l is a
+  certificate (a 36x36 minor nonzero mod l is nonzero), whatever the size
+  of l; below 2^30 every residue is one CPython digit.  A lower rank, or l
+  dividing a denominator, leaves the answer to the exact rank over Q.  The
+  matrix is laid out for the row-by-row elimination (_RANK_ROWS, _RANK_INDEX).
   BinaryForm.is_squarefree over Q is decided the same way: a reduction mod l
   that is squarefree at the same formal degree proves it (squarefree_mod_cert),
   and anything else runs the exact gcd over Q.  The value itself is computed
@@ -53,11 +55,13 @@ QUARTIC_DISC_NORMALIZER = 4**7
 GOLDEN_QUARTIC = TernaryForm.from_ints(QQ, 4, {(4, 0, 0): 1, (0, 4, 0): -1, (0, 0, 4): 1})
 GOLDEN_QUARTIC_DISC = -(2**40)  # disc_ternary_quartic(GOLDEN_QUARTIC)
 _MACAULAY_RETRIES = 24
-# F_l, l = 2^61 - 1, where quartic_disc_nonzero takes its rank over Q.  Built
-# directly rather than through build_extension, which caches and traces every
-# field it builds; only ring operations touch it, so its log tables (2^61
-# entries) are never built.
-_CERT_FIELD = PrimeField(2**61 - 1)
+# F_l, l = 2^30 - 35, where quartic_disc_nonzero takes its rank over Q: the
+# largest prime below 2^30, so every residue is a one-digit CPython int and a
+# product one two-digit int.  Any prime would keep the certificate exact; a
+# large one makes the fallback to Q rare.  Built directly rather than through
+# build_extension, which caches and traces every field it builds; only ring
+# operations touch it, so its log tables (2^30 entries) are never built.
+_CERT_FIELD = PrimeField(2**30 - 35)
 
 
 def _sylvester_rows(p_desc, q_desc, field):
@@ -136,8 +140,9 @@ _MINOR_7 = tuple(
 )
 
 
-def _multiple_row(f, mult, zero):
-    """Coefficients of x^mult * f over the degree-7 monomials.
+def _multiple_row(f, mult, zero, index=_INDEX_7):
+    """Coefficients of x^mult * f over the degree-7 monomials, each at the
+    column index[monomial].
 
     Distinct monomials of f land on distinct targets, so every entry is
     assigned once and never accumulated.
@@ -145,18 +150,22 @@ def _multiple_row(f, mult, zero):
     row = [zero] * len(_MONOMIALS_7)
     a, b, c = mult
     for (i, j, k), coeff in f.coeffs.items():
-        row[_INDEX_7[(a + i, b + j, c + k)]] = coeff
+        row[index[(a + i, b + j, c + k)]] = coeff
     return row
+
+
+def _designated_multiplier(mono):
+    """(s, mult) with x^mult * f_s the row of M that covers mono."""
+    s = _slot(mono)
+    mult = list(mono)
+    mult[s] -= 3
+    return s, tuple(mult)
 
 
 def _macaulay_quotient(cubics, field):
     """det(M)/det(M') for the fixed partition, or None when the minor vanishes."""
-    rows = []
-    for mono in _MONOMIALS_7:
-        s = _slot(mono)
-        mult = list(mono)
-        mult[s] -= 3
-        rows.append(_multiple_row(cubics[s], mult, field.zero))
+    rows = [_multiple_row(cubics[s], mult, field.zero)
+            for s, mult in map(_designated_multiplier, _MONOMIALS_7)]
     det_minor = det_in_field([[rows[i][j] for j in _MINOR_7] for i in _MINOR_7], field)
     if det_minor == field.zero:
         return None
@@ -167,6 +176,23 @@ _CUBIC_MONOMIALS = tuple((i, j, 3 - i - j) for i in range(4) for j in range(4 - 
 _QUARTIC_MONOMIALS = tuple((i, j, 4 - i - j) for i in range(5) for j in range(5 - i))
 
 
+def _reach(mono):
+    """How many products x^mult * (cubic monomial) land on a degree-7 monomial."""
+    return sum(all(u <= e for u, e in zip(cubic, mono)) for cubic in _CUBIC_MONOMIALS)
+
+
+# The layout of _shares_projective_zero's 45 x 36 matrix for linalg._eliminate,
+# which inserts it row by row.  Columns: the degree-7 monomials, the least
+# reached first, so that early pivots sit in sparse columns.  Rows: the 36
+# designated rows of M, in the column order of the monomial each covers, so
+# that nearly every one adds a pivot at once, then the other 9 multiples.
+_RANK_MONOMIALS = tuple(sorted(_MONOMIALS_7, key=_reach))
+_RANK_INDEX = {m: c for c, m in enumerate(_RANK_MONOMIALS)}
+_RANK_ROWS = tuple(map(_designated_multiplier, _RANK_MONOMIALS))
+_RANK_ROWS += tuple((s, m) for s in range(3) for m in _QUARTIC_MONOMIALS
+                    if (s, m) not in _RANK_ROWS)
+
+
 def _shares_projective_zero(cubics, field) -> bool:
     """Common zero over the algebraic closure, decided by an exact rank.
 
@@ -174,8 +200,7 @@ def _shares_projective_zero(cubics, field) -> bool:
     degree-7 multiples span all 36 degree-7 monomials; rank is unchanged by
     field extension, so computing it over the ground field is conclusive.
     """
-    rows = [_multiple_row(f, mult, field.zero)
-            for f in cubics for mult in _QUARTIC_MONOMIALS]
+    rows = [_multiple_row(cubics[s], mult, field.zero, _RANK_INDEX) for s, mult in _RANK_ROWS]
     return rank_in_field(rows, field) < len(_MONOMIALS_7)
 
 
@@ -285,7 +310,7 @@ def quartic_disc_nonzero(F: TernaryForm) -> bool:
     The discriminant vanishes exactly when the three partials share a
     projective zero, which _shares_projective_zero decides by a rank in F's
     own field.  Over the rationals that rank is first taken in F_l,
-    l = 2^61 - 1: rank 36 there lifts to rank 36 over Q, which proves
+    l = 2^30 - 35: rank 36 there lifts to rank 36 over Q, which proves
     disc != 0 with no Fraction arithmetic.  A lower rank mod l may be
     an accident of l, so it, and l dividing a denominator, leave the answer
     to the rank over Q.

@@ -2,7 +2,7 @@
 that use it.
 
 The certificate decides disc != 0 by one rank: in the field itself for a
-finite field, modulo l = 2^61 - 1 over the rationals, falling back to the
+finite field, modulo l = 2^30 - 35 over the rationals, falling back to the
 exact rank over Q when the rank mod l is short or l divides a denominator.
 No decision path computes the discriminant's value.
 """
@@ -16,12 +16,14 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+import sympy
 
 from prymsplit import (
     QQ,
     BiellipticQuartic,
     BinaryForm,
     RejectedInputError,
+    TernaryForm,
     bruin_cover,
     build_extension,
     cli,
@@ -39,7 +41,7 @@ from prymsplit.fields import PrimeField
 from prymsplit.prym import _pencil_targets
 from helpers import random_ternary_form
 
-ELL = 2**61 - 1
+ELL = resultants._CERT_FIELD.p
 KINDS = ("random", "f=g", "s-double-root", "fg-repeated-root")
 
 
@@ -163,6 +165,22 @@ def test_short_rank_mod_small_prime_falls_back(p, monkeypatch):
     assert short_rank >= 1
 
 
+def test_certificate_prime_is_the_largest_below_2_to_the_30():
+    assert sympy.isprime(ELL) and ELL < 2**30 < sympy.nextprime(ELL)
+
+
+def test_smooth_over_q_but_singular_mod_ell_takes_one_exact_rank(monkeypatch):
+    # G has a node at (0:0:1); G + l z^4 is smooth over Q and reduces to G mod l
+    coeffs = {(4, 0, 0): 1, (0, 4, 0): 1, (2, 0, 2): 1, (0, 2, 2): -1, (1, 1, 2): 3}
+    node = TernaryForm.from_ints(QQ, 4, coeffs)
+    form = TernaryForm.from_ints(QQ, 4, {**coeffs, (0, 0, 4): ELL})
+    assert disc_ternary_quartic(node) == 0 and disc_ternary_quartic(form) != 0
+    assert resultants._has_singular_point(resultants._reduce_mod_cert(form))
+    calls = _fallback_spy(monkeypatch)
+    assert quartic_disc_nonzero(form) is True
+    assert len(calls) == 1
+
+
 def test_denominator_divisible_by_ell_falls_back(monkeypatch):
     doc = {"f": [f"1/{ELL}", 1, 0], "g": [1, 1, 1], "h": [1, 0, -1]}
     curve = BiellipticQuartic(QQ, *(BinaryForm(QQ, 2, [Fraction(v) for v in doc[k]])
@@ -182,7 +200,7 @@ def test_certificate_field_never_builds_log_tables(monkeypatch):
 
     def guard(self):
         if self.p == ELL:
-            raise AssertionError("log tables of F_(2^61 - 1) were built")
+            raise AssertionError("log tables of F_l were built")
         return real(self)
 
     monkeypatch.setattr(PrimeField, "_build_log_tables", guard)

@@ -253,6 +253,29 @@ class TestMacaulayOrder:
             shared += common
         assert shared >= 12
 
+    def test_rank_matrix_layout(self):
+        """Each of the 45 multiples once, the 36 designated rows of M first
+        (one per degree-7 monomial), the columns a permutation of the
+        degree-7 monomials."""
+        rows = resultants._RANK_ROWS
+        assert sorted(rows) == sorted((s, m) for s in range(3)
+                                      for m in resultants._QUARTIC_MONOMIALS)
+        covered = [tuple(e + 3 * (i == s) for i, e in enumerate(m)) for s, m in rows[:36]]
+        assert sorted(covered) == sorted(resultants._MONOMIALS_7)
+        assert [resultants._slot(mono) for mono in covered] == [s for s, _ in rows[:36]]
+        index = resultants._RANK_INDEX
+        assert sorted(index) == sorted(resultants._MONOMIALS_7)
+        assert sorted(index.values()) == list(range(36))
+        # the matrix holds x^mult * f_s, entry by entry, in those columns
+        rng = random.Random(13)
+        cubics = tuple(_random_form(F7, rng, 3) for _ in range(3))
+        zero = F7.zero
+        for (s, mult), row in zip(rows, (resultants._multiple_row(cubics[s], m, zero, index)
+                                         for s, m in rows)):
+            expected = {tuple(a + b for a, b in zip(mult, mono)): c
+                        for mono, c in cubics[s].coeffs.items()}
+            assert row == [expected.get(mono, zero) for mono in sorted(index, key=index.get)]
+
     def test_generic_discriminant_needs_no_rank(self, monkeypatch):
         rng = random.Random(12)
         forms = [_random_form(QQ, rng, 4) for _ in range(4)]
