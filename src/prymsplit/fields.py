@@ -190,9 +190,6 @@ class _FiniteField:
     def from_int(self, n):
         return n % self.p
 
-    def elements(self):
-        return range(self.q)
-
     def random_element(self, rng):
         return rng.randrange(self.q)
 

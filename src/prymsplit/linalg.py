@@ -1,10 +1,12 @@
 """Exact linear algebra: the 3x3 coefficient matrix and dense determinants.
 
-Every determinant and every rank, over the rationals as over a finite field,
-comes from one Gaussian elimination over the field object (_eliminate), which
-inserts the rows one at a time into an echelon basis and so reads a sparse
-row only as far as its first new pivot.  It is exact, which every caller
-here depends on.
+Every rank, and the determinant of every matrix larger than 3x3, over the
+rationals as over a finite field, comes from one Gaussian elimination over
+the field object (_eliminate), which inserts the rows one at a time into an
+echelon basis and so reads a sparse row only as far as its first new pivot.
+It is exact, which every caller here depends on.  The two 3x3 determinants
+are cofactor expansions: Matrix3.det over the field, and prym.pencil_sextic
+over UniPoly entries.
 """
 
 from __future__ import annotations
@@ -99,17 +101,6 @@ class Matrix3:
                 ]
                 for i in range(3)
             ],
-        )
-
-    def vec_mul(self, v):
-        """Matrix times column vector."""
-        F = self.field
-        return tuple(
-            F.add(
-                F.add(F.mul(r[0], v[0]), F.mul(r[1], v[1])),
-                F.mul(r[2], v[2]),
-            )
-            for r in self.rows
         )
 
     def column(self, j):

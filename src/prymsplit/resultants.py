@@ -15,6 +15,9 @@ Conventions fixed here and relied on everywhere else:
   Res * det(M') = det(M) holds over Z[coefficients], hence in every field, so
   a nonzero minor det(M') makes the quotient the resultant, zero included.
   The exact rank test for a common zero runs only when det(M') vanishes.
+  Value and rank read one matrix: _macaulay_rows lays out the 45 degree-7
+  multiples once per triple of cubics, and again only after a coordinate
+  change; its first 36 rows are M, and M' is a principal minor of M.
   When the minor also vanishes under every retried coordinate change, a
   prime field takes the exact value of an integer lift of the cubics and
   reduces it mod p, which is valid because Res lies in Z[coefficients].
@@ -29,8 +32,7 @@ Conventions fixed here and relied on everywhere else:
   rationals it is first taken modulo l = 2^30 - 35, and rank 36 mod l is a
   certificate (a 36x36 minor nonzero mod l is nonzero), whatever the size
   of l; below 2^30 every residue is one CPython digit.  A lower rank, or l
-  dividing a denominator, leaves the answer to the exact rank over Q.  The
-  matrix is laid out for the row-by-row elimination (_RANK_ROWS, _RANK_INDEX).
+  dividing a denominator, leaves the answer to the exact rank over Q.
   BinaryForm.is_squarefree over Q is decided the same way: a reduction mod l
   that is squarefree at the same formal degree proves it (squarefree_mod_cert),
   and anything else runs the exact gcd over Q.  The value itself is computed
@@ -108,99 +110,73 @@ def binary_disc_scale(n: int) -> int:
 
 # --- Macaulay resultant of three ternary cubics -------------------------
 
-_CRITICAL_DEGREE = 7  # 3*(3-1) + 1
-
-_MONOMIALS_7 = tuple(
-    sorted(
-        (
-            (i, j, 7 - i - j)
-            for i in range(8)
-            for j in range(8 - i)
-        ),
-        reverse=True,
-    )
-)
-
-
-_INDEX_7 = {m: i for i, m in enumerate(_MONOMIALS_7)}
-
-
-def _slot(mono):
-    """Which input form covers this degree-7 monomial (first x_i with exp >= 3)."""
-    if mono[0] >= 3:
-        return 0
-    if mono[1] >= 3:
-        return 1
-    return 2  # mono[2] >= 3 is forced since the first two are <= 2
-
-
-# M' is M restricted to the rows and columns of the non-reduced monomials
-_MINOR_7 = tuple(
-    i for i, m in enumerate(_MONOMIALS_7) if sum(1 for e in m if e >= 3) != 1
-)
-
-
-def _multiple_row(f, mult, zero, index=_INDEX_7):
-    """Coefficients of x^mult * f over the degree-7 monomials, each at the
-    column index[monomial].
-
-    Distinct monomials of f land on distinct targets, so every entry is
-    assigned once and never accumulated.
-    """
-    row = [zero] * len(_MONOMIALS_7)
-    a, b, c = mult
-    for (i, j, k), coeff in f.coeffs.items():
-        row[index[(a + i, b + j, c + k)]] = coeff
-    return row
-
-
-def _designated_multiplier(mono):
-    """(s, mult) with x^mult * f_s the row of M that covers mono."""
-    s = _slot(mono)
-    mult = list(mono)
-    mult[s] -= 3
-    return s, tuple(mult)
-
-
-def _macaulay_quotient(cubics, field):
-    """det(M)/det(M') for the fixed partition, or None when the minor vanishes."""
-    rows = [_multiple_row(cubics[s], mult, field.zero)
-            for s, mult in map(_designated_multiplier, _MONOMIALS_7)]
-    det_minor = det_in_field([[rows[i][j] for j in _MINOR_7] for i in _MINOR_7], field)
-    if det_minor == field.zero:
-        return None
-    return field.div(det_in_field(rows, field), det_minor)
-
-
 _CUBIC_MONOMIALS = tuple((i, j, 3 - i - j) for i in range(4) for j in range(4 - i))
 _QUARTIC_MONOMIALS = tuple((i, j, 4 - i - j) for i in range(5) for j in range(5 - i))
 
 
 def _reach(mono):
     """How many products x^mult * (cubic monomial) land on a degree-7 monomial."""
-    return sum(all(u <= e for u, e in zip(cubic, mono)) for cubic in _CUBIC_MONOMIALS)
+    a, b, c = mono
+    return sum(u <= a and v <= b and w <= c for u, v, w in _CUBIC_MONOMIALS)
 
 
-# The layout of _shares_projective_zero's 45 x 36 matrix for linalg._eliminate,
-# which inserts it row by row.  Columns: the degree-7 monomials, the least
-# reached first, so that early pivots sit in sparse columns.  Rows: the 36
-# designated rows of M, in the column order of the monomial each covers, so
-# that nearly every one adds a pivot at once, then the other 9 multiples.
-_RANK_MONOMIALS = tuple(sorted(_MONOMIALS_7, key=_reach))
-_RANK_INDEX = {m: c for c, m in enumerate(_RANK_MONOMIALS)}
-_RANK_ROWS = tuple(map(_designated_multiplier, _RANK_MONOMIALS))
-_RANK_ROWS += tuple((s, m) for s in range(3) for m in _QUARTIC_MONOMIALS
-                    if (s, m) not in _RANK_ROWS)
+def _covering_multiple(mono):
+    """(s, mult): x^mult * f_s covers mono, x_s its first variable of exponent >= 3."""
+    s = next(i for i, e in enumerate(mono) if e >= 3)
+    return s, tuple(e - 3 * (i == s) for i, e in enumerate(mono))
 
 
-def _shares_projective_zero(cubics, field) -> bool:
+# The one layout of the degree-7 Macaulay matrix, the 45 multiples
+# x^mult * f_s over the 36 degree-7 monomials, for linalg._eliminate, which
+# inserts it row by row.  Columns: the monomials, the least reached first
+# (ties in descending lexicographic order), so that early pivots sit in
+# sparse columns.  Rows: the 36 rows of M, row i the multiple that covers
+# column i, so that nearly every one adds a pivot at once; then the other 9
+# multiples.  M' is the principal minor on the non-reduced monomials, those
+# with no exponent or at least two exponents >= 3.  Against the textbook's
+# lexicographic layout, the rows and columns of M and M' are permuted alike,
+# which keeps both determinants.
+_MONOMIALS_7 = tuple(sorted(
+    sorted(((i, j, 7 - i - j) for i in range(8) for j in range(8 - i)), reverse=True),
+    key=_reach))
+_MULTIPLES = tuple(map(_covering_multiple, _MONOMIALS_7))
+_MULTIPLES += tuple((s, m) for s in range(3) for m in _QUARTIC_MONOMIALS
+                    if (s, m) not in _MULTIPLES)
+_NON_REDUCED = tuple(c for c, m in enumerate(_MONOMIALS_7) if sum(e >= 3 for e in m) != 1)
+_COLUMN = {m: c for c, m in enumerate(_MONOMIALS_7)}
+# per row, s and the column that each cubic monomial of f_s lands on
+_ROW_TABLES = tuple(
+    (s, {(i, j, k): _COLUMN[a + i, b + j, c + k] for i, j, k in _CUBIC_MONOMIALS})
+    for s, (a, b, c) in _MULTIPLES)
+
+
+def _macaulay_rows(cubics, zero):
+    """The 45 rows in this layout, the first 36 being M.  Distinct monomials
+    of f_s land on distinct columns, so each entry is assigned once."""
+    rows = []
+    for s, columns in _ROW_TABLES:
+        row = [zero] * len(_MONOMIALS_7)
+        for mono, coeff in cubics[s].coeffs.items():
+            row[columns[mono]] = coeff
+        rows.append(row)
+    return rows
+
+
+def _macaulay_quotient(rows, field):
+    """det(M)/det(M') from _macaulay_rows, or None when the minor vanishes."""
+    det_minor = det_in_field([[rows[i][j] for j in _NON_REDUCED] for i in _NON_REDUCED], field)
+    if det_minor == field.zero:
+        return None
+    return field.div(det_in_field(rows[:len(_MONOMIALS_7)], field), det_minor)
+
+
+def _shares_projective_zero(rows, field) -> bool:
     """Common zero over the algebraic closure, decided by an exact rank.
 
-    The three cubics have no common projective zero exactly when their
+    The three cubics have no common projective zero exactly when their 45
     degree-7 multiples span all 36 degree-7 monomials; rank is unchanged by
     field extension, so computing it over the ground field is conclusive.
     """
-    rows = [_multiple_row(cubics[s], mult, field.zero, _RANK_INDEX) for s, mult in _RANK_ROWS]
     return rank_in_field(rows, field) < len(_MONOMIALS_7)
 
 
@@ -236,15 +212,17 @@ def macaulay_resultant_cubics(f1: TernaryForm, f2: TernaryForm, f3: TernaryForm)
             raise DegenerateInputError("inputs must be ternary cubics")
     field = f1.field
     cubics = (f1, f2, f3)
-    value = _macaulay_quotient(cubics, field)
+    rows = _macaulay_rows(cubics, field.zero)
+    value = _macaulay_quotient(rows, field)
     if value is not None:
         return value
-    if _shares_projective_zero(cubics, field):
+    if _shares_projective_zero(rows, field):
         return field.zero
     rng = random.Random(0xAC)
     for _ in range(_MACAULAY_RETRIES):
         t = _random_gl3(field, rng)
-        value = _macaulay_quotient(tuple(f.compose_linear(t.rows) for f in cubics), field)
+        moved = tuple(f.compose_linear(t.rows) for f in cubics)
+        value = _macaulay_quotient(_macaulay_rows(moved, field.zero), field)
         if value is not None:
             return field.div(value, field.pow(t.det(), 27))
     if field.kind == "finite" and field.k == 1:
@@ -301,7 +279,8 @@ def squarefree_mod_cert(F: BinaryForm) -> bool:
 
 def _has_singular_point(F: TernaryForm) -> bool:
     """Whether the partials of F share a projective zero, by an exact rank."""
-    return _shares_projective_zero(tuple(F.partial(i) for i in range(3)), F.field)
+    partials = tuple(F.partial(i) for i in range(3))
+    return _shares_projective_zero(_macaulay_rows(partials, F.field.zero), F.field)
 
 
 def quartic_disc_nonzero(F: TernaryForm) -> bool:

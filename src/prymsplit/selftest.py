@@ -40,15 +40,21 @@ from .resultants import (
 from .ternary import TernaryForm
 from .zeta import lpoly_from_counts, predicted_counts, verify_bruin, verify_split
 
+
+# the primes that the split, identity-pool, negative-control and oracle
+# criteria draw curves over, and criterion 1's count of diagonal quartics;
+# quick and full scale use the same values
+PRIMES = (5, 7, 11, 13)
+DISC_DEMO_QUARTICS = 10
+
+
 @dataclass(frozen=True)
 class SelftestConfig:
     seed: int = 20260212
-    primes: tuple = (5, 7, 11, 13)
     curves_per_prime: int = 100
     identity_instances: int = 1024
     identity_rational: int = 24
     ratio_instances: int = 50
-    disc_demo_quartics: int = 10
     bruin_fibers: int = 10
     bruin_full_primes: tuple = (3, 5, 7)
     negative_instances: int = 100
@@ -104,7 +110,7 @@ def criterion_disc_golden(cfg: SelftestConfig) -> CriterionResult:
         # Macaulay value to it must be the same unit for every instance.
         rng = random.Random(cfg.seed + 1)
         ratios = set()
-        for _ in range(cfg.disc_demo_quartics):
+        for _ in range(DISC_DEMO_QUARTICS):
             a, b, c = (rng.choice([v for v in range(-5, 6) if v]) for _ in range(3))
             form = _diagonal_quartic(a, b, c)
             raw = macaulay_resultant_cubics(form.partial(0), form.partial(1), form.partial(2))
@@ -125,7 +131,7 @@ def criterion_disc_golden(cfg: SelftestConfig) -> CriterionResult:
                 return False, "discriminant covariance failed"
         return True, (
             f"disc = -2^40 exactly; normalizer {QUARTIC_DISC_NORMALIZER} constant "
-            f"across {cfg.disc_demo_quartics} quartics and covariant under GL3"
+            f"across {DISC_DEMO_QUARTICS} quartics and covariant under GL3"
         )
 
     return _timed(1, "ternary quartic discriminant golden value", run)
@@ -137,7 +143,7 @@ def criterion_split_factorization(cfg: SelftestConfig) -> CriterionResult:
     def run():
         rng = random.Random(cfg.seed + 2)
         total = 0
-        for p in cfg.primes:
+        for p in PRIMES:
             field = build_extension(p)
             for _ in range(cfg.curves_per_prime):
                 curve = random_validated_curve(field, rng)
@@ -152,8 +158,8 @@ def criterion_split_factorization(cfg: SelftestConfig) -> CriterionResult:
 
 def _identity_pool(cfg: SelftestConfig):
     rng = random.Random(cfg.seed + 3)
-    per_prime = max(1, (cfg.identity_instances - cfg.identity_rational) // len(cfg.primes))
-    for p in cfg.primes:
+    per_prime = max(1, (cfg.identity_instances - cfg.identity_rational) // len(PRIMES))
+    for p in PRIMES:
         field = build_extension(p)
         for _ in range(per_prime):
             yield random_validated_curve(field, rng)
@@ -310,7 +316,7 @@ def criterion_negative_controls(cfg: SelftestConfig) -> CriterionResult:
         zeta_module.count_weighted = corrupted_count
         try:
             for i in range(cfg.negative_instances):
-                p = cfg.primes[i % len(cfg.primes)]
+                p = PRIMES[i % len(PRIMES)]
                 curve = random_validated_curve(build_extension(p), rng)
                 try:
                     detected = not zeta_module.verify_split(curve).passed
@@ -364,7 +370,7 @@ def criterion_oracle_invariants(cfg: SelftestConfig) -> CriterionResult:
         rng = random.Random(cfg.seed + 7)
         sample = max(8, cfg.curves_per_prime // 3)
         checked = 0
-        for p in cfg.primes:
+        for p in PRIMES:
             field = build_extension(p)
             for _ in range(sample):
                 curve = random_validated_curve(field, rng)

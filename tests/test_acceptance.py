@@ -5,6 +5,7 @@ complete; `prymsplit selftest --full` executes the identical checks.
 """
 
 from prymsplit.selftest import (
+    PRIMES,
     SelftestConfig,
     criterion_bruin,
     criterion_disc_golden,
@@ -37,7 +38,7 @@ def test_criterion_2_split_theorem_at_desk_scale():
     # >= 100 seeded random validated curves over each p in {5, 7, 11, 13},
     # exact integer equality L_C = L_D * L_X; under 10 minutes
     assert CFG.curves_per_prime >= 100
-    assert CFG.primes == (5, 7, 11, 13)
+    assert PRIMES == (5, 7, 11, 13)
     _check(criterion_split_factorization(CFG), 600)
 
 

@@ -484,8 +484,8 @@ class TestReports:
         minors = []
         real_quotient = resultants._macaulay_quotient
 
-        def quotient_spy(cubics, field):
-            value = real_quotient(cubics, field)
+        def quotient_spy(rows, field):
+            value = real_quotient(rows, field)
             minors.append((field.q, value is None))
             return value
 

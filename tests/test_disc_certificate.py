@@ -87,14 +87,14 @@ def _exact_report(curve, disc_nonzero, monkeypatch):
 
 
 def _fallback_spy(monkeypatch):
-    """Record the partials of every form whose rank is taken over Q."""
+    """Record the Macaulay rows of every rank taken over Q."""
     calls = []
     exact = resultants._shares_projective_zero
 
-    def spy(cubics, field):
+    def spy(rows, field):
         if field is QQ:
-            calls.append(cubics)
-        return exact(cubics, field)
+            calls.append(rows)
+        return exact(rows, field)
 
     monkeypatch.setattr(resultants, "_shares_projective_zero", spy)
     return calls
@@ -243,7 +243,7 @@ def test_singular_4000_digit_document_is_rejected_in_a_subprocess(tmp_path):
 
 
 def test_decisions_never_compute_the_discriminant_value(monkeypatch):
-    def tripwire(cubics, field):
+    def tripwire(rows, field):
         raise AssertionError("a decision path computed a Macaulay value")
 
     monkeypatch.setattr(resultants, "_macaulay_quotient", tripwire)

@@ -234,7 +234,8 @@ class TestSingularModel:
             for _ in range(10):
                 x, y, z = (F7.random_element(rng) for _ in range(3))
                 qs = [q.eval(x, y, z) for q in model]
-                lhs = a.vec_mul(qs)
+                lhs = tuple(F7.add(F7.add(F7.mul(r[0], qs[0]), F7.mul(r[1], qs[1])),
+                                   F7.mul(r[2], qs[2])) for r in a.rows)
                 rhs = (F7.mul(x, y), F7.add(F7.mul(y, y), F7.mul(x, z)), F7.mul(y, z))
                 assert lhs == rhs
 

@@ -19,6 +19,7 @@ from prymsplit import (
     macaulay_resultant_cubics,
     resultant_forms,
 )
+from prymsplit.linalg import det_in_field
 from helpers import random_binary_form, random_ternary_form
 
 F5 = build_extension(5)
@@ -232,6 +233,67 @@ def _monomial_cubic(mono):
     return TernaryForm.from_ints(QQ, 3, {mono: 1})
 
 
+# the degree-7 monomials in descending lexicographic order, the textbook
+# layout of the Macaulay matrix (Cox, Little, O'Shea, Ch. 3 Sec. 4)
+_MONOMIALS_7 = sorted(((i, j, 7 - i - j) for i in range(8) for j in range(8 - i)), reverse=True)
+
+
+def _slot(mono):
+    """Which cubic covers a degree-7 monomial: the first x_s with exponent >= 3."""
+    return next(s for s, e in enumerate(mono) if e >= 3)
+
+
+def _reduced(mono):
+    return sum(e >= 3 for e in mono) == 1
+
+
+def _lexicographic_dets(cubics, field):
+    """(det M, det M'), M built row by row in lexicographic order and M' its
+    principal minor on the non-reduced monomials."""
+    rows = []
+    for mono in _MONOMIALS_7:
+        s = _slot(mono)
+        mult = tuple(e - 3 * (i == s) for i, e in enumerate(mono))
+        product = {tuple(a + b for a, b in zip(mult, m)): c for m, c in cubics[s].coeffs.items()}
+        rows.append([product.get(m, field.zero) for m in _MONOMIALS_7])
+    minor = [i for i, m in enumerate(_MONOMIALS_7) if not _reduced(m)]
+    return det_in_field(rows, field), det_in_field([[rows[i][j] for j in minor] for i in minor], field)
+
+
+class TestMacaulayReference:
+    """The one layout against M and M' built in plain lexicographic order."""
+
+    def test_layout_facts(self):
+        # row i of M covers column i, so the diagonal system's M is the identity
+        monomials = resultants._MONOMIALS_7
+        assert sorted(monomials) == sorted(_MONOMIALS_7)
+        for c, (s, mult) in enumerate(resultants._MULTIPLES[:36]):
+            assert tuple(e + 3 * (i == s) for i, e in enumerate(mult)) == monomials[c]
+        diagonal = tuple(_monomial_cubic(m) for m in ((3, 0, 0), (0, 3, 0), (0, 0, 3)))
+        rows = resultants._macaulay_rows(diagonal, QQ.zero)
+        assert rows[:36] == [[int(i == c) for c in range(36)] for i in range(36)]
+        # the quotient's minor sits on exactly the non-reduced monomials
+        assert resultants._NON_REDUCED == tuple(c for c, m in enumerate(monomials) if not _reduced(m))
+
+    @pytest.mark.parametrize("field", [QQ, F7, build_extension(3, 2), build_extension(5, 2)],
+                             ids=["QQ", "F7", "F9", "F25"])
+    def test_quotient_equals_lexicographic_quotient(self, field):
+        rng = random.Random(29)
+        checked = [0, 0]  # sparse, full
+        for trial in range(24):
+            density = 1.0 if trial % 2 else 0.5
+            cubics = tuple(TernaryForm(field, 3, {m: _random_element(field, rng)
+                                                  for m in resultants._CUBIC_MONOMIALS
+                                                  if rng.random() < density})
+                           for _ in range(3))
+            det_m, det_minor = _lexicographic_dets(cubics, field)
+            if det_minor == field.zero:
+                continue
+            assert macaulay_resultant_cubics(*cubics) == field.div(det_m, det_minor)
+            checked[trial % 2] += 1
+        assert min(checked) >= 1 and sum(checked) >= 8
+
+
 class TestMacaulayOrder:
     """The quotient comes first; the rank test runs only when det(M') = 0."""
 
@@ -248,7 +310,8 @@ class TestMacaulayOrder:
             if any(f.is_zero() for f in cubics):
                 continue
             value = macaulay_resultant_cubics(*cubics)
-            common = resultants._shares_projective_zero(cubics, field)
+            rows = resultants._macaulay_rows(cubics, field.zero)
+            common = resultants._shares_projective_zero(rows, field)
             assert (value == field.zero) == common
             shared += common
         assert shared >= 12
@@ -257,21 +320,20 @@ class TestMacaulayOrder:
         """Each of the 45 multiples once, the 36 designated rows of M first
         (one per degree-7 monomial), the columns a permutation of the
         degree-7 monomials."""
-        rows = resultants._RANK_ROWS
+        rows = resultants._MULTIPLES
         assert sorted(rows) == sorted((s, m) for s in range(3)
                                       for m in resultants._QUARTIC_MONOMIALS)
         covered = [tuple(e + 3 * (i == s) for i, e in enumerate(m)) for s, m in rows[:36]]
-        assert sorted(covered) == sorted(resultants._MONOMIALS_7)
-        assert [resultants._slot(mono) for mono in covered] == [s for s, _ in rows[:36]]
-        index = resultants._RANK_INDEX
-        assert sorted(index) == sorted(resultants._MONOMIALS_7)
+        assert sorted(covered) == sorted(_MONOMIALS_7)
+        assert [_slot(mono) for mono in covered] == [s for s, _ in rows[:36]]
+        index = resultants._COLUMN
+        assert sorted(index) == sorted(_MONOMIALS_7)
         assert sorted(index.values()) == list(range(36))
         # the matrix holds x^mult * f_s, entry by entry, in those columns
         rng = random.Random(13)
         cubics = tuple(_random_form(F7, rng, 3) for _ in range(3))
         zero = F7.zero
-        for (s, mult), row in zip(rows, (resultants._multiple_row(cubics[s], m, zero, index)
-                                         for s, m in rows)):
+        for (s, mult), row in zip(rows, resultants._macaulay_rows(cubics, zero)):
             expected = {tuple(a + b for a, b in zip(mult, mono)): c
                         for mono, c in cubics[s].coeffs.items()}
             assert row == [expected.get(mono, zero) for mono in sorted(index, key=index.get)]
@@ -303,7 +365,7 @@ class TestMacaulayOrder:
         # (x^3, x^3, y^3) share (0:0:1); (y^3, z^3, x^3) share nothing but
         # both leave the designated minor singular
         for cubics, expected in (((x3, x3, y3), 0), ((y3, z3, x3), 1)):
-            assert resultants._macaulay_quotient(cubics, QQ) is None
+            assert resultants._macaulay_quotient(resultants._macaulay_rows(cubics, QQ.zero), QQ) is None
             calls.clear()
             assert macaulay_resultant_cubics(*cubics) == expected
             assert calls == [45]
@@ -326,9 +388,9 @@ class TestMacaulayOrder:
         lifts = []
         quotient = resultants._macaulay_quotient
 
-        def spy(cubics, field):
+        def spy(rows, field):
             lifts.append(field is QQ)
-            return quotient(cubics, field)
+            return quotient(rows, field)
 
         monkeypatch.setattr(resultants, "_macaulay_quotient", spy)
         monkeypatch.setattr(resultants, "_MACAULAY_RETRIES", 0)
