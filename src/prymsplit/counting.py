@@ -146,9 +146,11 @@ def _log_values(lcs, reps, qm1, zech):
     reps[0] being -1 (x = 0) as _frobenius_orbits gives them, and zech the
     field's Zech table, 2 (q - 1) long.  Each coefficient is one pass over
     the whole list, acc x + c_i with times x adding lx and plus c_i one Zech
-    lookup, so there is no function call or inner loop per x; it is the
-    package's column-wise Horner on logs.  The base t is the log of the last
-    nonzero coefficient passed (0 before the first): with v = g^(t + r),
+    lookup, so there is no function call or inner loop per x.  It is the
+    exact Horner on logs (zero as -1), used by count_weighted, the cover
+    kernel's columns and the plane rows that _plane_rows recounts; the other
+    plane rows read _horner_steps' step tables.  The base t is the log of
+    the last nonzero coefficient passed (0 before the first): with v = g^(t + r),
     v x + g^t' = g^t' (1 + g^(r + lx + t - t')), so the step to a nonzero
     t' is r' = zech[r + lx + d] for the one d = ((t - t') mod (q - 1)) - (q - 1)
     of the pass.  r + lx + d lies in [-q, 2 (q - 1) - 3], inside the doubled

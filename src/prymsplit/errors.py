@@ -24,11 +24,7 @@ class UnsupportedFieldError(InputError):
 
 
 class SingularMatrixError(InputError):
-    """3x3 inversion failed; carries the (zero) determinant."""
-
-    def __init__(self, message, det=None):
-        super().__init__(message)
-        self.det = det
+    """3x3 inversion failed: the determinant is zero."""
 
 
 class DegenerateInputError(InputError):

@@ -108,9 +108,6 @@ class RationalField:
     def random_element(self, rng):
         return Fraction(rng.randint(-RANDOM_RATIONAL_SPAN, RANDOM_RATIONAL_SPAN))
 
-    def describe(self) -> dict:
-        return {"kind": self.kind}
-
     def __eq__(self, other):
         return isinstance(other, RationalField)
 
@@ -292,9 +289,6 @@ class PrimeField(_FiniteField):
         cofactors = [(p - 1) // f for f in _factor_small(p - 1)]
         g = next(g for g in range(2, p) if all(pow(g, c, p) != 1 for c in cofactors))
         self._set_log_tables([pow(g, i, p) for i in range(p - 1)])
-
-    def describe(self) -> dict:
-        return {"kind": "prime-field", "p": self.p, "k": 1}
 
     def __eq__(self, other):
         return isinstance(other, PrimeField) and other.p == self.p
@@ -516,14 +510,6 @@ class ExtensionField(_FiniteField):
                 raise ZeroDivisionError("inverse of zero")
             return 0
         return self._exp[(self._log[a] * e) % self._qm1]
-
-    def describe(self) -> dict:
-        return {
-            "kind": "extension-field",
-            "p": self.p,
-            "k": self.k,
-            "modulus": list(self.modulus),
-        }
 
     def __eq__(self, other):
         return (

@@ -11,12 +11,12 @@ over UniPoly entries.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 from .errors import SingularMatrixError
 
 
 class Matrix3:
-    __slots__ = ("field", "rows", "_det")
-
     def __init__(self, field, rows):
         rows = tuple(tuple(r) for r in rows)
         if len(rows) != 3 or any(len(r) != 3 for r in rows):
@@ -40,19 +40,16 @@ class Matrix3:
             and self.rows == other.rows
         )
 
+    @cached_property
     def det(self):
-        """Computed on the first call and kept: the rows never change."""
-        try:
-            return self._det
-        except AttributeError:
-            pass
+        """The cofactor expansion, computed on the first read and kept, since
+        the rows never change; inverse() still checks it by a round trip."""
         F = self.field
         (a, b, c), (d, e, f), (g, h, i) = self.rows
         t1 = F.mul(a, F.sub(F.mul(e, i), F.mul(f, h)))
         t2 = F.mul(b, F.sub(F.mul(d, i), F.mul(f, g)))
         t3 = F.mul(c, F.sub(F.mul(d, h), F.mul(e, g)))
-        self._det = F.add(F.sub(t1, t2), t3)
-        return self._det
+        return F.add(F.sub(t1, t2), t3)
 
     def adjugate(self):
         F = self.field
@@ -72,9 +69,9 @@ class Matrix3:
         """Adjugate-over-determinant, checked by the round trip A * A^-1 = I
         (ArithmeticError when it fails, under python -O as without)."""
         F = self.field
-        d = self.det()
+        d = self.det
         if d == F.zero:
-            raise SingularMatrixError("matrix is singular", det=d)
+            raise SingularMatrixError("matrix is singular")
         inv_d = F.inv(d)
         adj = self.adjugate()
         inv = Matrix3(

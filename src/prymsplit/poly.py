@@ -110,18 +110,6 @@ class UniPoly:
         self.coeffs = tuple(trim(list(coeffs), field.zero))
 
     @classmethod
-    def zero(cls, field):
-        return cls(field, ())
-
-    @classmethod
-    def constant(cls, field, c):
-        return cls(field, (c,))
-
-    @classmethod
-    def x(cls, field):
-        return cls(field, (field.zero, field.one))
-
-    @classmethod
     def from_ints(cls, field, ints):
         return cls(field, [field.from_int(n) for n in ints])
 
@@ -190,18 +178,6 @@ class UniPoly:
             F,
             [F.mul(F.from_int(i), self.coeffs[i]) for i in range(1, len(self.coeffs))],
         )
-
-    def monic(self):
-        if not self.coeffs:
-            return self
-        inv = self.field.inv(self.coeffs[-1])
-        return self.scale(inv)
-
-    def divmod(self, other):
-        if not other.coeffs:
-            raise ZeroDivisionError("polynomial division by zero")
-        quo, rem = divmod_list(self.coeffs, other.coeffs, self.field)
-        return UniPoly(self.field, quo), UniPoly(self.field, rem)
 
     def __repr__(self):
         if not self.coeffs:

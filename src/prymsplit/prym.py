@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from functools import cached_property, wraps
+from functools import cached_property
 
 from .errors import DegenerateInputError, RejectedInputError, UnsupportedFieldError
 from .linalg import Matrix3
@@ -33,22 +33,6 @@ from .ternary import TernaryForm, cover_quartic, gram, quadric
 log = logging.getLogger(__name__)
 
 RANDOM_CURVE_TRIES = 2000
-
-
-def _once(method):
-    """A no-argument method of a frozen dataclass, computed on the first call
-    and kept in the instance dict (which a frozen dataclass does not guard)."""
-    key = "_" + method.__name__
-
-    @wraps(method)
-    def cached(self):
-        try:
-            return self.__dict__[key]
-        except KeyError:
-            value = self.__dict__[key] = method(self)
-            return value
-
-    return cached
 
 
 @dataclass(frozen=True)
@@ -80,23 +64,24 @@ class BiellipticQuartic:
             BinaryForm.from_ints(field, 2, h),
         )
 
-    # A, fg and s are computed once per curve: validate, split and the
-    # counts each read them, and Matrix3 keeps its determinant.
-    @_once
+    # A, fg and s are computed once per curve, since validate, split and the
+    # counts each read them; cached_property stores each in the instance
+    # dict, which a frozen dataclass does not guard.
+    @cached_property
     def coefficient_matrix(self) -> Matrix3:
         """Rows are the coefficient triples of f, h, g in that order."""
         return Matrix3(self.field, (self.f.coeffs, self.h.coeffs, self.g.coeffs))
 
-    @_once
+    @cached_property
     def fg(self) -> BinaryForm:
         return self.f * self.g
 
-    @_once
+    @cached_property
     def branch_quartic(self) -> BinaryForm:
         """s = h^2 - 4 f g, the quartic under the genus-1 model Y^2 = s."""
         F = self.field
         four = F.from_int(4)
-        return (self.h * self.h) - self.fg().scale(four)
+        return (self.h * self.h) - self.fg.scale(four)
 
     def plane_quartic(self) -> TernaryForm:
         """The defining ternary quartic, variables ordered (x, y, z)."""
@@ -104,7 +89,7 @@ class BiellipticQuartic:
         coeffs = {(0, 4, 0): F.one}
         for i, c in enumerate(self.h.coeffs):  # -h(x,z) y^2
             coeffs[(2 - i, 2, i)] = F.neg(c)
-        r = self.fg()
+        r = self.fg
         for i, c in enumerate(r.coeffs):
             mono = (4 - i, 0, i)
             coeffs[mono] = F.add(coeffs.get(mono, F.zero), c)
@@ -152,9 +137,9 @@ def validate(curve: BiellipticQuartic) -> ValidationReport:
     coefficient height.  A cross-check that disagrees fails the gate.
     """
     F = curve.field
-    det = curve.coefficient_matrix().det()
-    fg_sf = curve.fg().is_squarefree()
-    s = curve.branch_quartic()
+    det = curve.coefficient_matrix.det
+    fg_sf = curve.fg.is_squarefree()
+    s = curve.branch_quartic
     s_sf = False if s.is_zero() else s.is_squarefree()
     cross = quartic_disc_nonzero(curve.plane_quartic()) == (fg_sf and s_sf)
     return ValidationReport(det, det != F.zero, fg_sf, s_sf, cross)
@@ -208,11 +193,11 @@ def split(curve: BiellipticQuartic, skip_validation: bool = False) -> SplitResul
     (formula-only mode for degenerate inputs)."""
     if not skip_validation:
         require_valid(curve)
-    matrix = curve.coefficient_matrix()
+    matrix = curve.coefficient_matrix
     inverse = matrix.inverse()
-    sr = SplitResult(curve, matrix, inverse, matrix.det(),
+    sr = SplitResult(curve, matrix, inverse, matrix.det,
                      *(_inverse_column_quadratic(inverse, j) for j in range(3)),
-                     genus_one=curve.branch_quartic())
+                     genus_one=curve.branch_quartic)
     degree = sr.sextic.degree
     if not skip_validation and degree not in (5, 6):
         raise DegenerateInputError(
@@ -229,7 +214,7 @@ def singular_model(curve: BiellipticQuartic) -> tuple:
     Row i of A^-1 gives q_i = a_i x1 x2 + b_i (x2^2 + x1 x3) + c_i x2 x3, and
     q2^2 = q1 q3 cuts out the singular plane model."""
     F = curve.field
-    inverse = curve.coefficient_matrix().inverse()
+    inverse = curve.coefficient_matrix.inverse()
     quads = []
     for i in range(3):
         ai, bi, ci = inverse.rows[i]

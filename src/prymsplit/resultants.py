@@ -187,7 +187,7 @@ def _random_gl3(field, rng):
         else:
             rows = [[field.random_element(rng) for _ in range(3)] for _ in range(3)]
         m = Matrix3(field, rows)
-        if m.det() != field.zero:
+        if m.det != field.zero:
             return m
     raise ResultantIndeterminateError("could not sample an invertible change of variables")
 
@@ -224,7 +224,7 @@ def macaulay_resultant_cubics(f1: TernaryForm, f2: TernaryForm, f3: TernaryForm)
         moved = tuple(f.compose_linear(t.rows) for f in cubics)
         value = _macaulay_quotient(_macaulay_rows(moved, field.zero), field)
         if value is not None:
-            return field.div(value, field.pow(t.det(), 27))
+            return field.div(value, field.pow(t.det, 27))
     if field.kind == "finite" and field.k == 1:
         # every integer lift reduces to the same Res mod p; a random one keeps
         # the rational minor clear of the structural zeros of sparse cubics

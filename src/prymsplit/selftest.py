@@ -123,7 +123,7 @@ def criterion_disc_golden(cfg: SelftestConfig) -> CriterionResult:
         # path two: covariance disc(F o T) = det(T)^36 disc(F) on non-diagonal
         # smooth quartics exercises independent Macaulay matrices.
         t = Matrix3.from_ints(QQ, [[1, 2, 0], [0, 1, 1], [1, 0, 3]])
-        det_t = t.det()
+        det_t = t.det
         for a, b, c in ((1, 1, 1), (2, -3, 1)):
             form = _diagonal_quartic(a, b, c)
             moved = form.compose_linear(t.rows)
@@ -231,7 +231,7 @@ def criterion_disc_ratio(cfg: SelftestConfig) -> CriterionResult:
             if sr.sextic.degree != 6:
                 continue
             disc_f = discriminant_binary(BinaryForm.homogenize(sr.sextic, 6))
-            disc_s = discriminant_binary(curve.branch_quartic())
+            disc_s = discriminant_binary(curve.branch_quartic)
             denominator = g2 * (g2 - g1 * g1 / 4) ** 2 * disc_s
             ratios.add(disc_f * sr.det**18 / denominator / unit)
             produced += 1

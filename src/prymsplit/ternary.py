@@ -40,12 +40,6 @@ class TernaryForm:
     def zero_form(cls, field, degree):
         return cls(field, degree, {})
 
-    @classmethod
-    def variable(cls, field, axis: int):
-        mono = [0, 0, 0]
-        mono[axis] = 1
-        return cls(field, 1, {tuple(mono): field.one})
-
     def is_zero(self) -> bool:
         return not self.coeffs
 

@@ -1,0 +1,101 @@
+"""Mutation check: every mutant below must make its pytest selection fail.
+
+Run it from anywhere with ``python tests/mutants.py``.  It copies src/,
+tests/ and pyproject.toml into a temporary directory and runs each selection
+there once unmutated, which must pass.  It then applies one mutant at a time
+to the copy, runs the mutant's selection under ``pytest -x`` and restores the
+file.  It exits 1 when a mutant survives, or when a mutant's old text is not
+found exactly once in its file; a stale mutant is rewritten, not dropped.
+
+Each mutant is (file under src/prymsplit, exact old text, new text, pytest
+selection).  A change to a kernel adds the mutations its tests catch.  The
+script uses only the standard library, and its name keeps pytest from
+collecting it.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+ONCE = ("tests/test_prym.py::TestSplit::test_validate_and_split_compute_a_fg_and_s_once",)
+TWIST = ("tests/test_properties.py::test_quadratic_twist_identities",)
+
+MUTANTS = [
+    # A and its determinant recomputed on every read
+    ("prym.py", "    @cached_property\n    def coefficient_matrix",
+     "    @property\n    def coefficient_matrix", ONCE),
+    ("linalg.py", "    @cached_property\n    def det",
+     "    @property\n    def det", ONCE),
+    # the plane kernel's row lookup rotated without log g's base
+    ("counting.py", "(tf + tg - 2 * th) % qm1", "(tf - 2 * th) % qm1", TWIST),
+    # the roots of the quadratic prefixes (f, g or h itself) never recounted
+    ("counting.py", "for p in ([b, a], [c, b, a])", "for p in ([b, a],)", TWIST),
+    # the row at x = infinity off by one log
+    ("counting.py", "else lfs[0] + lgs[0], ops)", "else lfs[0] + lgs[0] + 1, ops)", TWIST),
+    # log h for log(-h) in the quadratic w^2 - h w + c of a recounted row
+    ("counting.py", "[lc, lh if lh < 0 else lh + ops.half, 0]", "[lc, lh, 0]",
+     ("tests/test_counting.py",)),
+    # a row of M swapped with a tail row of the Macaulay layout
+    ("resultants.py", "_NON_REDUCED = tuple(",
+     "_MULTIPLES = (_MULTIPLES[40],) + _MULTIPLES[1:40] + (_MULTIPLES[0],) + _MULTIPLES[41:]\n"
+     "_NON_REDUCED = tuple(", ("tests/test_resultants.py::TestMacaulayReference",)),
+    # the elimination's determinant without the sign of its pivot permutation
+    ("linalg.py", "            det = field.neg(det)\n", "            pass\n",
+     ("tests/test_linalg.py",)),
+]
+
+
+def run_pytest(copy: Path, selection) -> int:
+    # no bytecode: a restored file can keep the size and mtime second of a stale .pyc
+    env = dict(os.environ, PYTHONPATH="src", PYTHONDONTWRITEBYTECODE="1")
+    argv = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *selection]
+    return subprocess.run(argv, cwd=copy, env=env, stdout=subprocess.DEVNULL,
+                          stderr=subprocess.DEVNULL).returncode
+
+
+def main() -> int:
+    bad = 0
+    with tempfile.TemporaryDirectory() as tmp:
+        copy = Path(tmp)
+        ignore = shutil.ignore_patterns("__pycache__", "*.egg-info")
+        for name in ("src", "tests"):
+            shutil.copytree(ROOT / name, copy / name, ignore=ignore)
+        shutil.copy(ROOT / "pyproject.toml", copy)
+        for selection in dict.fromkeys(m[3] for m in MUTANTS):
+            code = run_pytest(copy, selection)
+            print(f"{'passes' if code == 0 else 'FAILS'} unmutated: {' '.join(selection)}")
+            bad += code != 0
+        if bad:
+            return 1
+        for name, old, new, selection in MUTANTS:
+            path = copy / "src" / "prymsplit" / name
+            text = path.read_text()
+            label = f"{name}: {old.strip()!r} -> {new.strip()!r}"
+            if text.count(old) != 1:
+                print(f"STALE    {label}: old text found {text.count(old)} times")
+                bad += 1
+                continue
+            start = time.perf_counter()
+            path.write_text(text.replace(old, new))
+            try:
+                code = run_pytest(copy, selection)
+            finally:
+                path.write_text(text)
+            # 1 is pytest's "tests failed"; a collection or usage error is no kill
+            verdict = {0: "SURVIVED", 1: "killed"}.get(code, f"ERROR({code})")
+            print(f"{verdict:8} {label} ({time.perf_counter() - start:.1f} s)")
+            bad += code != 1
+    print(f"{len(MUTANTS)} mutants, {bad} not killed")
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

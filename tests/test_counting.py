@@ -253,7 +253,7 @@ class TestWeighted:
         for field in (F5, F7):
             for _ in range(10):
                 curve = random_validated_curve(field, rng)
-                s = curve.branch_quartic().dehomogenize()
+                s = curve.branch_quartic.dehomogenize()
                 rec = count_weighted(s, 1, field)
                 assert rec.weil_ok(1)
 
@@ -334,7 +334,7 @@ class TestBruinCover:
                 model = singular_model(curve)
                 _, rec_y = count_bruin_cover(*model, field)
                 n_plane = count_plane_quartic(curve, field).n
-                fg = curve.fg()
+                fg = curve.fg
                 roots = sum(1 for x in range(field.q) if fg.eval(x, field.one) == 0)
                 roots += 1 if fg.coeffs[0] == field.zero else 0  # the point (1:0)
                 assert rec_y.n == n_plane - roots + 2
@@ -686,7 +686,7 @@ class TestZeroRows:
         for f, g, h in cases:
             curve = bielliptic(small, f, g, h)
             lh, lc = (_log_values(_coerce_scalars(form.coeffs, small, big), reps, big.q - 1,
-                                  zech)[1] for form in (curve.h, curve.fg()))
+                                  zech)[1] for form in (curve.h, curve.fg))
             seen.update((name, i) for name, ls in (("h", lh), ("fg", lc))
                         for i in (0, len(reps) - 1) if ls[i] < 0)
             assert count_plane_quartic(curve, big).n == brute_curve_points(curve, big), (f, g, h)
@@ -824,9 +824,9 @@ def from_logs(field, ls):
 
 def product_of_linears(field, roots, lead=1):
     """lead * prod (y - r), constant first."""
-    poly = UniPoly.constant(field, lead)
+    poly = UniPoly(field, (lead,))
     for r in roots:
-        poly = poly * (UniPoly.x(field) - UniPoly.constant(field, r))
+        poly = poly * UniPoly(field, (field.neg(r), field.one))
     return list(poly.coeffs)
 
 
@@ -846,7 +846,7 @@ class TestRowSolver:
         nonsquare = next(v for v in range(field.q) if field.chi(v) < 0)
         no_roots = [field.neg(nonsquare), 0, 1]  # y^2 - nonsquare
         non_monic = (UniPoly(field, product_of_linears(field, (s, r)))
-                     * UniPoly(field, no_roots) + UniPoly.constant(field, lead)).scale(lead)
+                     * UniPoly(field, no_roots) + UniPoly(field, (lead,))).scale(lead)
         return {
             "zero": [field.zero] * 5,
             "constant": [lead],

@@ -46,16 +46,15 @@ def test_inverse_matches_cofactor_expansion():
     rows = [(0, 1, 0), (1, 0, -1), (1, 1, 1)]
     m = Matrix3.from_ints(QQ, rows)
     det, inv_oracle = _cofactor_inverse(rows)
-    assert m.det() == det == -2
+    assert m.det == det == -2
     inv = m.inverse()
     assert [list(r) for r in inv.rows] == inv_oracle
 
 
-def test_singular_matrix_error_carries_det():
+def test_singular_matrix_is_refused():
     m = Matrix3.from_ints(QQ, [(1, 0, 0), (0, 1, 0), (1, 1, 0)])
-    with pytest.raises(SingularMatrixError) as info:
+    with pytest.raises(SingularMatrixError):
         m.inverse()
-    assert info.value.det == 0
 
 
 def test_inverse_round_trip_random():
@@ -65,7 +64,7 @@ def test_inverse_round_trip_random():
         field = F7 if done % 2 else QQ
         rows = [[field.from_int(rng.randint(-9, 9)) for _ in range(3)] for _ in range(3)]
         m = Matrix3(field, rows)
-        if m.det() == field.zero:
+        if m.det == field.zero:
             continue
         inv = m.inverse()
         assert m.mat_mul(inv) == Matrix3.identity(field)

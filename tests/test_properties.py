@@ -12,20 +12,27 @@ minutes.
 import contextlib
 import io
 import json
+import random
 
+import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from prymsplit import (
+    BiellipticQuartic,
     UniPoly,
+    WeilPolynomial,
     build_extension,
     cli,
     count_bruin_cover,
     count_plane_quartic,
     count_weighted,
+    lpoly_from_counts,
     quadric,
+    random_validated_curve,
 )
 from prymsplit.fields import embedding
+from prymsplit.zeta import predicted_counts
 from helpers import (
     bielliptic,
     brute_curve_points,
@@ -172,6 +179,51 @@ def weighted_curves(draw):
 def test_weighted_count_matches_brute_force(case):
     genus, big, poly, lifted = case
     assert count_weighted(poly, genus, big).n == brute_weighted_points(lifted, genus, big)
+
+
+# --- quadratic twists: an exact oracle where brute force cannot go ------------
+# For a nonsquare d of F_q, C^d = (f, g, h)/d is C's quadratic twist over the
+# same D: w = d y^2 takes y^4 - (h/d) y^2 + fg/d^2 to w^2 - h w + fg, and D is
+# Y^2 = s, Y = 2w - h.  A point (x, w) of D lifts to 1 + chi(w) points of C and
+# 1 + chi(d w) of C^d, so over F_{q^m} with m odd (d a nonsquare there)
+# N_m(C) + N_m(C^d) = 2 N_m(D), and with m even (d a square) N_m(C^d) = N_m(C).
+# On L-polynomials the twist fixes L_D and sends the Prym's L_X = L_C / L_D to
+# L_X(-T).  Only count_plane_quartic's counts enter L_C, so this checks it up to
+# F_{23^3} and F_{25^3}.  Every identity is symmetric in C and C^d, so it cannot
+# see a kernel that flips chi everywhere and so counts C^d for C;
+# verify_split's L_C = L_D * L_X, with L_X counted on the sextic, catches that.
+
+TWIST_FIELDS = [(5, 1), (7, 1), (11, 1), (23, 1), (3, 2), (5, 2)]
+
+
+def prym_lpoly(l_c, l_d) -> WeilPolynomial:
+    """L_C / L_D as a power series, which must stop at degree 4."""
+    quotient = []
+    for i, c in enumerate(l_c.coeffs):
+        quotient.append(c - sum(l_d.coeffs[j] * quotient[i - j] for j in (1, 2) if j <= i))
+    assert quotient[5:] == [0, 0], (l_c, l_d)
+    return WeilPolynomial(l_c.q, 2, tuple(quotient[:5]))
+
+
+@pytest.mark.parametrize("p, k", TWIST_FIELDS, ids=[f"{p}^{k}" for p, k in TWIST_FIELDS])
+@settings(derandomize=True, database=None, max_examples=6, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_quadratic_twist_identities(p, k, seed):
+    field, rng = build_extension(p, k), random.Random(seed)
+    curve = random_validated_curve(field, rng)
+    d = rng.choice([v for v in range(1, field.q) if field.chi(v) < 0])
+    twist = BiellipticQuartic(field, *(form.scale(field.inv(d))
+                                       for form in (curve.f, curve.g, curve.h)))
+    n_c, n_t = ([count_plane_quartic(c, build_extension(p, k * m)).n for m in (1, 2, 3)]
+                for c in (curve, twist))
+    l_d, l_dt = (lpoly_from_counts(field.q, [count_weighted(
+        c.branch_quartic.dehomogenize(), 1, field).n], 1) for c in (curve, twist))
+    for m in (1, 3):
+        assert n_c[m - 1] + n_t[m - 1] == 2 * predicted_counts(l_d, m), m
+    assert n_t[1] == n_c[1]
+    assert l_dt == l_d
+    l_x, l_xt = (prym_lpoly(lpoly_from_counts(field.q, n, 3), l_d) for n in (n_c, n_t))
+    assert l_xt.coeffs == tuple((-1) ** i * a for i, a in enumerate(l_x.coeffs))
 
 
 # --- fuzzing the document parser and the CLI ---------------------------------

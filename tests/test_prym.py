@@ -161,19 +161,19 @@ class TestSplit:
         monkeypatch.setattr(BinaryForm, "__mul__",
                             lambda a, b: products.append((a, b)) or real_mul(a, b))
         curve = BiellipticQuartic.from_ints(field, **DEMO)
-        matrix = curve.coefficient_matrix()
+        matrix = curve.coefficient_matrix
         # Matrix3.det ends in one field.add; count the determinants by it
         monkeypatch.setattr(field, "add", lambda a, b: dets.append(1) or real_add(a, b))
-        det = matrix.det()
-        assert matrix.det() is det and len(dets) == 1
+        det = matrix.det
+        assert matrix.det is det and len(dets) == 1
         monkeypatch.setattr(field, "add", real_add)
         report = validate(curve)
         sr = split(curve)
         curve.plane_quartic()
         assert products == [(curve.f, curve.g), (curve.h, curve.h)]  # fg, then h^2 in s
-        assert curve.coefficient_matrix() is matrix is sr.matrix
-        assert report.det == sr.det == det == matrix.det()
-        assert curve.fg() is curve.fg() and curve.branch_quartic() is sr.genus_one
+        assert curve.coefficient_matrix is matrix is sr.matrix
+        assert report.det == sr.det == det == matrix.det
+        assert curve.fg is curve.fg and curve.branch_quartic is sr.genus_one
         # the memo lives outside the dataclass fields: equality and hashing ignore it
         fresh = BiellipticQuartic.from_ints(field, **DEMO)
         assert fresh == curve and hash(fresh) == hash(curve)
@@ -181,8 +181,8 @@ class TestSplit:
     def test_memoized_determinant_is_still_checked_by_the_inverse(self):
         """inverse() keeps its round-trip check: a wrong kept determinant is caught."""
         curve = BiellipticQuartic.from_ints(F7, **DEMO)
-        matrix = curve.coefficient_matrix()
-        matrix._det = F7.mul(matrix.det(), 2)
+        matrix = curve.coefficient_matrix
+        matrix.det = F7.mul(matrix.det, 2)
         with pytest.raises(ArithmeticError, match="round trip"):
             matrix.inverse()
 
@@ -191,11 +191,11 @@ class TestGenusOneModel:
     def test_h_zero_degenerates_to_minus_4fg(self):
         curve = BiellipticQuartic.from_ints(QQ, f=[0, 1, 0], g=[1, 1, 1], h=[0, 0, 0])
         minus4fg = (curve.f * curve.g).scale(QQ.from_int(-4))
-        assert curve.branch_quartic() == minus4fg
+        assert curve.branch_quartic == minus4fg
 
     def test_equal_factors_flagged_downstream(self):
         curve = BiellipticQuartic.from_ints(QQ, f=[0, 1, 0], g=[0, 1, 0], h=[0, 0, 0])
-        assert curve.branch_quartic() == BinaryForm.from_ints(QQ, 4, [0, 0, -4, 0, 0])
+        assert curve.branch_quartic == BinaryForm.from_ints(QQ, 4, [0, 0, -4, 0, 0])
         assert not validate(curve).branch_squarefree
 
     def test_schoolbook_expansion(self):
@@ -230,7 +230,7 @@ class TestSingularModel:
         for _ in range(15):
             curve = random_validated_curve(F7, rng)
             model = singular_model(curve)
-            a = curve.coefficient_matrix()
+            a = curve.coefficient_matrix
             for _ in range(10):
                 x, y, z = (F7.random_element(rng) for _ in range(3))
                 qs = [q.eval(x, y, z) for q in model]

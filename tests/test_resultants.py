@@ -222,7 +222,8 @@ def _random_form(field, rng, degree):
 def _cubics_through_a_point(field, rng):
     """Three cubics l1*a + l2*b vanishing at (u:v:1), l1 = x - uz, l2 = y - vz."""
     u, v = _random_element(field, rng), _random_element(field, rng)
-    x, y, z = (TernaryForm.variable(field, axis) for axis in range(3))
+    x, y, z = (TernaryForm(field, 1, {mono: field.one})
+               for mono in ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
     l1 = x - z.scale(u)
     l2 = y - z.scale(v)
     return tuple(l1 * _random_form(field, rng, 2) + l2 * _random_form(field, rng, 2)
