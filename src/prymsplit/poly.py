@@ -109,10 +109,6 @@ class UniPoly:
         self.field = field
         self.coeffs = tuple(trim(list(coeffs), field.zero))
 
-    @classmethod
-    def from_ints(cls, field, ints):
-        return cls(field, [field.from_int(n) for n in ints])
-
     @property
     def degree(self):
         return len(self.coeffs) - 1 if self.coeffs else NEG_INF

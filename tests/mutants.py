@@ -27,6 +27,7 @@ ROOT = Path(__file__).resolve().parent.parent
 
 ONCE = ("tests/test_prym.py::TestSplit::test_validate_and_split_compute_a_fg_and_s_once",)
 TWIST = ("tests/test_properties.py::test_quadratic_twist_identities",)
+COUNTING = ("tests/test_counting.py",)
 
 MUTANTS = [
     # A and its determinant recomputed on every read
@@ -41,8 +42,7 @@ MUTANTS = [
     # the row at x = infinity off by one log
     ("counting.py", "else lfs[0] + lgs[0], ops)", "else lfs[0] + lgs[0] + 1, ops)", TWIST),
     # log h for log(-h) in the quadratic w^2 - h w + c of a recounted row
-    ("counting.py", "[lc, lh if lh < 0 else lh + ops.half, 0]", "[lc, lh, 0]",
-     ("tests/test_counting.py",)),
+    ("counting.py", "[lc, lh if lh < 0 else lh + ops.half, 0]", "[lc, lh, 0]", COUNTING),
     # a row of M swapped with a tail row of the Macaulay layout
     ("resultants.py", "_NON_REDUCED = tuple(",
      "_MULTIPLES = (_MULTIPLES[40],) + _MULTIPLES[1:40] + (_MULTIPLES[0],) + _MULTIPLES[41:]\n"
@@ -50,6 +50,28 @@ MUTANTS = [
     # the elimination's determinant without the sign of its pivot permutation
     ("linalg.py", "            det = field.neg(det)\n", "            pass\n",
      ("tests/test_linalg.py",)),
+    # a multiplication by y + g^ld in pow_linear that keeps only the shift by y
+    ("counting.py", "                if ld >= 0:\n                    self.add_scaled(shifted, 0, ld, a)\n",
+     "", COUNTING),
+    # pow_linear squaring once more for the top bit of e, which it starts from
+    ("counting.py", "bin(e)[3:]", "bin(e)[2:]", COUNTING),
+    # a zero power multiplied by y + g^ld, which leaves [-1] in place of []
+    ("counting.py", 'if bit == "1" and a:', 'if bit == "1":',
+     ("tests/test_counting.py::TestRowSolver",)),
+    # every cover orbit row weighted as a single point
+    ("counting.py", "_weighted_total(sizes, base_rows, m), _weighted_total(sizes, cover_rows, m)",
+     "_weighted_total(sizes, base_rows, 1), _weighted_total(sizes, cover_rows, 1)", COUNTING),
+    # the row-table halves not swapped for an odd log h base
+    ("counting.py", "return (odd, even) if th & 1 else (even, odd)", "return (even, odd)", COUNTING),
+    # count_weighted's x with F(x) = 0 read as no point in place of one
+    ("counting.py", '* ((field.q - 1) // 2) + b"\\x01"', '* ((field.q - 1) // 2) + b"\\x00"', COUNTING),
+    # count_weighted's 1 + chi table not swapped for an odd log base t
+    ("counting.py", '(b"\\x00\\x02" if t & 1 else b"\\x02\\x00")', 'b"\\x02\\x00"', COUNTING),
+    # the Frobenius orbits by size in discovery order, not ascending
+    ("counting.py", "for size in sorted(by_size):", "for size in by_size:", COUNTING),
+    # criterion 7 counting y^2 = F, so no corruption is detected
+    ("selftest.py", "poly = poly.add_constant(poly.field.one)", "pass",
+     ("tests/test_acceptance.py::test_criterion_7_negative_controls",)),
 ]
 
 

@@ -4,6 +4,11 @@ Run with `pytest -s tests/test_acceptance.py` to see the lines as they
 complete; `prymsplit selftest --full` executes the identical checks.
 """
 
+import random
+
+import pytest
+
+from prymsplit import random_validated_curve
 from prymsplit.selftest import (
     PRIMES,
     SelftestConfig,
@@ -102,6 +107,34 @@ def test_criterion_7_cli_exit_codes(tmp_path, monkeypatch):
         path.write_text(json.dumps(doc))
         assert cli.main(["verify", "--input", str(path)]) == 3
     print("CRITERION 7b [PASS] rejecting inputs exit 3 without counting")
+
+
+@pytest.mark.parametrize("exit_by", ["pass", "return", "raise"])
+def test_criterion_7_restores_the_kernels(exit_by, monkeypatch):
+    # criterion 7 swaps zeta's three kernels; on a pass, on its early return
+    # from the tripwire block and on an exception there, each must be
+    # counting's function again afterwards (quick scale)
+    from types import SimpleNamespace
+
+    import prymsplit.counting as counting
+    import prymsplit.selftest as selftest
+    import prymsplit.zeta as zeta_module
+
+    if exit_by == "return":
+        # every corruption counts as caught, and no input is rejected
+        monkeypatch.setattr(zeta_module, "verify_split",
+                            lambda curve: SimpleNamespace(passed=False))
+    if exit_by == "raise":
+        # a valid curve reaches the tripwire, whose AssertionError propagates
+        monkeypatch.setattr(selftest, "rejecting_inputs", lambda field: {
+            "nothing": random_validated_curve(field, random.Random(0))})
+        with pytest.raises(AssertionError, match="counting reached"):
+            criterion_negative_controls(SelftestConfig.quick())
+    else:
+        result = criterion_negative_controls(SelftestConfig.quick())
+        assert result.passed == (exit_by == "pass"), result.detail
+    for name in ("count_plane_quartic", "count_weighted", "count_bruin_cover"):
+        assert getattr(zeta_module, name) is getattr(counting, name)
 
 
 def test_criterion_8_oracle_invariants():

@@ -211,11 +211,11 @@ class TestPlaneQuartic:
 class TestWeighted:
     def test_genus1_cubic_f5(self):
         # y^2 = x^3 + x over F_5: affine (0,0), (2,0), (3,0) plus infinity
-        rec = count_weighted(UniPoly.from_ints(F5, [0, 1, 0, 1]), 1, F5)
+        rec = count_weighted(UniPoly(F5, [0, 1, 0, 1]), 1, F5)
         assert rec.n == 4
 
     def test_constant_formula_only(self):
-        rec = count_weighted(UniPoly.from_ints(F5, [1]), 1, F5)
+        rec = count_weighted(UniPoly(F5, [1]), 1, F5)
         # every x gives 1 + chi(1) = 2; top coefficient 0 adds one point
         assert rec.n == 2 * 5 + 1
 
@@ -246,7 +246,7 @@ class TestWeighted:
         from prymsplit.errors import ModelError
 
         with pytest.raises(ModelError):
-            count_weighted(UniPoly.from_ints(F5, [0, 1, 0, 0, 0, 1]), 1, F5)
+            count_weighted(UniPoly(F5, [0, 1, 0, 0, 0, 1]), 1, F5)
 
     def test_genus1_weil_bound_on_validated_branch_quartics(self):
         rng = random.Random(13)

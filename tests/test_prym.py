@@ -127,10 +127,10 @@ class TestSplit:
     def test_identity_matrix_formulas(self):
         curve = BiellipticQuartic.from_ints(QQ, f=[1, 0, 0], g=[0, 0, 1], h=[0, 1, 0])
         sr = split(curve, skip_validation=True)
-        assert sr.a == UniPoly.from_ints(QQ, [1])
-        assert sr.b == UniPoly.from_ints(QQ, [0, 2])
-        assert sr.c == UniPoly.from_ints(QQ, [0, 0, 1])
-        assert sr.sextic == UniPoly.from_ints(QQ, [0, 0, 0, 6])
+        assert sr.a == UniPoly(QQ, [1])
+        assert sr.b == UniPoly(QQ, [0, 2])
+        assert sr.c == UniPoly(QQ, [0, 0, 1])
+        assert sr.sextic == UniPoly(QQ, [0, 0, 0, 6])
 
     def test_rejected_without_skip(self):
         curve = BiellipticQuartic.from_ints(QQ, f=[1, 0, 0], g=[0, 0, 1], h=[0, 1, 0])
@@ -258,7 +258,7 @@ class TestPencil:
     def test_smooth_endpoint_sextic(self):
         cover = bruin_cover(*_pencil_targets(QQ))
         # diag(2x, 1 + x^2, 1 - x^2) gives -det = -2x(1 - x^4)
-        assert cover.sextic == UniPoly.from_ints(QQ, [0, -2, 0, 0, 0, 2])
+        assert cover.sextic == UniPoly(QQ, [0, -2, 0, 0, 0, 2])
         assert cover.sextic_squarefree
 
     def test_zero_forms_give_zero_polynomial(self):

@@ -44,7 +44,7 @@ class TestWeilPolynomial:
 
     def test_cubic_curve_count_four(self):
         # y^2 = x^3 + x over F_5 has 4 points (counted by enumeration)
-        rec = count_weighted(UniPoly.from_ints(F5, [0, 1, 0, 1]), 1, F5)
+        rec = count_weighted(UniPoly(F5, [0, 1, 0, 1]), 1, F5)
         assert rec.n == 4
         lp = lpoly_from_counts(5, [rec.n], 1)
         assert lp.coeffs == (1, -2, 5)
@@ -93,7 +93,7 @@ class TestPredictedCounts:
         # exhaustive count of y^2 = x^3 + x over F_25
         assert predicted_counts(lp, 2) == 32
         f25 = build_extension(5, 2)
-        rec = count_weighted(UniPoly.from_ints(F5, [0, 1, 0, 1]), 1, f25)
+        rec = count_weighted(UniPoly(F5, [0, 1, 0, 1]), 1, f25)
         assert rec.n == 32
 
     def test_m_zero_rejected(self):
