@@ -72,11 +72,11 @@ class CountRecord:
         return (self.n - qm - 1) ** 2 <= 4 * genus * genus * qm
 
 
-def _require_odd_finite(field):
+def _require_finite(field):
+    """Point counting needs a finite field; every finite field is odd, since
+    the field constructors refuse characteristic 2."""
     if field.kind != "finite":
         raise UnsupportedFieldError("point counting needs a finite field")
-    if field.p == 2:
-        raise UnsupportedFieldError("even characteristic is excluded")
 
 
 def _coerce_scalars(values, curve_field, count_field):
@@ -466,7 +466,7 @@ def count_plane_quartic(curve, field) -> CountRecord:
     z = 1 come one per Frobenius orbit (_plane_rows), x = infinity after
     them, reading the top coefficients of h and fg.
     """
-    _require_odd_finite(field)
+    _require_finite(field)
     start = time.perf_counter()
     ops = _LogPolys(field)
     lfs, lgs, lhs = (_coerce_scalars(form.coeffs, curve.field, field)
@@ -490,7 +490,7 @@ def count_weighted(poly: UniPoly, genus: int, field) -> CountRecord:
     0, 2, 0, 2, ... for an odd one, q - 1 being even, and a final 1 that
     r = -1 (F(x) = 0) reads.
     """
-    _require_odd_finite(field)
+    _require_finite(field)
     if poly.degree != float("-inf") and poly.degree > 2 * genus + 2:
         raise ModelError(f"degree {poly.degree} exceeds 2g+2 = {2 * genus + 2}")
     start = time.perf_counter()
@@ -536,7 +536,7 @@ def count_bruin_cover(q1: TernaryForm, q2: TernaryForm, q3: TernaryForm, field):
     R_x = 0 is scanned over y, and a base that vanishes identically refused.
     All of it runs on logs, and the cover itself is never enumerated in P^4.
     """
-    _require_odd_finite(field)
+    _require_finite(field)
     if any(quad.degree != 2 for quad in (q1, q2, q3)):
         raise ModelError("cover counting needs three degree-2 forms")
     curve_field = q1.field

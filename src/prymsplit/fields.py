@@ -65,7 +65,6 @@ class RationalField:
     p = None
     k = 1
     q = None
-    char = 0
     zero = Fraction(0)
     one = Fraction(1)
 
@@ -179,10 +178,6 @@ class _FiniteField:
         if self._exp is None:
             self._build_log_tables()
         return self._exp, self._log, self._zech
-
-    @property
-    def char(self):
-        return self.p
 
     def from_int(self, n):
         return n % self.p
@@ -353,8 +348,6 @@ def is_irreducible(coeffs, p: int) -> bool:
     k = len(coeffs) - 1
     if k < 1 or coeffs[-1] != 1:
         return False
-    if k == 1:
-        return True
     F = PrimeField(p)
     xp = [0, 1]
     for _ in range(1, k // 2 + 1):
@@ -476,14 +469,7 @@ class ExtensionField(_FiniteField):
         return self._exp[(self._log[a] + self._half) % self._qm1]
 
     def sub(self, a, b):
-        if b == 0:
-            return a
-        lb = self._log[b] + self._half  # log(-b)
-        if a == 0:
-            return self._exp[lb % self._qm1]
-        la = self._log[a]
-        z = self._zech[(lb - la) % self._qm1]
-        return 0 if z < 0 else self._exp[(la + z) % self._qm1]
+        return self.add(a, self.neg(b))
 
     def mul(self, a, b):
         if a == 0 or b == 0:
@@ -496,11 +482,7 @@ class ExtensionField(_FiniteField):
         return self._exp[(-self._log[a]) % self._qm1]
 
     def div(self, a, b):
-        if b == 0:
-            raise ZeroDivisionError("division by zero")
-        if a == 0:
-            return 0
-        return self._exp[(self._log[a] - self._log[b]) % self._qm1]
+        return self.mul(a, self.inv(b))
 
     def pow(self, a, e):
         if a == 0:

@@ -4,8 +4,8 @@ Every rank, and the determinant of every matrix larger than 3x3, over the
 rationals as over a finite field, comes from one Gaussian elimination over
 the field object (_eliminate), which inserts the rows one at a time into an
 echelon basis and so reads a sparse row only as far as its first new pivot.
-It is exact, which every caller here depends on.  The two 3x3 determinants
-are cofactor expansions: Matrix3.det over the field, and prym.pencil_sextic
+It is exact, which every caller here depends on.  The one 3x3 determinant
+is a cofactor expansion, Matrix3.det, which also serves prym.pencil_sextic
 over UniPoly entries.
 """
 
@@ -43,7 +43,9 @@ class Matrix3:
     @cached_property
     def det(self):
         """The cofactor expansion, computed on the first read and kept, since
-        the rows never change; inverse() still checks it by a round trip."""
+        the rows never change; inverse() still checks it by a round trip.
+        It needs only the field object's add, sub and mul, so it is also
+        prym.pencil_sextic's determinant over UniPoly entries."""
         F = self.field
         (a, b, c), (d, e, f), (g, h, i) = self.rows
         t1 = F.mul(a, F.sub(F.mul(e, i), F.mul(f, h)))

@@ -132,19 +132,16 @@ class UniPoly:
     def coeff(self, i):
         return self.coeffs[i] if 0 <= i < len(self.coeffs) else self.field.zero
 
-    def __add__(self, other):
-        F = self.field
+    def _combine(self, other, op):
+        """Coefficientwise op, the field's add or sub, padding the shorter."""
         n = max(len(self.coeffs), len(other.coeffs))
-        return UniPoly(
-            F, [F.add(self.coeff(i), other.coeff(i)) for i in range(n)]
-        )
+        return UniPoly(self.field, [op(self.coeff(i), other.coeff(i)) for i in range(n)])
+
+    def __add__(self, other):
+        return self._combine(other, self.field.add)
 
     def __sub__(self, other):
-        F = self.field
-        n = max(len(self.coeffs), len(other.coeffs))
-        return UniPoly(
-            F, [F.sub(self.coeff(i), other.coeff(i)) for i in range(n)]
-        )
+        return self._combine(other, self.field.sub)
 
     def __neg__(self):
         F = self.field
@@ -228,23 +225,18 @@ class BinaryForm:
     def __hash__(self):
         return hash((self.field, self.n, self.coeffs))
 
-    def __add__(self, other):
-        self._check(other)
-        F = self.field
-        return BinaryForm(
-            F, self.n, [F.add(a, b) for a, b in zip(self.coeffs, other.coeffs)]
-        )
-
-    def __sub__(self, other):
-        self._check(other)
-        F = self.field
-        return BinaryForm(
-            F, self.n, [F.sub(a, b) for a, b in zip(self.coeffs, other.coeffs)]
-        )
-
-    def _check(self, other):
+    def _combine(self, other, op):
+        """Coefficientwise op, the field's add or sub, of two degree-n forms."""
         if self.n != other.n:
             raise ValueError("form degrees differ")
+        return BinaryForm(self.field, self.n,
+                          [op(a, b) for a, b in zip(self.coeffs, other.coeffs)])
+
+    def __add__(self, other):
+        return self._combine(other, self.field.add)
+
+    def __sub__(self, other):
+        return self._combine(other, self.field.sub)
 
     def __mul__(self, other):
         F = self.field
@@ -267,22 +259,12 @@ class BinaryForm:
             zpow = F.mul(zpow, z)
         return acc
 
-    def dx(self):
-        """Partial derivative in x, a form of degree n - 1."""
+    def partial(self, axis: int) -> BinaryForm:
+        """Partial derivative in x (axis 0) or z (axis 1), a form of degree n - 1."""
         F = self.field
-        return BinaryForm(
-            F,
-            self.n - 1,
-            [F.mul(F.from_int(self.n - i), self.coeffs[i]) for i in range(self.n)],
-        )
-
-    def dz(self):
-        F = self.field
-        return BinaryForm(
-            F,
-            self.n - 1,
-            [F.mul(F.from_int(i), self.coeffs[i]) for i in range(1, self.n + 1)],
-        )
+        exps = [(self.n - i, i)[axis] for i in range(self.n + 1)]  # in c_i x^(n-i) z^i
+        return BinaryForm(F, self.n - 1, [F.mul(F.from_int(e), c)
+                                          for e, c in zip(exps, self.coeffs) if e])
 
     def dehomogenize(self) -> UniPoly:
         """Set z = 1; constant-first coefficients are this form's reversed."""

@@ -21,10 +21,12 @@ together: 4 * (-det(G1 + 2x G2 + x^2 G3)) equals b (b^2 - a c) identically.
 from __future__ import annotations
 
 import logging
+import operator
 from dataclasses import dataclass
 from functools import cached_property
+from types import SimpleNamespace
 
-from .errors import DegenerateInputError, RejectedInputError, UnsupportedFieldError
+from .errors import DegenerateInputError, RejectedInputError
 from .linalg import Matrix3
 from .poly import BinaryForm, UniPoly
 from .resultants import quartic_disc_nonzero
@@ -33,6 +35,8 @@ from .ternary import TernaryForm, cover_quartic, gram, quadric
 log = logging.getLogger(__name__)
 
 RANDOM_CURVE_TRIES = 2000
+# UniPoly's own operators, as the field object Matrix3.det computes over
+_UNIPOLY_RING = SimpleNamespace(add=operator.add, sub=operator.sub, mul=operator.mul)
 
 
 @dataclass(frozen=True)
@@ -45,8 +49,6 @@ class BiellipticQuartic:
     h: BinaryForm
 
     def __post_init__(self):
-        if self.field.char == 2:
-            raise UnsupportedFieldError("characteristic 2 is excluded")
         for name in ("f", "g", "h"):
             form = getattr(self, name)
             if form.n != 2:
@@ -106,8 +108,7 @@ class ValidationReport:
 
     @property
     def passed(self) -> bool:
-        return (self.det_nonzero and self.fg_squarefree and self.branch_squarefree
-                and self.disc_cross_check)
+        return not self.failures
 
     @property
     def failures(self) -> list:
@@ -223,18 +224,16 @@ def singular_model(curve: BiellipticQuartic) -> tuple:
 
 
 def pencil_sextic(q1: TernaryForm, q2: TernaryForm, q3: TernaryForm) -> UniPoly:
-    """-det(G1 + 2x G2 + x^2 G3) with G_i = gram(q_i), a polynomial of degree <= 6."""
+    """-det(G1 + 2x G2 + x^2 G3) with G_i = gram(q_i), a polynomial of degree <= 6.
+
+    The determinant is Matrix3.det, the package's one cofactor expansion,
+    run over UniPoly entries with UniPoly's own operators."""
     F = q1.field
     two = F.from_int(2)
     g1, g2, g3 = gram(q1), gram(q2), gram(q3)
     m = [[UniPoly(F, (g1[i][j], F.mul(two, g2[i][j]), g3[i][j])) for j in range(3)]
          for i in range(3)]
-    det = (
-        m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
-        - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
-        + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
-    )
-    return -det
+    return -Matrix3(_UNIPOLY_RING, m).det
 
 
 # the smooth endpoint of the deformation pencil: quartic x1^4 - x2^4 + x3^4

@@ -81,16 +81,14 @@ def _sylvester_rows(p_desc, q_desc, field):
 
 
 def resultant_forms(p: BinaryForm, q: BinaryForm):
-    """Homogeneous resultant at formal degrees; leading zeros participate."""
+    """Homogeneous resultant at formal degrees; leading zeros participate.
+
+    Constants need no case of their own: c against a degree-n form gives
+    the n x n Sylvester matrix c I, so c^n, and two constants the empty
+    matrix, whose determinant is 1."""
     F = p.field
     if p.is_zero() and q.is_zero():
         raise UndefinedResultantError("resultant of two zero forms")
-    if p.n == 0 and q.n == 0:
-        return F.one
-    if p.n == 0:
-        return F.pow(p.coeffs[0], q.n)
-    if q.n == 0:
-        return F.pow(q.coeffs[0], p.n)
     return det_in_field(_sylvester_rows(p.coeffs, q.coeffs, F), F)
 
 
@@ -98,7 +96,7 @@ def discriminant_binary(F: BinaryForm):
     """Resultant of the two partials of a degree >= 2 binary form."""
     if F.n < 2:
         raise DegenerateInputError("discriminant needs degree >= 2")
-    return resultant_forms(F.dx(), F.dz())
+    return resultant_forms(F.partial(0), F.partial(1))
 
 
 def binary_disc_scale(n: int) -> int:

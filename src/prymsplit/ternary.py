@@ -6,7 +6,7 @@ fields are refused (UnsupportedFieldError).  A quadric is a degree-2
 TernaryForm: quadric builds one from its six monomial coefficients,
 quadric_coefficients reads them back, and gram gives its symmetric Gram
 matrix, whose off-diagonal entries are half the mixed coefficients
-(characteristic 2 is excluded everywhere).
+(characteristic 2 is excluded by the field constructors).
 """
 
 from __future__ import annotations
@@ -54,26 +54,23 @@ class TernaryForm:
             and self.coeffs == other.coeffs
         )
 
-    def __add__(self, other):
-        self._check(other)
-        F = self.field
-        out = dict(self.coeffs)
-        for m, c in other.coeffs.items():
-            out[m] = F.add(out.get(m, F.zero), c)
-        return TernaryForm(F, self.degree, out)
-
-    def __sub__(self, other):
-        self._check(other)
-        F = self.field
-        out = dict(self.coeffs)
-        for m, c in other.coeffs.items():
-            out[m] = F.sub(out.get(m, F.zero), c)
-        return TernaryForm(F, self.degree, out)
-
-    def _check(self, other):
+    def _combine(self, other, op):
+        """Coefficientwise op, the field's add or sub, of two forms of one
+        degree over one field."""
         if self.degree != other.degree:
             raise ValueError("form degrees differ")
         self._check_field(other)
+        zero = self.field.zero
+        out = dict(self.coeffs)
+        for m, c in other.coeffs.items():
+            out[m] = op(out.get(m, zero), c)
+        return TernaryForm(self.field, self.degree, out)
+
+    def __add__(self, other):
+        return self._combine(other, self.field.add)
+
+    def __sub__(self, other):
+        return self._combine(other, self.field.sub)
 
     def _check_field(self, other):
         if self.field != other.field:

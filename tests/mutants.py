@@ -69,6 +69,24 @@ MUTANTS = [
     ("counting.py", '(b"\\x00\\x02" if t & 1 else b"\\x02\\x00")', 'b"\\x02\\x00"', COUNTING),
     # the Frobenius orbits by size in discovery order, not ascending
     ("counting.py", "for size in sorted(by_size):", "for size in by_size:", COUNTING),
+    # pencil_sextic's determinant without its minus sign
+    ("prym.py", "return -Matrix3(_UNIPOLY_RING, m).det", "return Matrix3(_UNIPOLY_RING, m).det",
+     ("tests/test_prym.py::TestPencil",)),
+    # a validation report that passes despite its first failure
+    ("prym.py", "return not self.failures\n", "return not self.failures[1:]\n",
+     ("tests/test_prym.py::TestValidate::test_rejecting_inputs_fail_their_named_check",)),
+    # each class's subtraction by the field's add (UniPoly's is followed by
+    # __neg__, BinaryForm's by __mul__); of TernaryForm's, a test reads
+    # cover_quartic's q2^2 - q1 q3
+    ("poly.py", "self.field.sub)\n\n    def __neg__", "self.field.add)\n\n    def __neg__",
+     ("tests/test_poly.py::test_arithmetic_and_eval",)),
+    ("poly.py", "self.field.sub)\n\n    def __mul__", "self.field.add)\n\n    def __mul__",
+     ("tests/test_prym.py::TestGenusOneModel",)),
+    ("ternary.py", "self._combine(other, self.field.sub)", "self._combine(other, self.field.add)",
+     ("tests/test_prym.py::TestDeform::test_eps_one_from_zero_base_is_the_golden_quartic",)),
+    # BinaryForm.partial with its axes swapped
+    ("poly.py", "(self.n - i, i)[axis]", "(i, self.n - i)[axis]",
+     ("tests/test_poly.py::test_euler_identity_for_partials",)),
     # criterion 7 counting y^2 = F, so no corruption is detected
     ("selftest.py", "poly = poly.add_constant(poly.field.one)", "pass",
      ("tests/test_acceptance.py::test_criterion_7_negative_controls",)),

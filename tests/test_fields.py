@@ -38,6 +38,14 @@ def test_characteristic_two_rejected():
         build_extension(2)
 
 
+def test_field_constructors_reject_characteristic_two():
+    # the constructors are the one characteristic-2 gate
+    with pytest.raises(InvalidFieldError):
+        PrimeField(2)
+    with pytest.raises(InvalidFieldError):
+        ExtensionField(2, 2)
+
+
 def test_composite_rejected():
     with pytest.raises(InvalidFieldError):
         build_extension(15)
@@ -101,6 +109,11 @@ def test_irreducibility_gcd_test():
     assert is_irreducible([1, 2, 0, 1], 3)  # x^3 - x + 1 has no roots mod 3
     assert not is_irreducible([1, 1, 0, 1], 3)  # 1 is a root
     assert not is_irreducible([0, 0, 0, 1], 3)
+
+
+def test_monic_linear_polynomials_are_irreducible():
+    for p in (3, 5):
+        assert all(is_irreducible([c, 1], p) for c in range(p))
 
 
 def test_quadratic_character_values():

@@ -101,7 +101,8 @@ def test_euler_identity_for_partials():
             x, z = field.random_element(rng), field.random_element(rng)
             lhs = field.mul(field.from_int(4), form.eval(x, z))
             rhs = field.add(
-                field.mul(x, form.dx().eval(x, z)), field.mul(z, form.dz().eval(x, z))
+                field.mul(x, form.partial(0).eval(x, z)),
+                field.mul(z, form.partial(1).eval(x, z)),
             )
             assert lhs == rhs
 

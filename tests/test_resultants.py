@@ -123,6 +123,30 @@ class TestResultantForms:
                 continue
             assert resultant_forms(a, b) == _sympy_resultant(a, b, x) % 7
 
+    @pytest.mark.parametrize("field", [QQ, F7, build_extension(3, 2)], ids=["QQ", "F7", "F9"])
+    def test_degree_zero_forms(self, field):
+        # a constant c against a degree-n form: the Sylvester matrix is c
+        # times the n x n identity, and two constants give the empty matrix
+        rng = random.Random(9)
+        zero = BinaryForm(field, 0, [field.zero])
+        for _ in range(10):
+            c, d = (_random_element(field, rng) for _ in range(2))
+            if c == field.zero or d == field.zero:
+                continue
+            const_c, const_d = BinaryForm(field, 0, [c]), BinaryForm(field, 0, [d])
+            assert resultant_forms(const_c, const_d) == field.one
+            assert resultant_forms(zero, const_d) == field.one
+            power = field.one
+            for n in range(1, 4):
+                power = field.mul(power, c)
+                q = random_binary_form(field, rng, n)
+                if q.is_zero():
+                    continue
+                assert resultant_forms(const_c, q) == power
+                assert resultant_forms(q, const_c) == power
+                assert resultant_forms(zero, q) == field.zero
+                assert resultant_forms(q, zero) == field.zero
+
 
 class TestBinaryDiscriminant:
     def test_repeated_roots_at_zero_and_infinity(self):
