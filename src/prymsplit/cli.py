@@ -7,6 +7,11 @@ entries may be "num/den" strings.  An integer is a JSON integer (not a
 boolean) and a rational string is [+-]digits[/digits], nothing else.
 Unknown keys are rejected by name.
 
+Every report has one frame: main sets its header (schema, version, command,
+seed), the command fills in the rest and returns its exit code and a
+one-line text summary, and main emits the report once, as JSON or as the
+summary, and to --out.
+
 Exit codes: 0 success/pass, 2 verification failed, 3 rejected input (an
 InputError or a usage error), 4 resource cap exceeded, 1 internal error.
 """
@@ -132,12 +137,17 @@ def _element_obj(field, value):
     return list(field.coeffs(value))
 
 
-def parse_curve_document(doc) -> BiellipticQuartic:
+def _check_document(doc, keys, what: str) -> None:
+    """doc is a JSON object with no key outside keys; what names it in errors."""
     if not isinstance(doc, dict):
-        raise DocumentError("curve document must be a JSON object")
+        raise DocumentError(f"{what} document must be a JSON object")
     for key in doc:
-        if key not in _CURVE_KEYS:
-            raise DocumentError(f'unknown key "{key}" in curve document')
+        if key not in keys:
+            raise DocumentError(f'unknown key "{key}" in {what} document')
+
+
+def parse_curve_document(doc) -> BiellipticQuartic:
+    _check_document(doc, _CURVE_KEYS, "curve")
     for key in ("f", "g", "h"):
         if key not in doc:
             raise DocumentError(f'missing key "{key}" in curve document')
@@ -155,11 +165,7 @@ def parse_curve_document(doc) -> BiellipticQuartic:
 
 
 def parse_quartic_document(doc) -> TernaryForm:
-    if not isinstance(doc, dict):
-        raise DocumentError("quartic document must be a JSON object")
-    for key in doc:
-        if key not in _QUARTIC_KEYS:
-            raise DocumentError(f'unknown key "{key}" in quartic document')
+    _check_document(doc, _QUARTIC_KEYS, "quartic")
     if "quartic" not in doc:
         raise DocumentError('missing key "quartic"')
     if not isinstance(doc["quartic"], list):
@@ -188,11 +194,12 @@ def _curve_doc(curve: BiellipticQuartic) -> dict:
             doc["k"] = field.k
             doc["modulus"] = list(field.modulus)
     for key, form in (("f", curve.f), ("g", curve.g), ("h", curve.h)):
-        doc[key] = [_element_obj(field, c) for c in form.coeffs]
+        doc[key] = _poly_obj(field, form)
     return doc
 
 
 def _poly_obj(field, poly):
+    """The coefficients of a UniPoly or a BinaryForm, in their stored order."""
     return [_element_obj(field, c) for c in poly.coeffs]
 
 
@@ -219,19 +226,14 @@ def _split_obj(curve, sr) -> dict:
         "b": _poly_obj(field, sr.b),
         "c": _poly_obj(field, sr.c),
         "F": _poly_obj(field, sr.sextic),
-        "s": [_element_obj(field, c) for c in sr.genus_one.coeffs],
+        "s": _poly_obj(field, sr.genus_one),
         "genus2_model": "y^2 = F(x) in P(1,3,1)",
         "genus1_model": "Y^2 = s(x,z) in P(1,2,1)",
     }
 
 
-def _report_base(command: str, args) -> dict:
-    return {
-        "schema": SCHEMA,
-        "version": __version__,
-        "command": command,
-        "seed": args.seed,
-    }
+def _verdict(passed: bool) -> str:
+    return "pass" if passed else "fail"
 
 
 def _emit(report: dict, args, summary: str) -> None:
@@ -274,25 +276,24 @@ def _load_input(args) -> dict:
         raise DocumentError(f"malformed JSON in {args.input}: {exc}") from exc
 
 
-def _curve_from_args(args) -> BiellipticQuartic:
-    """Parse the curve document, honoring a --p field override."""
+def _curve_from_args(args, report) -> BiellipticQuartic:
+    """Parse the curve document, honoring a --p field override, and record
+    the curve as the report's input."""
     curve = parse_curve_document(_load_input(args))
-    if args.p is None:
-        return curve
-    if curve.field.kind == "rationals":
-        return reduce_curve(curve, args.p)
-    if curve.field.p != args.p:
-        raise DocumentError(
-            f"--p {args.p} conflicts with the document's p = {curve.field.p}"
-        )
+    if args.p is not None:
+        if curve.field.kind == "rationals":
+            curve = reduce_curve(curve, args.p)
+        elif curve.field.p != args.p:
+            raise DocumentError(
+                f"--p {args.p} conflicts with the document's p = {curve.field.p}"
+            )
+    report["input"] = _curve_doc(curve)
     return curve
 
 
-def _cmd_validate(args) -> int:
-    curve = _curve_from_args(args)
+def _cmd_validate(args, report):
+    curve = _curve_from_args(args, report)
     report_data = validate(curve)
-    report = _report_base("validate", args)
-    report["input"] = _curve_doc(curve)
     report["checks"] = {
         "det_nonzero": report_data.det_nonzero,
         "fg_squarefree": report_data.fg_squarefree,
@@ -300,28 +301,23 @@ def _cmd_validate(args) -> int:
         "disc_cross_check": report_data.disc_cross_check,
     }
     report["det_A"] = _element_obj(curve.field, report_data.det)
-    report["verdict"] = "pass" if report_data.passed else "fail"
+    report["verdict"] = _verdict(report_data.passed)
     report["failures"] = report_data.failures
-    _emit(report, args, f"validate: {report['verdict']}"
-          + (f" ({'; '.join(report_data.failures)})" if report_data.failures else ""))
-    return EXIT_PASS if report_data.passed else EXIT_REJECTED
+    summary = f"validate: {report['verdict']}"
+    if report_data.failures:
+        summary += f" ({'; '.join(report_data.failures)})"
+    return EXIT_PASS if report_data.passed else EXIT_REJECTED, summary
 
 
-def _cmd_split(args) -> int:
-    curve = _curve_from_args(args)
+def _cmd_split(args, report):
+    curve = _curve_from_args(args, report)
     sr = split(curve, skip_validation=args.skip_validation)
-    report = _report_base("split", args)
-    report["input"] = _curve_doc(curve)
     report["split"] = _split_obj(curve, sr)
-    _emit(report, args,
-          f"split: F = {sr.sextic!r}, genus-2 model y^2 = F in P(1,3,1)")
-    return EXIT_PASS
+    return EXIT_PASS, f"split: F = {sr.sextic!r}, genus-2 model y^2 = F in P(1,3,1)"
 
 
-def _cmd_verify(args) -> int:
-    curve = _curve_from_args(args)
-    report = _report_base("verify", args)
-    report["input"] = _curve_doc(curve)
+def _cmd_verify(args, report):
+    curve = _curve_from_args(args, report)
     if curve.field.kind == "rationals":
         results = verify_split_rational(curve, axis_cap=args.cap_axis)
     else:
@@ -330,7 +326,7 @@ def _cmd_verify(args) -> int:
     for res in results:
         subreports.append({
             "p": res.p,
-            "verdict": res.verdict,
+            "verdict": _verdict(res.passed),
             "L_C": _lpoly_obj(res.l_curve),
             "L_D": _lpoly_obj(res.l_genus1),
             "L_X": _lpoly_obj(res.l_genus2),
@@ -341,15 +337,15 @@ def _cmd_verify(args) -> int:
         })
     passed = all(r.passed for r in results)
     report["verifications"] = subreports
-    report["verdict"] = "pass" if passed else "fail"
+    report["verdict"] = _verdict(passed)
     sizes = ", ".join(str(r.l_curve.q) for r in results)
-    _emit(report, args, f"verify: {report['verdict']} (q = {sizes})")
-    return EXIT_PASS if passed else EXIT_VERIFICATION_FAILED
+    return (EXIT_PASS if passed else EXIT_VERIFICATION_FAILED,
+            f"verify: {report['verdict']} (q = {sizes})")
 
 
-def _cmd_bruin(args) -> int:
+def _cmd_bruin(args, report):
     check_bruin_depth(args.depth)
-    curve = _curve_from_args(args)
+    curve = _curve_from_args(args, report)
     field = curve.field
     if field.kind != "finite":
         raise DocumentError("bruin verification needs a finite base field")
@@ -360,8 +356,6 @@ def _cmd_bruin(args) -> int:
     require_valid(curve)
     cover = deform(curve, eps)
     result = verify_bruin(cover, depth=args.depth, axis_cap=args.cap_axis)
-    report = _report_base("bruin", args)
-    report["input"] = _curve_doc(curve)
     report["epsilon"] = _element_obj(field, eps)
     report["depth"] = args.depth
     report["achieved_depth"] = result.achieved_depth
@@ -371,16 +365,15 @@ def _cmd_bruin(args) -> int:
     report["predicted_cover_counts"] = list(result.predicted)
     report["actual_cover_counts"] = list(result.actual)
     report["counts"] = [_count_obj(r) for r in result.counts]
-    report["verdict"] = result.verdict
+    report["verdict"] = _verdict(result.passed)
     report["failure"] = result.failure
-    _emit(report, args,
-          f"bruin: {result.verdict} at depth {result.achieved_depth}"
-          + (" (full degree-10 certificate)" if result.full_certificate else ""))
-    return EXIT_PASS if result.passed else EXIT_VERIFICATION_FAILED
+    summary = f"bruin: {report['verdict']} at depth {result.achieved_depth}"
+    if result.full_certificate:
+        summary += " (full degree-10 certificate)"
+    return EXIT_PASS if result.passed else EXIT_VERIFICATION_FAILED, summary
 
 
-def _cmd_disc_check(args) -> int:
-    report = _report_base("disc-check", args)
+def _cmd_disc_check(args, report):
     if args.input:
         form = parse_quartic_document(_load_input(args))
         value = disc_ternary_quartic(form)
@@ -389,8 +382,7 @@ def _cmd_disc_check(args) -> int:
         report["discriminant"] = _element_obj(form.field, value)
         report["singular"] = value == form.field.zero
         report["verdict"] = "pass"
-        _emit(report, args, f"disc-check: discriminant = {report['discriminant']}")
-        return EXIT_PASS
+        return EXIT_PASS, f"disc-check: discriminant = {report['discriminant']}"
     # no input: the golden value must be exactly -2^40
     value = disc_ternary_quartic(GOLDEN_QUARTIC)
     expected = GOLDEN_QUARTIC_DISC
@@ -398,27 +390,26 @@ def _cmd_disc_check(args) -> int:
     report["discriminant"] = str(value)
     report["expected"] = str(expected)
     ok = value == expected
-    report["verdict"] = "pass" if ok else "fail"
-    _emit(report, args, f"disc-check: {value} (expected {expected}) -> {report['verdict']}")
-    return EXIT_PASS if ok else EXIT_VERIFICATION_FAILED
+    report["verdict"] = _verdict(ok)
+    return (EXIT_PASS if ok else EXIT_VERIFICATION_FAILED,
+            f"disc-check: {value} (expected {expected}) -> {report['verdict']}")
 
 
-def _cmd_selftest(args) -> int:
+def _cmd_selftest(args, report):
     cfg = SelftestConfig(seed=args.seed) if args.full else SelftestConfig.quick(args.seed)
     t0 = time.perf_counter()
     printer = print if args.format == "text" else functools.partial(print, file=sys.stderr)
     results = run_all(cfg, printer)
     passed = all(r.passed for r in results)
-    report = _report_base("selftest", args)
     report["full"] = bool(args.full)
     report["criteria"] = [
         {"index": r.index, "name": r.name, "passed": r.passed,
          "detail": r.detail, "seconds": round(r.seconds, 3)}
         for r in results
     ]
-    report["verdict"] = "pass" if passed else "fail"
-    _emit(report, args, f"selftest: {report['verdict']} ({time.perf_counter() - t0:.1f}s)")
-    return EXIT_PASS if passed else EXIT_VERIFICATION_FAILED
+    report["verdict"] = _verdict(passed)
+    return (EXIT_PASS if passed else EXIT_VERIFICATION_FAILED,
+            f"selftest: {report['verdict']} ({time.perf_counter() - t0:.1f}s)")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -510,8 +501,12 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
+    report = {"schema": SCHEMA, "version": __version__, "command": args.command,
+              "seed": args.seed}
     try:
-        return args.fn(args)
+        code, summary = args.fn(args, report)
+        _emit(report, args, summary)  # an unwritable --out exits 3 below
+        return code
     except ResourceLimitError as exc:
         print(f"resource cap: {exc}", file=sys.stderr)
         return EXIT_RESOURCE

@@ -5,7 +5,9 @@ rationals, and ints in [0, q) for finite fields.  An extension-field element
 packs its coefficient vector over F_p in base p (value = sum c_i * p**i), so
 the embedding F_p -> F_{p^k} is the identity on representatives.  All
 operations go through the owning field object; none of this ever touches
-floating point.
+floating point.  The three field classes share _Field: division as a product
+with an inverse, the row update of an elimination, and equality, which is
+the class together with p and the modulus.
 
 Every finite field has exp/log tables for a fixed generator of F_q^* plus a
 Zech logarithm table.  Extension fields ride them for every operation, O(1)
@@ -58,11 +60,35 @@ def is_prime(n: int) -> bool:
     return True
 
 
-class RationalField:
+class _Field:
+    """What every field spells the same way through its own sub, mul and inv.
+
+    Two fields are equal when they are of one class with one p and one
+    modulus; the hash leaves out the class, which p and the modulus already
+    tell apart."""
+
+    def sub_scaled(self, row, f, src, cols):
+        """row[j] -= f src[j] for j in cols, in place (linalg._eliminate)."""
+        sub, mul = self.sub, self.mul
+        for j in cols:
+            row[j] = sub(row[j], mul(f, src[j]))
+
+    def div(self, a, b):
+        return self.mul(a, self.inv(b))
+
+    def __eq__(self, other):
+        return type(other) is type(self) and other.p == self.p and other.modulus == self.modulus
+
+    def __hash__(self):
+        return hash((self.p, self.modulus))
+
+
+class RationalField(_Field):
     """The rationals; elements are reduced Fractions with positive denominator."""
 
     kind = "rationals"
     p = None
+    modulus = None
     k = 1
     q = None
     zero = Fraction(0)
@@ -83,21 +109,10 @@ class RationalField:
     def neg(self, a):
         return -a
 
-    def sub_scaled(self, row, f, src, cols):
-        """row[j] -= f src[j] for j in cols, in place (linalg._eliminate)."""
-        sub, mul = self.sub, self.mul
-        for j in cols:
-            row[j] = sub(row[j], mul(f, src[j]))
-
     def inv(self, a):
         if not a:
             raise ZeroDivisionError("inverse of zero")
         return self.one / a
-
-    def div(self, a, b):
-        if not b:
-            raise ZeroDivisionError("division by zero")
-        return Fraction(a) / b
 
     def pow(self, a, e):
         if e < 0:
@@ -107,12 +122,6 @@ class RationalField:
     def random_element(self, rng):
         return Fraction(rng.randint(-RANDOM_RATIONAL_SPAN, RANDOM_RATIONAL_SPAN))
 
-    def __eq__(self, other):
-        return isinstance(other, RationalField)
-
-    def __hash__(self):
-        return hash("rationals")
-
     def __repr__(self):
         return "QQ"
 
@@ -120,11 +129,12 @@ class RationalField:
 QQ = RationalField()
 
 
-class _FiniteField:
-    """Shared behaviour for prime and extension fields.
+class _FiniteField(_Field):
+    """Shared behaviour for prime and extension fields, on top of _Field's.
 
     The constructor checks p once; subclasses set k, q and modulus and
-    provide the four ring operations and _build_log_tables.  The exp/log/Zech
+    provide the ring operations, inv and _build_log_tables; an element's
+    coefficients over F_p are its k base-p digits (coeffs).  The exp/log/Zech
     tables serve the counting kernels and chi(); the Zech table is 2 (q - 1)
     long, its q - 1 entries written twice (see _set_log_tables).  The
     square-root and quadratic-character tables, built lazily from mul, are
@@ -188,7 +198,9 @@ class _FiniteField:
     def random_nonzero(self, rng):
         return rng.randrange(1, self.q)
 
-    sub_scaled = RationalField.sub_scaled  # by sub and mul; PrimeField's is inline
+    def coeffs(self, a):
+        """The k base-p digits of a, lowest first."""
+        return tuple(_packed_digits(a, self.p, self.k))
 
     def _build_square_tables(self):
         sqrt = [-1] * self.q
@@ -259,6 +271,8 @@ class PrimeField(_FiniteField):
         return -a % self.p
 
     def sub_scaled(self, row, f, src, cols):
+        """_Field.sub_scaled inline: the hot loop of the rank mod l that
+        certifies smoothness over Q (resultants)."""
         p = self.p
         for j in cols:
             row[j] = (row[j] - f * src[j]) % p
@@ -268,28 +282,16 @@ class PrimeField(_FiniteField):
             raise ZeroDivisionError("inverse of zero")
         return pow(a, -1, self.p)
 
-    def div(self, a, b):
-        return a * self.inv(b) % self.p
-
     def pow(self, a, e):
         if e < 0 and a == 0:
             raise ZeroDivisionError("inverse of zero")
         return pow(a, e, self.p)
-
-    def coeffs(self, a):
-        return (a,)
 
     def _build_log_tables(self):
         p = self.p
         cofactors = [(p - 1) // f for f in _factor_small(p - 1)]
         g = next(g for g in range(2, p) if all(pow(g, c, p) != 1 for c in cofactors))
         self._set_log_tables([pow(g, i, p) for i in range(p - 1)])
-
-    def __eq__(self, other):
-        return isinstance(other, PrimeField) and other.p == self.p
-
-    def __hash__(self):
-        return hash(("prime", self.p))
 
     def __repr__(self):
         return f"GF({self.p})"
@@ -445,9 +447,6 @@ class ExtensionField(_FiniteField):
                 return cand
         raise InvalidFieldError("no generator found (modulus reducible?)")
 
-    def coeffs(self, a):
-        return tuple(_packed_digits(a, self.p, self.k))
-
     def from_coeffs(self, cs):
         if len(cs) > self.k:
             raise ValueError("too many coefficients")
@@ -481,9 +480,6 @@ class ExtensionField(_FiniteField):
             raise ZeroDivisionError("inverse of zero")
         return self._exp[(-self._log[a]) % self._qm1]
 
-    def div(self, a, b):
-        return self.mul(a, self.inv(b))
-
     def pow(self, a, e):
         if a == 0:
             if e == 0:
@@ -492,16 +488,6 @@ class ExtensionField(_FiniteField):
                 raise ZeroDivisionError("inverse of zero")
             return 0
         return self._exp[(self._log[a] * e) % self._qm1]
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, ExtensionField)
-            and other.p == self.p
-            and other.modulus == self.modulus
-        )
-
-    def __hash__(self):
-        return hash(("ext", self.p, self.modulus))
 
     def __repr__(self):
         return f"GF({self.p}^{self.k})"

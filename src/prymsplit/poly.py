@@ -154,23 +154,8 @@ class UniPoly:
         F = self.field
         return UniPoly(F, [F.mul(c, a) for a in self.coeffs])
 
-    def add_constant(self, c):
-        F = self.field
-        if not self.coeffs:
-            return UniPoly(F, (c,))
-        cs = list(self.coeffs)
-        cs[0] = F.add(cs[0], c)
-        return UniPoly(F, cs)
-
     def eval(self, x):
         return eval_list(self.coeffs, x, self.field)
-
-    def derivative(self):
-        F = self.field
-        return UniPoly(
-            F,
-            [F.mul(F.from_int(i), self.coeffs[i]) for i in range(1, len(self.coeffs))],
-        )
 
     def __repr__(self):
         if not self.coeffs:
@@ -279,8 +264,9 @@ class BinaryForm:
         return cls(F, n, tuple(reversed(cs)))
 
     def is_squarefree(self) -> bool:
-        """No repeated projective root: gcd(F(x,1), F'(x,1)) constant and at
-        most a simple root at infinity.  Valid in every odd characteristic,
+        """No repeated projective root: gcd(F(x,1), F_x(x,1)) constant and at
+        most a simple root at infinity; F_x(x,1) = partial(0) at z = 1 is the
+        derivative of F(x,1).  Valid in every odd characteristic,
         including when the characteristic divides the degree.  Over Q a
         squarefree reduction mod the prime 2^30 - 35 answers first
         (resultants.squarefree_mod_cert), so the gcd over Fractions runs only
@@ -294,8 +280,7 @@ class BinaryForm:
         zero = self.field.zero
         if self.coeffs[0] == zero and self.coeffs[1] == zero:
             return False
-        f = self.dehomogenize()
-        g = poly_gcd(f, f.derivative())
+        g = poly_gcd(self.dehomogenize(), self.partial(0).dehomogenize())
         return g.degree <= 0
 
     def __repr__(self):

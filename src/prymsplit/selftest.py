@@ -20,7 +20,7 @@ from .counting import count_weighted
 from .errors import InconsistentCountsError, RejectedInputError
 from .fields import QQ, build_extension
 from .linalg import Matrix3
-from .poly import BinaryForm
+from .poly import BinaryForm, UniPoly
 from .prym import (
     BiellipticQuartic,
     deform,
@@ -298,7 +298,7 @@ def criterion_negative_controls(cfg: SelftestConfig):
     # verify_split counts y^2 = F + 1 in place of the genus-2 factor y^2 = F
     def corrupted_count(poly, genus, field):
         if genus == 2:
-            poly = poly.add_constant(poly.field.one)
+            poly = poly + UniPoly(poly.field, [poly.field.one])
         return count_weighted(poly, genus, field)
 
     rng = random.Random(cfg.seed + 6)

@@ -36,10 +36,6 @@ class TernaryForm:
             field, degree, {m: field.from_int(v) for m, v in dict(coeffs).items()}
         )
 
-    @classmethod
-    def zero_form(cls, field, degree):
-        return cls(field, degree, {})
-
     def is_zero(self) -> bool:
         return not self.coeffs
 
@@ -75,10 +71,6 @@ class TernaryForm:
     def _check_field(self, other):
         if self.field != other.field:
             raise UnsupportedFieldError("forms over different fields")
-
-    def __neg__(self):
-        F = self.field
-        return TernaryForm(F, self.degree, {m: F.neg(c) for m, c in self.coeffs.items()})
 
     def __mul__(self, other):
         self._check_field(other)
@@ -137,7 +129,7 @@ class TernaryForm:
             for _ in range(self.degree):
                 cur.append(cur[-1] * L)
             pows.append(cur)
-        acc = TernaryForm.zero_form(F, self.degree)
+        acc = TernaryForm(F, self.degree, {})
         for (i, j, k), c in self.coeffs.items():
             term = pows[0][i] * pows[1][j] * pows[2][k]
             acc = acc + term.scale(c)

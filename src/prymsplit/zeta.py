@@ -91,9 +91,6 @@ class WeilPolynomial:
             s.append(acc)
         return s
 
-    def __repr__(self):
-        return f"WeilPolynomial(q={self.q}, genus={self.genus}, {list(self.coeffs)})"
-
 
 def lpoly_from_counts(q: int, counts, genus: int) -> WeilPolynomial:
     """Reconstruct the L-polynomial from counts over F_q, ..., F_{q^genus}."""
@@ -175,10 +172,6 @@ class SplitVerification:
     split_result: SplitResult
     failure: str | None = None
 
-    @property
-    def verdict(self) -> str:
-        return "pass" if self.passed else "fail"
-
 
 def verify_split(curve: BiellipticQuartic, *,
                  axis_cap: int = DEFAULT_AXIS_CAP) -> SplitVerification:
@@ -222,10 +215,6 @@ class BruinVerification:
     actual: tuple
     counts: tuple
     failure: str | None = None
-
-    @property
-    def verdict(self) -> str:
-        return "pass" if self.passed else "fail"
 
 
 def check_bruin_depth(depth: int) -> None:

@@ -76,20 +76,38 @@ MUTANTS = [
     ("prym.py", "return not self.failures\n", "return not self.failures[1:]\n",
      ("tests/test_prym.py::TestValidate::test_rejecting_inputs_fail_their_named_check",)),
     # each class's subtraction by the field's add (UniPoly's is followed by
-    # __neg__, BinaryForm's by __mul__); of TernaryForm's, a test reads
-    # cover_quartic's q2^2 - q1 q3
+    # __neg__, BinaryForm's by __mul__)
     ("poly.py", "self.field.sub)\n\n    def __neg__", "self.field.add)\n\n    def __neg__",
      ("tests/test_poly.py::test_arithmetic_and_eval",)),
     ("poly.py", "self.field.sub)\n\n    def __mul__", "self.field.add)\n\n    def __mul__",
      ("tests/test_prym.py::TestGenusOneModel",)),
     ("ternary.py", "self._combine(other, self.field.sub)", "self._combine(other, self.field.add)",
-     ("tests/test_prym.py::TestDeform::test_eps_one_from_zero_base_is_the_golden_quartic",)),
+     ("tests/test_ternary.py",)),
     # BinaryForm.partial with its axes swapped
     ("poly.py", "(self.n - i, i)[axis]", "(i, self.n - i)[axis]",
      ("tests/test_poly.py::test_euler_identity_for_partials",)),
     # criterion 7 counting y^2 = F, so no corruption is detected
-    ("selftest.py", "poly = poly.add_constant(poly.field.one)", "pass",
+    ("selftest.py", "poly = poly + UniPoly(poly.field, [poly.field.one])", "pass",
      ("tests/test_acceptance.py::test_criterion_7_negative_controls",)),
+    # field equality blind to the modulus: two F_{p^k} under different moduli
+    ("fields.py", "and other.p == self.p and other.modulus == self.modulus",
+     "and other.p == self.p", COUNTING),
+    # a / b taken as b / a
+    ("fields.py", "return self.mul(a, self.inv(b))", "return self.mul(self.inv(a), b)",
+     ("tests/test_resultants.py",)),
+    # squarefreeness tested against the z-partial in place of f'
+    ("poly.py", "self.partial(0).dehomogenize()", "self.partial(1).dehomogenize()",
+     ("tests/test_poly.py::TestSquarefree",)),
+    # a finite-field element's coefficients cut to its lowest digit
+    ("fields.py", "tuple(_packed_digits(a, self.p, self.k))", "tuple(_packed_digits(a, self.p, 1))",
+     ("tests/test_fields.py",)),
+    # main exiting 0 whatever the command's verdict
+    ("cli.py", "        return code\n", "        return EXIT_PASS\n", ("tests/test_cli.py",)),
+    # documents with unknown keys accepted
+    ("cli.py", "        if key not in keys:\n", "        if False:\n", ("tests/test_cli.py",)),
+    # every report's verdict "pass"
+    ("cli.py", 'return "pass" if passed else "fail"', 'return "pass"',
+     ("tests/test_cli.py::TestFailPaths",)),
 ]
 
 

@@ -521,3 +521,73 @@ def test_selftest_json_stdout_is_the_report(capsys):
     report = json.loads(captured.out)
     assert report["verdict"] == "pass" and len(report["criteria"]) == 8
     assert captured.err.count("[PASS]") == 8
+
+
+# a validated curve over F_7 whose verification fails once the genus-2 factor
+# is counted as y^2 = F + 1, as criterion 7 corrupts it
+CORRUPTIBLE_F7 = {"p": 7, "f": [1, 1, 5], "g": [1, 6, 4], "h": [3, 5, 0]}
+
+
+class TestFailPaths:
+    """Every report's fail verdict, its exit code and its summary line."""
+
+    @pytest.fixture
+    def corrupt_genus2(self, monkeypatch):
+        import prymsplit.zeta as zeta_module
+        from prymsplit import UniPoly
+
+        real = zeta_module.count_weighted
+
+        def corrupted_count(poly, genus, field):
+            if genus == 2:
+                poly = poly + UniPoly(poly.field, [poly.field.one])
+            return real(poly, genus, field)
+
+        monkeypatch.setattr(zeta_module, "count_weighted", corrupted_count)
+
+    def run(self, capsys, argv, fmt):
+        code = cli.main([*argv, "--format", fmt])
+        out = capsys.readouterr().out
+        return code, json.loads(out) if fmt == "json" else out.splitlines()
+
+    def test_verify_fails_with_exit_2(self, corrupt_genus2, capsys):
+        argv = ["verify", "--input", json.dumps(CORRUPTIBLE_F7)]
+        code, report = self.run(capsys, argv, "json")
+        assert code == 2 and report["verdict"] == "fail"
+        [sub] = report["verifications"]
+        assert sub["verdict"] == "fail" and sub["failure"] == "L_C differs from L_D * L_X"
+        assert self.run(capsys, argv, "text") == (2, ["verify: fail (q = 7)"])
+
+    def test_bruin_fails_with_exit_2(self, corrupt_genus2, capsys):
+        argv = ["bruin", "--input", json.dumps(CORRUPTIBLE_F7), "--epsilon", "1",
+                "--depth", "3"]
+        code, report = self.run(capsys, argv, "json")
+        assert code == 2 and report["verdict"] == "fail"
+        assert report["failure"] == "cover counts differ from the L_Z * L_H prediction"
+        assert self.run(capsys, argv, "text") == (2, ["bruin: fail at depth 3"])
+
+    def test_disc_check_fails_with_exit_2(self, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "GOLDEN_QUARTIC_DISC", 1)
+        code, report = self.run(capsys, ["disc-check"], "json")
+        assert code == 2 and report["verdict"] == "fail" and report["expected"] == "1"
+        assert self.run(capsys, ["disc-check"], "text") == (
+            2, [f"disc-check: {-2**40} (expected 1) -> fail"])
+
+    def test_selftest_fails_with_exit_2(self, monkeypatch, capsys):
+        from prymsplit.selftest import CriterionResult
+
+        results = [CriterionResult(1, "holds", True, "ok", 0.0),
+                   CriterionResult(2, "broken", False, "wrong", 0.0)]
+        monkeypatch.setattr(cli, "run_all", lambda cfg, printer: results)
+        code, report = self.run(capsys, ["selftest"], "json")
+        assert code == 2 and report["verdict"] == "fail"
+        assert [c["passed"] for c in report["criteria"]] == [True, False]
+        code, lines = self.run(capsys, ["selftest"], "text")
+        assert code == 2 and len(lines) == 1 and lines[0].startswith("selftest: fail (")
+
+    def test_validate_fails_with_exit_3(self, capsys):
+        argv = ["validate", "--input", json.dumps(BAD_FG)]
+        failures = ["f*g has a repeated root", "h^2 - 4*f*g has a repeated root"]
+        code, report = self.run(capsys, argv, "json")
+        assert code == 3 and report["verdict"] == "fail" and report["failures"] == failures
+        assert self.run(capsys, argv, "text") == (3, [f"validate: fail ({'; '.join(failures)})"])

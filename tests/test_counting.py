@@ -260,7 +260,7 @@ class TestWeighted:
 
 class TestBruinCover:
     def test_all_zero_rejected(self):
-        z = TernaryForm.zero_form(F5, 2)
+        z = TernaryForm(F5, 2, {})
         with pytest.raises(DegenerateInputError):
             count_bruin_cover(z, z, z, F5)
 

@@ -11,7 +11,7 @@ from prymsplit import (
     build_extension,
 )
 from prymsplit.fields import (
-    _EXP_BLOCK, ExtensionField, PrimeField, embedding, is_irreducible, is_prime,
+    _EXP_BLOCK, ExtensionField, PrimeField, RationalField, embedding, is_irreducible, is_prime,
 )
 from prymsplit.poly import eval_list
 from prymsplit.zeta import _PRIME_POOL
@@ -279,6 +279,17 @@ def test_one_field_per_p_and_k(p, k):
     field = build_extension(p, k)
     assert build_extension(p, k, 0) is field
     assert build_extension(p, k=k) is field
+
+
+def test_field_equality_is_type_p_and_modulus():
+    assert QQ == RationalField()
+    assert PrimeField(5) == build_extension(5)
+    assert hash(PrimeField(5)) == hash(build_extension(5))
+    assert PrimeField(5) != PrimeField(7)
+    assert PrimeField(5) != ExtensionField(5, 2)
+    # one (p, k), two moduli: x^2 + 1 and x^2 + x + 2
+    assert build_extension(3, 2) != ExtensionField(3, 2, modulus=[2, 1, 1])
+    assert QQ != build_extension(5)
 
 
 def test_rationals_stay_exact_on_int_arguments():

@@ -262,7 +262,7 @@ class TestPencil:
         assert cover.sextic_squarefree
 
     def test_zero_forms_give_zero_polynomial(self):
-        z = TernaryForm.zero_form(QQ, 2)
+        z = TernaryForm(QQ, 2, {})
         assert pencil_sextic(z, z, z).is_zero()
 
     def test_four_times_pencil_equals_split_polynomial(self):

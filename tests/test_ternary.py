@@ -11,7 +11,7 @@ from prymsplit import (
     quadric,
     quadric_coefficients,
 )
-from prymsplit.ternary import gram
+from prymsplit.ternary import TernaryForm, gram
 from helpers import random_quadratic
 
 FIELDS = [build_extension(7), build_extension(3, 2), QQ]
@@ -42,6 +42,20 @@ def test_gram_is_symmetric_and_evaluates_the_quadric(field):
                     value = add(value, mul(v[i], mul(g[i][j], v[j])))
             assert value == q.eval(*v)
 
+
+@pytest.mark.parametrize("field", FIELDS, ids=["F7", "F9", "QQ"])
+def test_sums_and_differences_are_coefficientwise(field):
+    rng = random.Random(34)
+    monomials = [(i, j, 3 - i - j) for i in range(4) for j in range(4 - i)]
+    for _ in range(20):
+        a, b = (TernaryForm(field, 3, {m: field.random_element(rng) for m in monomials})
+                for _ in range(2))
+        for form, op in ((a + b, field.add), (a - b, field.sub)):
+            assert all(form.coeff(m) == op(a.coeff(m), b.coeff(m)) for m in monomials)
+            for _ in range(5):
+                v = [field.random_element(rng) for _ in range(3)]
+                assert form.eval(*v) == op(a.eval(*v), b.eval(*v))
+        assert (a - a).is_zero()
 
 def test_forms_over_different_fields_are_refused():
     # F_3's packed values are F_9's too, so a mixed product would run F_3's
