@@ -5,7 +5,8 @@ Input documents are strict JSON: a curve is
 triples ordered (x^2, xz, z^2); drop "p" for a curve over the rationals, whose
 entries may be "num/den" strings.  An integer is a JSON integer (not a
 boolean) and a rational string is [+-]digits[/digits], nothing else.
-Unknown keys are rejected by name.
+Unknown keys are rejected by name, and so is a key repeated in one object
+or a monomial repeated in a quartic.
 
 Every report has one frame: main sets its header (schema, version, command,
 seed), the command fills in the rest and returns its exit code and a
@@ -178,6 +179,8 @@ def parse_quartic_document(doc) -> TernaryForm:
         i, j, k, value = entry
         if not all(_is_int(e) and e >= 0 for e in (i, j, k)) or i + j + k != 4:
             raise DocumentError(f"monomial ({i},{j},{k}) is not of degree 4")
+        if (i, j, k) in coeffs:
+            raise DocumentError(f"monomial ({i},{j},{k}) appears twice")
         coeffs[(i, j, k)] = _parse_element(field, value, '"quartic"')
     form = TernaryForm(field, 4, coeffs)
     if form.is_zero():
@@ -259,17 +262,28 @@ def _emit(report: dict, args, summary: str) -> None:
             print(f"report written to {args.out}")
 
 
+def _unique_keys(pairs) -> dict:
+    """json's object_pairs_hook: an object that repeats a key is refused,
+    where json itself would keep the last value."""
+    doc = {}
+    for key, value in pairs:
+        if key in doc:
+            raise DocumentError(f'key "{key}" appears twice')
+        doc[key] = value
+    return doc
+
+
 def _load_input(args) -> dict:
     if not args.input:
         raise DocumentError("--input PATH is required for this command")
     if args.input.lstrip().startswith("{"):  # inline document
         try:
-            return json.loads(args.input)
+            return json.loads(args.input, object_pairs_hook=_unique_keys)
         except ValueError as exc:  # JSONDecodeError, or an over-long integer
             raise DocumentError(f"malformed inline JSON: {exc}") from exc
     try:
         with open(args.input, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            return json.load(fh, object_pairs_hook=_unique_keys)
     except (OSError, UnicodeDecodeError) as exc:
         raise DocumentError(f"cannot read {args.input}: {exc}") from exc
     except ValueError as exc:  # after UnicodeDecodeError, itself a ValueError

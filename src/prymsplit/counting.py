@@ -491,7 +491,7 @@ def count_weighted(poly: UniPoly, genus: int, field) -> CountRecord:
     r = -1 (F(x) = 0) reads.
     """
     _require_finite(field)
-    if poly.degree != float("-inf") and poly.degree > 2 * genus + 2:
+    if poly.degree > 2 * genus + 2:
         raise ModelError(f"degree {poly.degree} exceeds 2g+2 = {2 * genus + 2}")
     start = time.perf_counter()
     lcs = _coerce_scalars(poly.coeffs, poly.field, field)

@@ -7,7 +7,9 @@ the embedding F_p -> F_{p^k} is the identity on representatives.  All
 operations go through the owning field object; none of this ever touches
 floating point.  The three field classes share _Field: division as a product
 with an inverse, the row update of an elimination, and equality, which is
-the class together with p and the modulus.
+the class together with p and the modulus.  The rationals' ring operations
+and powers are Fraction's own operators; only inv is written out, to refuse
+zero with the message the finite fields give.
 
 Every finite field has exp/log tables for a fixed generator of F_q^* plus a
 Zech logarithm table.  Extension fields ride them for every operation, O(1)
@@ -23,6 +25,7 @@ when j is even.
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from functools import lru_cache
 
@@ -84,7 +87,10 @@ class _Field:
 
 
 class RationalField(_Field):
-    """The rationals; elements are reduced Fractions with positive denominator."""
+    """The rationals; elements are reduced Fractions with positive denominator.
+
+    add, sub, mul, neg and pow are Fraction's operators, so QQ.pow(0, -1)
+    raises Fraction's ZeroDivisionError."""
 
     kind = "rationals"
     p = None
@@ -97,27 +103,16 @@ class RationalField(_Field):
     def from_int(self, n):
         return Fraction(n)
 
-    def add(self, a, b):
-        return a + b
-
-    def sub(self, a, b):
-        return a - b
-
-    def mul(self, a, b):
-        return a * b
-
-    def neg(self, a):
-        return -a
+    add = staticmethod(operator.add)
+    sub = staticmethod(operator.sub)
+    mul = staticmethod(operator.mul)
+    neg = staticmethod(operator.neg)
+    pow = staticmethod(operator.pow)
 
     def inv(self, a):
         if not a:
             raise ZeroDivisionError("inverse of zero")
         return self.one / a
-
-    def pow(self, a, e):
-        if e < 0:
-            return self.inv(a) ** (-e)
-        return a**e
 
     def random_element(self, rng):
         return Fraction(rng.randint(-RANDOM_RATIONAL_SPAN, RANDOM_RATIONAL_SPAN))
@@ -305,13 +300,6 @@ def _packed_digits(v: int, p: int, k: int) -> list:
     return out
 
 
-def _pack(digits, p: int) -> int:
-    v = 0
-    for d in reversed(digits):
-        v = v * p + d
-    return v
-
-
 # entries per block of the exp-table build, a power of two as doubling builds
 # the first block; blocks up to q / 2 were slower and hold k q / 2 digits
 _EXP_BLOCK = 2048
@@ -450,7 +438,7 @@ class ExtensionField(_FiniteField):
     def from_coeffs(self, cs):
         if len(cs) > self.k:
             raise ValueError("too many coefficients")
-        return _pack([c % self.p for c in cs] + [0] * (self.k - len(cs)), self.p)
+        return sum(c % self.p * self.p**i for i, c in enumerate(cs))
 
     def add(self, a, b):
         if a == 0:

@@ -10,17 +10,24 @@ Evaluation, product, division, modular product, modular power and gcd of
 dense polynomials live once, in the list kernel below.  It works on bare
 constant-first coefficient lists without trailing zeros ([] is the zero
 polynomial) over any field object, so UniPoly and the modulus, generator and
-subfield-root searches of the extension fields share it.  The counting
-kernels do not: their rows run on discrete logs (counting._LogPolys, which
-also takes y^q modulo a row).  They share only trim, with the log -1 as the
-zero to drop.
+subfield-root searches of the extension fields share it.  OPERATORS is
+Python's own arithmetic as such an object: zeta multiplies its integer
+L-polynomials with mul_list over it, and prym takes a determinant over
+UniPoly entries with it.  The counting kernels do not use the list kernel:
+their rows run on discrete logs (counting._LogPolys, which also takes y^q
+modulo a row).  They share only trim, with the log -1 as the zero to drop.
 """
 
 from __future__ import annotations
 
+import operator
+from types import SimpleNamespace
+
 from .errors import DegenerateInputError
 
 NEG_INF = float("-inf")
+# Python's +, - and * as a field object, for ints and for UniPoly entries
+OPERATORS = SimpleNamespace(zero=0, add=operator.add, sub=operator.sub, mul=operator.mul)
 
 
 # --- list kernel -------------------------------------------------------------

@@ -21,22 +21,18 @@ together: 4 * (-det(G1 + 2x G2 + x^2 G3)) equals b (b^2 - a c) identically.
 from __future__ import annotations
 
 import logging
-import operator
 from dataclasses import dataclass
 from functools import cached_property
-from types import SimpleNamespace
 
 from .errors import DegenerateInputError, RejectedInputError
 from .linalg import Matrix3
-from .poly import BinaryForm, UniPoly
+from .poly import OPERATORS, BinaryForm, UniPoly
 from .resultants import quartic_disc_nonzero
 from .ternary import TernaryForm, cover_quartic, gram, quadric
 
 log = logging.getLogger(__name__)
 
 RANDOM_CURVE_TRIES = 2000
-# UniPoly's own operators, as the field object Matrix3.det computes over
-_UNIPOLY_RING = SimpleNamespace(add=operator.add, sub=operator.sub, mul=operator.mul)
 
 
 @dataclass(frozen=True)
@@ -227,13 +223,14 @@ def pencil_sextic(q1: TernaryForm, q2: TernaryForm, q3: TernaryForm) -> UniPoly:
     """-det(G1 + 2x G2 + x^2 G3) with G_i = gram(q_i), a polynomial of degree <= 6.
 
     The determinant is Matrix3.det, the package's one cofactor expansion,
-    run over UniPoly entries with UniPoly's own operators."""
+    run over UniPoly entries with poly.OPERATORS, which calls UniPoly's own
+    +, - and *."""
     F = q1.field
     two = F.from_int(2)
     g1, g2, g3 = gram(q1), gram(q2), gram(q3)
     m = [[UniPoly(F, (g1[i][j], F.mul(two, g2[i][j]), g3[i][j])) for j in range(3)]
          for i in range(3)]
-    return -Matrix3(_UNIPOLY_RING, m).det
+    return -Matrix3(OPERATORS, m).det
 
 
 # the smooth endpoint of the deformation pencil: quartic x1^4 - x2^4 + x3^4
@@ -280,7 +277,7 @@ def bruin_cover(q1: TernaryForm, q2: TernaryForm, q3: TernaryForm) -> BruinCover
     if sextic.is_zero():
         sf = False
     else:
-        sf = BinaryForm.homogenize(sextic, 6).is_squarefree() and sextic.degree >= 5
+        sf = BinaryForm.homogenize(sextic, 6).is_squarefree()
     return BruinCover(q1, q2, q3, base, sextic, quartic_disc_nonzero(base), sf)
 
 

@@ -2,10 +2,12 @@
 
 Each criterion is a plain check, (passed, detail), under one decorator,
 _criterion(index, name), that numbers, names and times it into a
-CriterionResult; a new criterion is one decorated function.  run_all runs
-the lot and prints one pass/fail line per criterion.  The pytest acceptance
-module drives the same functions at full scale, so `prymsplit selftest
---full` and the test suite agree by construction.
+CriterionResult; a new criterion is one decorated function.  A criterion
+whose check raises a PrymError fails with the error as its detail, and the
+others still run.  run_all runs the lot and prints one pass/fail line per
+criterion.  The pytest acceptance module drives the same functions at full
+scale, so `prymsplit selftest --full` and the test suite agree by
+construction.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .counting import count_weighted
-from .errors import InconsistentCountsError, RejectedInputError
+from .errors import InconsistentCountsError, PrymError, RejectedInputError
 from .fields import QQ, build_extension
 from .linalg import Matrix3
 from .poly import BinaryForm, UniPoly
@@ -89,12 +91,18 @@ class CriterionResult:
 
 
 def _criterion(index, name):
-    """Turn check(cfg) -> (passed, detail) into check(cfg) -> CriterionResult."""
+    """Turn check(cfg) -> (passed, detail) into check(cfg) -> CriterionResult.
+
+    A PrymError raised by the check fails the criterion, with the error's
+    class and message as the detail; any other exception propagates."""
     def decorate(check):
         @functools.wraps(check)
         def timed(cfg: SelftestConfig) -> CriterionResult:
             t0 = time.perf_counter()
-            passed, detail = check(cfg)
+            try:
+                passed, detail = check(cfg)
+            except PrymError as exc:
+                passed, detail = False, f"{type(exc).__name__}: {exc}"
             return CriterionResult(index, name, passed, detail, time.perf_counter() - t0)
         return timed
     return decorate

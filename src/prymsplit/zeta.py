@@ -37,7 +37,7 @@ from .errors import (
     UnsupportedFieldError,
 )
 from .fields import build_extension
-from .poly import BinaryForm
+from .poly import OPERATORS, BinaryForm, mul_list
 from .prym import BiellipticQuartic, BruinCover, SplitResult, split, validate
 
 DEFAULT_AXIS_CAP = 30_000
@@ -73,11 +73,7 @@ class WeilPolynomial:
     def __mul__(self, other: "WeilPolynomial") -> "WeilPolynomial":
         if self.q != other.q:
             raise InconsistentCountsError("L-polynomial base sizes differ")
-        a, b = self.coeffs, other.coeffs
-        out = [0] * (len(a) + len(b) - 1)
-        for i, ai in enumerate(a):
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
+        out = mul_list(self.coeffs, other.coeffs, OPERATORS)
         return WeilPolynomial(self.q, self.genus + other.genus, tuple(out))
 
     def power_sums(self, upto: int) -> list:
@@ -236,6 +232,9 @@ def verify_bruin(cover: BruinCover, depth: int = 3, *,
     before any field is built.  Only depths 4 and 5 can stop early: the loop
     stops at the first m with q^m above axis_cap, before F_{q^m} is built,
     and yields a partial result at the achieved depth rather than an error.
+    count_bruin_cover gives a base and a cover record per m, kept in one
+    list; the cover counts are its odd entries up to the depth, and the
+    achieved depth is their number.
     """
     check_bruin_depth(depth)
     p, k = _finite_base(cover.field)
@@ -251,24 +250,18 @@ def verify_bruin(cover: BruinCover, depth: int = 3, *,
         )
     check_axis_cap(p, 3 * k, axis_cap)
     records = []
-    counts_y = []
-    achieved = 0
     for m in range(1, max(3, depth) + 1):
-        try:
-            check_axis_cap(p, k * m, axis_cap)
-        except ResourceLimitError:
+        if p ** (k * m) > axis_cap:
             break
         records.extend(count_bruin_cover(*cover.triple(), build_extension(p, k * m)))
-        if m <= depth:
-            counts_y.append(records[-1].n)
-            achieved = m
+    actual = tuple(rec.n for rec in records[1:2 * depth:2])
+    achieved = len(actual)
     recs_h = [count_weighted(cover.sextic, 2, build_extension(p, k * m)) for m in (1, 2)]
     records.extend(recs_h)
     l_z = _lpoly(records[0:6:2], 3)  # the base's counts over F_q..F_{q^3}
     l_h = _lpoly(recs_h, 2)
     product = l_z * l_h
     predicted = tuple(predicted_counts(product, m) for m in range(1, achieved + 1))
-    actual = tuple(counts_y)
     passed = predicted == actual
     failure = None
     if not passed:

@@ -70,7 +70,7 @@ MUTANTS = [
     # the Frobenius orbits by size in discovery order, not ascending
     ("counting.py", "for size in sorted(by_size):", "for size in by_size:", COUNTING),
     # pencil_sextic's determinant without its minus sign
-    ("prym.py", "return -Matrix3(_UNIPOLY_RING, m).det", "return Matrix3(_UNIPOLY_RING, m).det",
+    ("prym.py", "return -Matrix3(OPERATORS, m).det", "return Matrix3(OPERATORS, m).det",
      ("tests/test_prym.py::TestPencil",)),
     # a validation report that passes despite its first failure
     ("prym.py", "return not self.failures\n", "return not self.failures[1:]\n",
@@ -108,6 +108,22 @@ MUTANTS = [
     # every report's verdict "pass"
     ("cli.py", 'return "pass" if passed else "fail"', 'return "pass"',
      ("tests/test_cli.py::TestFailPaths",)),
+    # Q's subtraction by Fraction's +
+    ("fields.py", "sub = staticmethod(operator.sub)", "sub = staticmethod(operator.add)",
+     ("tests/test_poly.py",)),
+    # the product of two L-polynomials taken with + in place of *
+    ("poly.py", "sub=operator.sub, mul=operator.mul)", "sub=operator.sub, mul=operator.add)",
+     ("tests/test_zeta.py::TestWeilPolynomial",)),
+    # verify_bruin reading the base's counts as the cover's
+    ("zeta.py", "records[1:2 * depth:2]", "records[0:2 * depth:2]", ("tests/test_zeta.py",)),
+    # an extension-field element packed one base-p digit too high
+    ("fields.py", "self.p**i for", "self.p**(i + 1) for", ("tests/test_fields.py",)),
+    # a selftest criterion that raises ends the run in place of failing
+    ("selftest.py", "except PrymError as exc:", "except () as exc:",
+     ("tests/test_cli.py::TestFailPaths::test_selftest_reports_a_raising_criterion_and_goes_on",)),
+    # a repeated monomial in a quartic document kept as its last entry
+    ("cli.py", "        if (i, j, k) in coeffs:\n", "        if False:\n",
+     ("tests/test_cli.py::TestParsing::test_repeated_key_or_monomial_rejected",)),
 ]
 
 

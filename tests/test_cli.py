@@ -50,6 +50,23 @@ def canonical(report):
 
 
 class TestParsing:
+    @pytest.mark.parametrize("argv, text, message", [
+        (["validate"], '{"p": 7, "p": 11, "f": [1, 1, 5], "g": [1, 6, 4], "h": [3, 5, 0]}',
+         'key "p" appears twice'),
+        (["disc-check"], '{"quartic": [[4,0,0,1],[4,0,0,2],[0,4,0,1],[0,0,4,1]]}',
+         "monomial (4,0,0) appears twice"),
+    ], ids=["key", "monomial"])
+    @pytest.mark.parametrize("source", ["inline", "file"])
+    def test_repeated_key_or_monomial_rejected(self, tmp_path, capsys, argv, text, message,
+                                               source):
+        if source == "file":
+            path = tmp_path / "doc.json"
+            path.write_text(text)
+            text = str(path)
+        assert cli.main([*argv, "--input", text]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"rejected input: {message}\n"
+
     def test_unknown_key_named(self, tmp_path, capsys):
         path = write(tmp_path, {**DEMO_F7, "extra": 1})
         code = cli.main(["validate", "--input", path])
@@ -584,6 +601,26 @@ class TestFailPaths:
         assert [c["passed"] for c in report["criteria"]] == [True, False]
         code, lines = self.run(capsys, ["selftest"], "text")
         assert code == 2 and len(lines) == 1 and lines[0].startswith("selftest: fail (")
+
+    def test_selftest_reports_a_raising_criterion_and_goes_on(self, monkeypatch, capsys):
+        import dataclasses
+
+        import prymsplit.zeta as zeta_module
+
+        real = zeta_module.count_plane_quartic
+
+        def miscount(curve, field):  # each count over F_{q^2} one too large
+            rec = real(curve, field)
+            return dataclasses.replace(rec, n=rec.n + 1) if rec.m == 2 else rec
+
+        monkeypatch.setattr(zeta_module, "count_plane_quartic", miscount)
+        code, report = self.run(capsys, ["selftest"], "json")
+        assert code == 2 and report["verdict"] == "fail"
+        criteria = report["criteria"]
+        assert [c["index"] for c in criteria] == list(range(1, 9))
+        assert [c["index"] for c in criteria if not c["passed"]] == [2, 8]
+        for c in (criteria[1], criteria[7]):
+            assert c["detail"].startswith("InconsistentCountsError: Newton division by 2")
 
     def test_validate_fails_with_exit_3(self, capsys):
         argv = ["validate", "--input", json.dumps(BAD_FG)]

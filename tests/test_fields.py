@@ -82,16 +82,33 @@ def test_from_fraction_matches_the_modular_inverse(p):
             field.from_fraction(bad)
 
 
-@pytest.mark.parametrize("p", [7, 2**61 - 1])
+@pytest.mark.parametrize("p", [7, 2**61 - 1, "QQ"])
 def test_prime_field_inverse_and_negative_powers(p):
-    field = PrimeField(p)
-    for a in (1, 2, 3, p - 1, 10**12 % p):
-        assert field.mul(a, field.inv(a)) == 1
+    if p == "QQ":
+        field = QQ
+        elements = (Fraction(1), Fraction(2), Fraction(-3), Fraction(10**12, 7))
+    else:
+        field = PrimeField(p)
+        elements = (1, 2, 3, p - 1, 10**12 % p)
+    for a in elements:
+        assert field.mul(a, field.inv(a)) == field.one
         assert field.pow(a, -3) == field.inv(field.pow(a, 3))
-        assert field.div(1, a) == field.inv(a)
-    for call in (lambda: field.inv(0), lambda: field.pow(0, -1)):
+        assert field.div(field.one, a) == field.inv(a)
+    for call in (lambda: field.inv(field.zero), lambda: field.pow(field.zero, -1)):
         with pytest.raises(ZeroDivisionError):
             call()
+
+
+def test_rational_ring_operations():
+    a, b = Fraction(1, 2), Fraction(-1, 3)
+    values = (QQ.add(a, b), QQ.sub(a, b), QQ.mul(a, b), QQ.neg(a), QQ.pow(b, 3), QQ.pow(b, -2))
+    assert values == (Fraction(1, 6), Fraction(5, 6), Fraction(-1, 6), Fraction(-1, 2),
+                      Fraction(-1, 27), Fraction(9))
+    assert all(type(v) is Fraction for v in values)
+    big = Fraction(10**30 + 1, 7)
+    for x, y in ((big, a), (a, big), (big, big), (QQ.zero, b)):
+        assert QQ.sub(x, y) == x - y and QQ.add(x, y) == x + y and QQ.mul(x, y) == x * y
+        assert QQ.neg(x) == -x and QQ.add(x, QQ.neg(x)) == QQ.zero
 
 
 def test_supplied_modulus_checked():

@@ -49,6 +49,12 @@ class TestWeilPolynomial:
         lp = lpoly_from_counts(5, [rec.n], 1)
         assert lp.coeffs == (1, -2, 5)
 
+    def test_product_is_the_integer_polynomial_product(self):
+        product = WeilPolynomial(5, 1, (1, -2, 5)) * WeilPolynomial(5, 2, (1, 0, 0, 0, 25))
+        assert (product.q, product.genus) == (5, 3)
+        assert product.coeffs == (1, -2, 5, 0, 25, -50, 125)
+        assert all(type(c) is int for c in product.coeffs)
+
     def test_functional_equation_enforced(self):
         with pytest.raises(InconsistentCountsError):
             WeilPolynomial(5, 1, (1, 2, 7))
